@@ -15,13 +15,18 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import next_fast_len
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import ConfigurationError, NumericalError
 from .kernels import Kernel, KernelMatrix, SumOfExponentialsKernel
 
 _TAIL_TOL = 1e-8          # required kernel tail mass at the truncation horizon
 _RESIDUAL_TOL = 1e-6      # sup-norm residual of the discretized equation
-_MAX_NODES = 20_001
+_MAX_UNKNOWNS = 1_000_000  # k^2 (n + 1) grid values; ~200 bytes of working memory each
+_GMRES_RTOL = 1e-10       # above the rounding floor, which reaches ~5e-11 at ||h|| = 0.9999
+_GMRES_RESTART = 40
+_GMRES_MAXITER = 10       # restart cycles; the preconditioned solve needs one
 
 
 def _trapz_weights(n: int, dt: float) -> np.ndarray:
@@ -111,58 +116,97 @@ def _default_t_max(kernel) -> float:
     return max(40.0, 20.0 * kernel.decay_scale())
 
 
-def _resolve_grid(kernel, dt, t_max, tail_tol=_TAIL_TOL):
+def _resolve_grid(kernel, dt, t_max, k=1, tail_tol=_TAIL_TOL):
+    """Uniform grid [0, t_max] with step dt for a k x k density.
+
+    The auto horizon grows until the tail mass is below tail_tol.  Both the
+    auto and the explicit horizon are checked against the cap on k^2 (n + 1)
+    unknowns before any grid is allocated.
+    """
     if dt <= 0:
         raise ConfigurationError("grid step must be positive")
     if t_max is None:
         t_max = _default_t_max(kernel)
         while kernel.tail_mass(t_max) > tail_tol:
             t_max *= 1.5
-            if t_max / dt > _MAX_NODES:
+            if k * k * (t_max / dt + 1) > _MAX_UNKNOWNS:
                 raise NumericalError(
-                    "kernel tail decays too slowly for the node cap; "
+                    "kernel tail decays too slowly for the grid cap; "
                     "pass a coarser dt or an explicit t_max")
     elif kernel.tail_mass(t_max) > tail_tol:
         raise ConfigurationError(
             f"tail mass H({t_max:g}) = {kernel.tail_mass(t_max):.2e} exceeds {tail_tol:g}")
     n = int(round(t_max / dt))
-    if n + 1 > _MAX_NODES:
-        raise NumericalError(f"{n + 1} nodes exceed the cap {_MAX_NODES}")
+    if k * k * (n + 1) > _MAX_UNKNOWNS:
+        raise NumericalError(f"{k * k * (n + 1)} unknowns exceed the cap {_MAX_UNKNOWNS}")
     return np.arange(n + 1) * dt
 
 
-def _history_block(h, t, w, block=512):
-    """W-weighted kernel evaluations h(t_i + t_j) row-blocked to bound memory."""
-    n1 = len(t)
-    A = np.empty((n1, n1))
-    for i0 in range(0, n1, block):
-        i1 = min(i0 + block, n1)
-        A[i0:i1] = h(t[i0:i1, None] + t[None, :]) * w[None, :]
-    return A
+def _solve_density(entries, a, t, dt):
+    """Solve the trapezoid-discretized k x k density equation matrix-free.
 
+    Row (n, i, j) of the discrete system reads
 
-def _volterra_block(h, t, dt, block=512):
-    """Trapezoid weights for int_0^{t_i} h(t_i - v) f(v) dv, row i."""
-    n1 = len(t)
-    A = np.empty((n1, n1))
-    for i0 in range(0, n1, block):
-        i1 = min(i0 + block, n1)
-        D = t[i0:i1, None] - t[None, :]
-        mask = D >= 0
-        wc = np.where(mask, dt, 0.0)
-        wc[:, 0] = np.where(mask[:, 0], 0.5 * dt, 0.0)
-        for r in range(i0, i1):
-            wc[r - i0, r] = 0.5 * dt if r > 0 else 0.0
-        A[i0:i1] = np.where(mask, h(np.where(mask, D, 0.0)), 0.0) * wc
-    if n1:
-        A[0, :] = 0.0
-    return A
+        Phi_ij(t_n) = h_ij(t_n) a_j + sum_q sum_m h_iq(t_n + t_m) w_m Phi_jq(t_m)
+                      + sum_l sum_{m<=n} h_il(t_n - t_m) c_nm Phi_lj(t_m),
+
+    with trapezoid weights w and Volterra weights c (dt, halved at m = 0 and
+    m = n, row 0 empty).  The history sum is a cross-correlation of h_iq on
+    [0, 2 t_max] with w Phi_jq and the Volterra sum a causal convolution of
+    h_il on [0, t_max] with Phi_lj; both are applied by FFT, so the operator
+    is never stored.  GMRES solves the system, right-preconditioned by the
+    circulant inverse of I minus the Volterra part; without it the restarted
+    iteration stalls on long grids near criticality.  Returns the (n, k, k)
+    grid and the sup-norm residual.
+    """
+    n, k = len(t), len(entries)
+    size = next_fast_len(2 * n - 1, real=True)     # lags up to 2n - 2 do not wrap
+
+    def spectrum(f):
+        return np.fft.rfft(f, size, axis=0)
+
+    def grid(spec):
+        return np.fft.irfft(spec, size, axis=0)[:n]
+
+    h = np.moveaxis([[kern(np.arange(2 * n - 1) * dt) for kern in row] for row in entries], -1, 0)
+    h0 = h[:n]
+    hist_hat = spectrum(h)
+    conv_hat = dt * spectrum(h0)
+    inv_hat = np.linalg.inv(np.eye(k) - conv_hat + 0.5 * dt * h0[0])
+    w = _trapz_weights(n, dt)[:, None, None]
+
+    def apply(phi):
+        spec = (hist_hat @ spectrum(w * phi).conj().transpose(0, 2, 1)
+                + conv_hat @ spectrum(phi))
+        # half-weight ends of the Volterra sum; together they cancel its row 0
+        return grid(spec) - 0.5 * dt * (h0 @ phi[0] + h0[0] @ phi)
+
+    def precondition(y):
+        return grid(inv_hat @ spectrum(y.reshape(n, k, k)))
+
+    def system(y):
+        phi = precondition(y)
+        return (phi - apply(phi)).ravel()
+
+    b = h0 * np.asarray(a, dtype=float)
+    op = LinearOperator((b.size, b.size), matvec=system, dtype=float)
+    y, info = gmres(op, b.ravel(), rtol=_GMRES_RTOL, atol=0.0, restart=_GMRES_RESTART,
+                    maxiter=_GMRES_MAXITER)
+    if info != 0:
+        raise NumericalError(f"GMRES did not converge (info = {info})")
+    phi = precondition(y)
+    residual = float(np.max(np.abs(phi - (apply(phi) + b))))
+    if not residual <= _RESIDUAL_TOL:
+        raise NumericalError(f"integral-equation residual {residual:.2e} > {_RESIDUAL_TOL:g}")
+    if phi.min() < -1e-6:
+        raise NumericalError(f"covariance density significantly negative ({phi.min():.2e})")
+    return phi, residual
 
 
 def solve_phi_grid(kernel: Kernel, dt: float = 0.01, t_max: float | None = None) -> CovarianceDensity:
     """Solve the covariance-density equation on a uniform grid.
 
-    Direct dense solve of the trapezoid-discretized linear system; the
+    The k = 1 case of `solve_multivariate_phi`, with a = 1/(1-||h||); the
     infinite history integral is truncated at t_max, which must satisfy
     H(t_max) < 1e-8.  The reported residual is the sup-norm defect of the
     discretized equation.
@@ -174,19 +218,8 @@ def solve_phi_grid(kernel: Kernel, dt: float = 0.01, t_max: float | None = None)
     if kernel.is_zero:
         return CovarianceDensity(t, np.zeros_like(t), dt, norm, kernel=kernel,
                                  closed_form=lambda x: np.zeros_like(np.asarray(x, float)))
-    A = _history_block(kernel, t, _trapz_weights(len(t), dt))
-    A += _volterra_block(kernel, t, dt)
-    b = kernel(t) / (1.0 - norm)
-    try:
-        phi = np.linalg.solve(np.eye(len(t)) - A, b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular discretized system: {exc}") from exc
-    residual = float(np.max(np.abs(phi - (A @ phi + b))))
-    if residual > _RESIDUAL_TOL:
-        raise NumericalError(f"integral-equation residual {residual:.2e} > {_RESIDUAL_TOL:g}")
-    if phi.min() < -1e-6:
-        raise NumericalError(f"covariance density significantly negative ({phi.min():.2e})")
-    return CovarianceDensity(t, phi, dt, norm, kernel=kernel, residual=residual)
+    values, residual = _solve_density([[kernel]], [1.0 / (1.0 - norm)], t, dt)
+    return CovarianceDensity(t, values[:, 0, 0], dt, norm, kernel=kernel, residual=residual)
 
 
 def phi_exponential_closed_form(alpha: float, beta: float, dt: float = 0.01,
@@ -218,51 +251,15 @@ def phi_exponential_closed_form(alpha: float, beta: float, dt: float = 0.01,
 
 def solve_multivariate_phi(multi: KernelMatrix, dt: float = 0.02,
                            t_max: float | None = None) -> CovarianceDensity:
-    """Solve the matrix covariance-density equation by one stacked dense solve.
+    """Solve the matrix covariance-density equation on a uniform grid.
 
-    Unknowns are the k^2 grid functions Phi_ij, vectorized row-major; the
-    history integral uses the extension Phi(-u) = Phi(u)^T.
+    The history integral uses the extension Phi(-u) = Phi(u)^T; the grid,
+    solver and checks are those of `solve_phi_grid`.
     """
-    k = multi.k
     a = multi.branching_vector()
-    slow = max((multi.entries[i][j].decay_scale()
-                for i in range(k) for j in range(k)
-                if not multi.entries[i][j].is_zero), default=1.0)
-    if t_max is None:
-        t_max = max(40.0, 20.0 * slow)
-        while multi.tail_mass(t_max) > _TAIL_TOL:
-            t_max *= 1.5
-    t = np.arange(int(round(t_max / dt)) + 1) * dt
-    n1 = len(t)
-    if k * k * n1 > 4 * _MAX_NODES:
-        raise NumericalError("stacked system too large; coarsen dt or reduce t_max")
-    w = _trapz_weights(n1, dt)
-    P = [[_history_block(multi.entries[i][j], t, w) for j in range(k)] for i in range(k)]
-    C = [[_volterra_block(multi.entries[i][j], t, dt) for j in range(k)] for i in range(k)]
-
-    dim = k * k * n1
-    A = np.zeros((dim, dim))
-    b = np.zeros(dim)
-    blk = lambda i, j: slice((i * k + j) * n1, (i * k + j) * n1 + n1)
-    for i in range(k):
-        for j in range(k):
-            b[blk(i, j)] = multi.entries[i][j](t) * a[j]
-            for q in range(k):
-                A[blk(i, j), blk(j, q)] += P[i][q]     # history: sum_l h_il(t+u) Phi_jl(u)
-            for l in range(k):
-                A[blk(i, j), blk(l, j)] += C[i][l]     # convolution: sum_l h_il(t-v) Phi_lj(v)
-    try:
-        x = np.linalg.solve(np.eye(dim) - A, b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular stacked system: {exc}") from exc
-    residual = float(np.max(np.abs(x - (A @ x + b))))
-    if residual > _RESIDUAL_TOL:
-        raise NumericalError(f"matrix integral-equation residual {residual:.2e}")
-    values = np.empty((n1, k, k))
-    for i in range(k):
-        for j in range(k):
-            values[:, i, j] = x[blk(i, j)]
-    norm = multi.entries[0][0].l1_norm() if k == 1 else float("nan")
+    t = _resolve_grid(multi, dt, t_max, k=multi.k)
+    values, residual = _solve_density(multi.entries, a, t, dt)
+    norm = multi.entries[0][0].l1_norm() if multi.k == 1 else float("nan")
     return CovarianceDensity(t, values, dt, norm, kernel=multi, a=a, residual=residual)
 
 

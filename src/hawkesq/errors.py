@@ -23,7 +23,3 @@ class StabilityError(NumericalError):
 
 class TruncationError(NumericalError):
     """Reported truncation tail bound exceeds the requested tolerance."""
-
-
-class StatisticalCheckError(HawkesqError):
-    """A Monte-Carlo validation check failed (CLI exit code 1)."""

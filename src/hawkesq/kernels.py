@@ -504,33 +504,14 @@ class KernelMatrix:
                 "entries": [[kern.to_dict() for kern in row] for row in self.entries]}
 
 
-def spectral_radius(matrix, tol: float = 1e-13, max_iter: int = 20_000) -> float:
-    """Dominant eigenvalue of a nonnegative matrix by power iteration.
-
-    Iterates on (H + I) so that period-two cycles cannot stall; raises
-    NumericalError when the Rayleigh quotient has not settled by the cap.
-    """
+def spectral_radius(matrix) -> float:
+    """Dominant eigenvalue of a nonnegative matrix (its Perron root)."""
     H = np.asarray(matrix, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ConfigurationError("spectral radius needs a square matrix")
     if np.any(H < 0):
         raise ConfigurationError("matrix of L1 norms must be nonnegative")
-    k = H.shape[0]
-    if k == 1:
-        return float(H[0, 0])
-    v = np.full(k, 1.0 / k)
-    lam_old = math.inf
-    for _ in range(max_iter):
-        w = H @ v + v
-        s = float(w.sum())
-        if s == 0.0:
-            return 0.0
-        lam = s / float(v.sum())
-        v = w / s
-        if abs(lam - lam_old) <= tol * max(1.0, abs(lam)):
-            return lam - 1.0
-        lam_old = lam
-    raise NumericalError("power iteration did not converge")
+    return float(np.abs(np.linalg.eigvals(H)).max())
 
 
 class HawkesConfig:

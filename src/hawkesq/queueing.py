@@ -15,8 +15,8 @@ import numpy as np
 from .errors import ConfigurationError
 from .kernels import HawkesConfig
 from .service import ServiceModel
-from .simulate import (INITIAL_STREAM, SERVICE_STREAM, PointPath, SimConfig,
-                       rep_stream, simulate_cluster, simulate_thinning)
+from .simulate import (_ENGINES, INITIAL_STREAM, SERVICE_STREAM, PointPath, SimConfig,
+                       rep_stream)
 
 
 @dataclass
@@ -176,10 +176,8 @@ def steady_state_sample(config: HawkesConfig, service, n_samples: int, seed: int
     t_grid = burn_in + spacing * np.arange(samples_per_rep)
     rates = config.mean_rate_vector()
     offered = rates * means
-    if engine not in ("cluster", "thinning"):
-        raise ConfigurationError(f"unknown engine {engine!r}")
-    engine_fn = {"cluster": simulate_cluster, "thinning": simulate_thinning}[engine]
     sim = SimConfig(config, horizon, seed, burn_in=arrival_burn_in, engine=engine)
+    engine_fn = _ENGINES[sim.engine]
 
     draws = np.empty((reps, samples_per_rep, k), dtype=int)
     for r in range(reps):

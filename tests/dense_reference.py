@@ -1,0 +1,58 @@
+"""Dense reference solve of the discretized covariance-density equation.
+
+Assembles the stacked k^2 n x k^2 n trapezoid system explicitly and solves
+it with LAPACK.  Memory grows as (k^2 n)^2, so use it at small n only; the
+library applies the same operator matrix-free and is checked against it.
+"""
+import numpy as np
+
+
+def _trapz_weights(n, dt):
+    w = np.full(n, dt)
+    w[0] = w[-1] = 0.5 * dt
+    return w
+
+
+def history_block(h, t, w):
+    """W-weighted kernel evaluations h(t_i + t_j)."""
+    return h(t[:, None] + t[None, :]) * w[None, :]
+
+
+def volterra_block(h, t, dt):
+    """Trapezoid weights for int_0^{t_i} h(t_i - v) f(v) dv, row i."""
+    D = t[:, None] - t[None, :]
+    mask = D >= 0
+    wc = np.where(mask, dt, 0.0)
+    wc[:, 0] = np.where(mask[:, 0], 0.5 * dt, 0.0)
+    wc[np.arange(1, len(t)), np.arange(1, len(t))] = 0.5 * dt
+    A = np.where(mask, h(np.where(mask, D, 0.0)), 0.0) * wc
+    A[0, :] = 0.0
+    return A
+
+
+def dense_density(entries, a, t, dt):
+    """(n, k, k) grid solving Phi_ij = h_ij a_j + history + Volterra, densely.
+
+    Unknowns are the k^2 grid functions Phi_ij, vectorized row-major; the
+    history integral uses the extension Phi(-u) = Phi(u)^T.
+    """
+    k, n1 = len(entries), len(t)
+    w = _trapz_weights(n1, dt)
+    P = [[history_block(entries[i][j], t, w) for j in range(k)] for i in range(k)]
+    C = [[volterra_block(entries[i][j], t, dt) for j in range(k)] for i in range(k)]
+    dim = k * k * n1
+    A = np.zeros((dim, dim))
+    b = np.zeros(dim)
+
+    def blk(i, j):
+        return slice((i * k + j) * n1, (i * k + j + 1) * n1)
+
+    for i in range(k):
+        for j in range(k):
+            b[blk(i, j)] = entries[i][j](t) * a[j]
+            for q in range(k):
+                A[blk(i, j), blk(j, q)] += P[i][q]     # history: sum_q h_iq(t+u) Phi_jq(u)
+            for l in range(k):
+                A[blk(i, j), blk(l, j)] += C[i][l]     # Volterra: sum_l h_il(t-v) Phi_lj(v)
+    x = np.linalg.solve(np.eye(dim) - A, b)
+    return np.moveaxis(x.reshape(k, k, n1), -1, 0)

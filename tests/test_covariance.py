@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import hawkesq as hq
-from hawkesq.errors import ConfigurationError
+from hawkesq.errors import ConfigurationError, NumericalError
 
 import oracles
+from dense_reference import dense_density
 
 
 def test_zero_kernel_gives_zero_density():
@@ -193,6 +196,59 @@ def test_multivariate_variance_and_covariance(phi_quarter, phi_h1):
     scalar = hq.limit_covariance_G(phi_h1, K1, 1.0, 2.0)
     assert hq.limit_covariance_multi(multi, Km, 1.0, 2.0)[0, 0] == pytest.approx(
         scalar, abs=1e-8)
+
+
+_E = hq.SumOfExponentialsKernel
+_DENSE_CASES = {
+    "h1": (_E([0.5], [1.0]), dict(dt=0.1, t_max=40.0)),
+    "h2": (_E([0.1, 0.4], [0.25, 4.0]), dict(dt=0.1, t_max=80.0)),
+    "near-critical": (_E([0.99], [1.0]), dict(dt=0.1)),
+    "power-law": (hq.PowerLawKernel(1.0, 5.0, 2.0), dict(dt=0.1)),
+    "tabulated": (hq.TabulatedKernel(0.05, 0.6 * np.arange(801) * 0.05
+                                     * np.exp(-np.arange(801) * 0.05)),
+                  dict(dt=0.1, t_max=40.0)),
+    "quarter-k2": (hq.KernelMatrix([[_E([0.25], [1.0])] * 2] * 2, [1.0, 1.0]),
+                   dict(dt=0.1, t_max=40.0)),
+    # four distinct entries: a transposed index in either sum changes the grid
+    "asymmetric-k2": (hq.KernelMatrix([[_E([0.3], [1.0]), _E([0.1], [2.0])],
+                                       [_E([0.2], [0.5]), hq.PowerLawKernel(1.0, 5.0, 0.6)]],
+                                      [1.0, 0.5]),
+                      dict(dt=0.2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DENSE_CASES))
+def test_matches_dense_reference(case):
+    kernel, grid = _DENSE_CASES[case]
+    if isinstance(kernel, hq.KernelMatrix):
+        km, phi = kernel, hq.solve_multivariate_phi(kernel, **grid)
+    else:
+        km, phi = hq.KernelMatrix([[kernel]], [1.0]), hq.solve_phi_grid(kernel, **grid)
+    ref = dense_density(km.entries, km.branching_vector(), phi.t, phi.dt)
+    got = phi.values.reshape(ref.shape)
+    assert np.abs(got - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+
+
+_HEAVY = hq.PowerLawKernel(1.0, 1.5, 0.2)     # tail mass ~ t^-1/2: no horizon reaches 1e-8
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: hq.solve_phi_grid(_HEAVY, dt=0.02),
+    lambda: hq.solve_multivariate_phi(
+        hq.KernelMatrix([[_HEAVY, hq.ZERO_KERNEL], [hq.ZERO_KERNEL, _HEAVY]], [1.0, 1.0]), dt=0.02),
+    lambda: hq.solve_phi_grid(_E([0.5], [1.0]), dt=1e-5, t_max=40.0),
+    lambda: hq.solve_multivariate_phi(
+        hq.KernelMatrix([[_E([0.25], [1.0])] * 2] * 2, [1.0, 1.0]), dt=1e-4, t_max=40.0),
+], ids=["auto-k1", "auto-k2", "explicit-k1", "explicit-k2"])
+def test_grid_cap_checked_before_allocation(solve):
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalError):
+            solve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_residual_reported(phi_h1, phi_h2, phi_quarter):

@@ -133,6 +133,9 @@ def test_steady_state_floor_validation(h1):
     with pytest.raises(ConfigurationError):
         hq.steady_state_sample(cfg, hq.ExponentialService(1.0), 100, seed=1,
                                spacing=0.5)
+    with pytest.raises(ConfigurationError):
+        hq.steady_state_sample(cfg, hq.ExponentialService(1.0), 100, seed=1,
+                               engine="bogus")
 
 
 def test_steady_state_hawkes_mean(h1):
