@@ -102,7 +102,6 @@ def _resolve_common(cfg: dict, args) -> dict:
     cfg.setdefault("seed", 20240)
     if args.reps is not None:
         cfg["reps"] = args.reps
-    cfg.setdefault("threads", args.threads)
     return cfg
 
 
@@ -112,7 +111,7 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
                     burn_in=cfg.get("burn_in"), engine=cfg.get("engine", "cluster"),
                     replications=int(cfg.get("reps", 100)))
     cfg["burn_in"] = sim.burn_in
-    paths = simulate_paths(sim, threads=int(cfg.get("threads", 1)))
+    paths = simulate_paths(sim)
     probe = cfg.get("probe_times") or [sim.horizon / 2.0, sim.horizon]
     moments = empirical_moments(paths, probe)
     write_paths_csv(paths, out / "paths.csv")
@@ -156,7 +155,7 @@ def cmd_validate_fclt(cfg: dict, out: Path) -> int:
     sim = SimConfig(config, max(probe), int(cfg["seed"]),
                     burn_in=cfg.get("burn_in"), engine=cfg.get("engine", "cluster"),
                     replications=reps)
-    paths = simulate_paths(sim, threads=int(cfg.get("threads", 1)))
+    paths = simulate_paths(sim)
     counts = np.stack([p.counts_at(probe) for p in paths]).astype(float)  # (R, nt, k)
     rates = config.mean_rate_vector()
     scaled = (counts - np.asarray(probe)[None, :, None] * rates[None, None, :]) / np.sqrt(mu)
@@ -240,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default="out", help="output directory root")
         p.add_argument("--reps", type=int, default=None, help="override replication count")
-        p.add_argument("--threads", type=int, default=1)
     return parser
 
 

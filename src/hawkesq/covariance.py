@@ -41,6 +41,13 @@ def _cumtrapz(y: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+def _interp(t: np.ndarray, values: np.ndarray, x, right=None):
+    """Linear interpolation of (n,) or (n, k, k) grid values at x in [0, inf),
+    scalar or array; beyond t[-1] the value is `right` (default: the last row)."""
+    cols = [np.interp(x, t, col, right=right) for col in values.reshape(len(t), -1).T]
+    return np.stack(cols, axis=-1).reshape(np.shape(x) + values.shape[1:])[()]
+
+
 @dataclass
 class CovarianceDensity:
     """Covariance density on a uniform grid, scalar- or matrix-valued.
@@ -73,18 +80,13 @@ class CovarianceDensity:
         return float(self.t[-1])
 
     def __call__(self, x):
-        """Evaluate by linear interpolation; phi(-x) = phi(x) (scalars) or
-        Phi(-x) = Phi(x)^T (matrices).  Scalar argument only for matrices."""
-        if not self.is_matrix:
-            x = np.asarray(x, dtype=float)
-            return np.interp(np.abs(x), self.t, self.values, right=0.0)
-        x = float(x)
-        idx = min(abs(x) / self.dt, len(self.t) - 1.0)
-        lo = int(idx)
-        hi = min(lo + 1, len(self.t) - 1)
-        w = idx - lo
-        m = (1.0 - w) * self.values[lo] + w * self.values[hi]
-        return m if x >= 0 else m.T
+        """Evaluate by linear interpolation, 0 beyond t_max, at scalar or array x;
+        phi(-x) = phi(x) (scalars) or Phi(-x) = Phi(x)^T (matrices)."""
+        x = np.asarray(x, dtype=float)
+        out = _interp(self.t, self.values, np.abs(x), right=0.0)
+        if self.is_matrix:
+            out = np.where((x < 0)[..., None, None], np.swapaxes(out, -1, -2), out)
+        return out
 
     def cumulative(self):
         """(Psi, Psi2): first and second running integrals of the grid values."""
@@ -286,14 +288,7 @@ class VarianceFunction:
     def at(self, x):
         if np.any(np.asarray(x) < 0) or np.any(np.asarray(x) > self.t[-1] + 1e-12):
             raise ConfigurationError(f"time {x} outside the solved grid [0, {self.t[-1]:g}]")
-        if not self.is_matrix:
-            return np.interp(x, self.t, self.values)
-        x = float(x)
-        idx = min(x / self.dt, len(self.t) - 1.0)
-        lo = int(idx)
-        hi = min(lo + 1, len(self.t) - 1)
-        w = idx - lo
-        return (1.0 - w) * self.values[lo] + w * self.values[hi]
+        return _interp(self.t, self.values, x)
 
     def asymptotic_offset(self) -> float:
         if self._offset is None:
@@ -333,18 +328,8 @@ def _strip_integral(phi: CovarianceDensity, s: float, t: float):
     """int_s^t int_0^s phi(u - v) dv du for 0 <= s <= t, via the running
     integrals (algebraically identical to the shared-grid iterated trapezoid)."""
     _, psi2 = phi.cumulative()
-    grid = phi.t
-
-    def p2(x):
-        if phi.is_matrix:
-            idx = min(x / phi.dt, len(grid) - 1.0)
-            lo = int(idx)
-            hi = min(lo + 1, len(grid) - 1)
-            w = idx - lo
-            return (1.0 - w) * psi2[lo] + w * psi2[hi]
-        return np.interp(x, grid, psi2)
-
-    return p2(t) - p2(s) - p2(t - s)
+    p2_t, p2_s, p2_gap = _interp(phi.t, psi2, np.array([t, s, t - s]))
+    return p2_t - p2_s - p2_gap
 
 
 def limit_covariance_G(phi: CovarianceDensity, K: VarianceFunction,

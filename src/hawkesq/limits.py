@@ -12,9 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.integrate import quad
 
-from .covariance import (CovarianceDensity, VarianceFunction,
+from .covariance import (_MAX_UNKNOWNS, CovarianceDensity, VarianceFunction,
                          laplace_pipeline, limit_covariance_G,
                          limit_covariance_multi, variance_function)
 from .errors import ConfigurationError, NumericalError, TruncationError
@@ -26,20 +27,49 @@ _WEIGHT_FLOOR = 1e-12     # exponential-weight truncation for infinite integrals
 _PSD_JITTERS = (0.0, 1e-10, 1e-9, 1e-8)
 
 
-def _grid(lo: float, hi: float, dt: float):
-    n = max(int(round((hi - lo) / dt)), 1)
-    return np.linspace(lo, hi, n + 1)
+def _lattice_weights(T: float, dt: float, f) -> np.ndarray:
+    """Weights x[a] = w[a] f(a dt) of int_0^T f(tau) g(tau) dtau ~ sum_a x[a] g(a dt).
+
+    w are the trapezoid weights when T is a lattice node.  Otherwise the
+    partial last cell [N dt, T], r = T - N dt, adds r - r^2/(2 dt) to node N
+    and r^2/(2 dt) to node N + 1, which integrates the lattice's
+    piecewise-linear interpolant exactly; f is sampled at T in place of
+    (N + 1) dt, so a factor that is constant on the cell (a service survival
+    ending at T) stays exact.  The node count is checked against the cap
+    before anything is allocated.
+    """
+    n = T / dt
+    if not n + 1 <= _MAX_UNKNOWNS:
+        raise NumericalError(f"[0, {T:g}] needs {n + 1:.3g} nodes at dt = {dt:g}, "
+                             f"over the cap {_MAX_UNKNOWNS}")
+    N, r = round(n), 0.0
+    if abs(n - N) > 1e-9 * max(1.0, n):     # T within rounding of a node is that node
+        N = math.floor(n)
+        r = T - N * dt
+    w = np.zeros(N + 1 + (r > 0))
+    w[:N] += 0.5 * dt
+    w[1:N + 1] += 0.5 * dt
+    if r > 0:
+        w[N] += r - r * r / (2.0 * dt)
+        w[N + 1] = r * r / (2.0 * dt)
+    return w * f(np.minimum(np.arange(w.size) * dt, T))
 
 
-def _tw(x: np.ndarray) -> np.ndarray:
-    w = np.full(x.size, x[1] - x[0]) if x.size > 1 else np.zeros(1)
-    if x.size > 1:
-        w[0] = w[-1] = 0.5 * (x[1] - x[0])
-    return w
+def _lag_sum(phi: CovarianceDensity, x: np.ndarray, y: np.ndarray, d: float,
+             i: int = 0, j: int = 0) -> float:
+    """sum_a sum_b x[a] y[b] Phi_ij(d + (b - a) dt) on the phi lattice.
 
-
-def _phi_abs(phi: CovarianceDensity, args: np.ndarray) -> np.ndarray:
-    return np.interp(np.abs(args), phi.t, phi.values, right=0.0)
+    Equals sum_l C[l] Phi_ij(d + l dt) with C[l] = sum_a x[a] y[a + l] the
+    cross-correlation of the weights, taken by rFFT on enough points that
+    the lags -(nx - 1) .. ny - 1 do not wrap; Phi is evaluated once per lag.
+    """
+    size = next_fast_len(x.size + y.size - 1, real=True)
+    corr = np.fft.irfft(np.fft.rfft(x, size).conj() * np.fft.rfft(y, size), size)
+    lags = np.arange(1 - x.size, y.size)
+    values = phi(d + lags * phi.dt)
+    if phi.is_matrix:
+        values = values[:, i, j]
+    return float(corr[lags] @ values)
 
 
 def _require_scalar(phi: CovarianceDensity):
@@ -64,15 +94,11 @@ def cov_X_general(F0: ServiceModel, F: ServiceModel, q0: float,
     term1 = q0 * F0.cdf(lo) * F0.survival(hi)
     if lo == 0.0:
         return float(term1)
-    u = _grid(0.0, lo, phi.dt)
-    term2 = float(np.trapezoid(F.survival_closed(hi - u), u)) / (1.0 - phi.norm)
-    ug = _grid(0.0, hi, phi.dt)     # paired with the later time
-    vg = _grid(0.0, lo, phi.dt)
-    wu = _tw(ug) * F.survival_closed(hi - ug)
-    wv = _tw(vg) * F.survival_closed(lo - vg)
-    G = _phi_abs(phi, vg[None, :] - ug[:, None])
-    term3 = float(np.einsum("i,j,ij->", wu, wv, G))
-    return float(term1 + term2 + term3)
+    # in the ages tau = hi - u and sigma = lo - v the lag u - v is hi - lo + sigma - tau
+    term2 = _lattice_weights(lo, phi.dt, lambda a: F.survival_closed(hi - lo + a)).sum()
+    term3 = _lag_sum(phi, _lattice_weights(hi, phi.dt, F.survival_closed),
+                     _lattice_weights(lo, phi.dt, F.survival_closed), hi - lo)
+    return float(term1 + term2 / (1.0 - phi.norm) + term3)
 
 
 def var_X_infty(F: ServiceModel, phi: CovarianceDensity, method: str = "auto"):
@@ -80,9 +106,12 @@ def var_X_infty(F: ServiceModel, phi: CovarianceDensity, method: str = "auto"):
     double integral of the covariance density (infinite-horizon version of
     the queue-limit variance).
 
-    "grid" truncates both axes at the 1e-12 survival cutoff and integrates
-    by trapezoid on the phi grid; "closed_form" (when phi carries an exact
-    evaluator) uses nested adaptive quadrature of the lag-correlation form.
+    "grid" truncates both axes at the 1e-12 survival cutoff and sums the
+    lag quadrature on the phi lattice, in O(n log n) time and O(n) memory for
+    n = cutoff/dt nodes; it raises NumericalError when n exceeds the node cap
+    (heavy service tails at fine dt).  "closed_form" (when phi carries an
+    exact evaluator) uses nested adaptive quadrature of the lag-correlation
+    form.
     """
     _require_scalar(phi)
     mean = F.mean()
@@ -105,12 +134,8 @@ def var_X_infty(F: ServiceModel, phi: CovarianceDensity, method: str = "auto"):
         return term1 + 2.0 * val
     if method != "grid":
         raise ConfigurationError(f"unknown method {method!r}")
-    U = F.survival_cutoff()
-    u = _grid(0.0, U, phi.dt)
-    w = _tw(u) * F.survival_closed(u)
-    idx = np.abs(np.subtract.outer(np.arange(u.size), np.arange(u.size)))
-    phi_line = np.interp(np.arange(u.size) * (u[1] - u[0]), phi.t, phi.values, right=0.0)
-    return float(term1 + w @ phi_line[idx] @ w)
+    x = _lattice_weights(F.survival_cutoff(), phi.dt, F.survival_closed)
+    return float(term1 + _lag_sum(phi, x, x, 0.0))
 
 
 def cov_Xe(phi: CovarianceDensity, s: float, t: float) -> float:
@@ -128,12 +153,8 @@ def cov_Xe(phi: CovarianceDensity, s: float, t: float) -> float:
     first = (math.exp(-(hi - lo)) - math.exp(-(hi + lo))) / (1.0 - phi.norm)
     if lo == 0.0:
         return 0.0
-    ug = _grid(0.0, hi, phi.dt)
-    vg = _grid(0.0, lo, phi.dt)
-    wu = _tw(ug) * np.exp(-(hi - ug))
-    wv = _tw(vg) * np.exp(-(lo - vg))
-    G = _phi_abs(phi, ug[:, None] - vg[None, :])
-    return float(first + np.einsum("i,j,ij->", wu, wv, G))
+    return first + _lag_sum(phi, _lattice_weights(hi, phi.dt, lambda a: np.exp(-a)),
+                            _lattice_weights(lo, phi.dt, lambda a: np.exp(-a)), hi - lo)
 
 
 def mean_Xe(x0: float, t) -> float:
@@ -221,13 +242,6 @@ def gaussian_queue_pmf(mu: float, kernel: Kernel, i: int) -> float:
 
 # --- multivariate OU-type limit -----------------------------------------------
 
-def _phi_ext(phi: CovarianceDensity, i: int, j: int, args: np.ndarray) -> np.ndarray:
-    """Phi_ij(x) with the extension Phi_ij(-x) = Phi_ji(x), x on the grid."""
-    fwd = np.interp(np.abs(args), phi.t, phi.values[:, i, j], right=0.0)
-    bwd = np.interp(np.abs(args), phi.t, phi.values[:, j, i], right=0.0)
-    return np.where(args >= 0, fwd, bwd)
-
-
 def cov_multi_ou(phi: CovarianceDensity, r, i: int, j: int,
                  s: float, t: float) -> float:
     """Cov(X_i(t), X_j(s)) for the k-dimensional OU-type queue limit:
@@ -251,12 +265,9 @@ def cov_multi_ou(phi: CovarianceDensity, r, i: int, j: int,
         first = phi.a[i] / r[i] * (math.exp(-r[i] * (t - s)) - math.exp(-r[i] * (t + s)))
     if s == 0.0:
         return float(first)
-    ug = _grid(0.0, t, phi.dt)
-    vg = _grid(0.0, s, phi.dt)
-    wu = _tw(ug) * np.exp(-r[i] * (t - ug))
-    wv = _tw(vg) * np.exp(-r[j] * (s - vg))
-    G = _phi_ext(phi, i, j, ug[:, None] - vg[None, :])
-    return float(first + np.einsum("i,j,ij->", wu, wv, G))
+    return float(first + _lag_sum(phi, _lattice_weights(t, phi.dt, lambda a: np.exp(-r[i] * a)),
+                                  _lattice_weights(s, phi.dt, lambda a: np.exp(-r[j] * a)),
+                                  t - s, i, j))
 
 
 def steady_state_cov_multi(phi: CovarianceDensity, r, tail_tol: float = 1e-6) -> np.ndarray:
@@ -274,20 +285,13 @@ def steady_state_cov_multi(phi: CovarianceDensity, r, tail_tol: float = 1e-6) ->
     k = phi.k
     if r.shape != (k,) or np.any(r <= 0):
         raise ConfigurationError("need one positive service rate per class")
+    tail = float(np.abs(phi.values).max()) * 2.0 * _WEIGHT_FLOOR / r.min() ** 2
+    if tail > tail_tol:
+        raise TruncationError(f"truncation tail bound {tail:.2e} > {tail_tol:g}")
     cut = -math.log(_WEIGHT_FLOOR)
-    phi_sup = float(np.abs(phi.values).max())
-    out = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            ug = _grid(0.0, cut / r[i], phi.dt)
-            vg = _grid(0.0, cut / r[j], phi.dt)
-            wu = _tw(ug) * np.exp(-r[i] * ug)
-            wv = _tw(vg) * np.exp(-r[j] * vg)
-            G = _phi_ext(phi, i, j, vg[None, :] - ug[:, None])
-            out[i, j] = np.einsum("i,j,ij->", wu, wv, G)
-            tail = phi_sup * 2.0 * _WEIGHT_FLOOR / (r[i] * r[j])
-            if tail > tail_tol:
-                raise TruncationError(f"truncation tail bound {tail:.2e} > {tail_tol:g}")
+    x = [_lattice_weights(cut / ri, phi.dt, lambda a: np.exp(-ri * a)) for ri in r]
+    out = np.array([[_lag_sum(phi, x[i], x[j], 0.0, i, j) for j in range(k)]
+                    for i in range(k)])
     out = 0.5 * (out + out.T) + np.diag(phi.a / r)
     eigmin = float(np.linalg.eigvalsh(out).min())
     if eigmin < -1e-8 * max(1.0, float(np.abs(np.diag(out)).max())):

@@ -7,7 +7,6 @@ leaked points in the observation window stays below a tolerance.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -302,14 +301,10 @@ def simulate_thinning(sim: SimConfig, replication: int = 0) -> PointPath:
 _ENGINES = {"cluster": simulate_cluster, "thinning": simulate_thinning}
 
 
-def simulate_paths(sim: SimConfig, threads: int = 1) -> list[PointPath]:
+def simulate_paths(sim: SimConfig) -> list[PointPath]:
     """All replications; per-replication streams keep results order-independent."""
     engine = _ENGINES[sim.engine]
-    reps = range(sim.replications)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda r: engine(sim, r), reps))
-    return [engine(sim, r) for r in reps]
+    return [engine(sim, r) for r in range(sim.replications)]
 
 
 @dataclass

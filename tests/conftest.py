@@ -48,3 +48,12 @@ def quarter_matrix():
 @pytest.fixture(scope="session")
 def phi_quarter(quarter_matrix):
     return hq.solve_multivariate_phi(quarter_matrix, dt=0.05, t_max=40.0)
+
+
+@pytest.fixture(scope="session")
+def phi_asymmetric():
+    # four distinct entries, so Phi_12 != Phi_21 and Phi(-x) = Phi(x)^T differs from Phi(x)
+    E = hq.SumOfExponentialsKernel
+    km = hq.KernelMatrix([[E([0.3], [1.0]), E([0.1], [2.0])],
+                          [E([0.2], [0.5]), E([0.05], [1.0])]], [1.0, 0.5])
+    return hq.solve_multivariate_phi(km, dt=0.05, t_max=40.0)

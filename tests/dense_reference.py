@@ -1,8 +1,10 @@
-"""Dense reference solve of the discretized covariance-density equation.
+"""Dense references for the covariance-density solve and the limit quadrature.
 
-Assembles the stacked k^2 n x k^2 n trapezoid system explicitly and solves
-it with LAPACK.  Memory grows as (k^2 n)^2, so use it at small n only; the
-library applies the same operator matrix-free and is checked against it.
+`dense_density` assembles the stacked k^2 n x k^2 n trapezoid system
+explicitly and solves it with LAPACK; `dense_double_sum` tabulates the lag
+matrix of a limit covariance's double integral.  Memory grows as the square
+of the grid, so use them at small n only; the library computes the same
+sums matrix-free and is checked against them.
 """
 import numpy as np
 
@@ -56,3 +58,22 @@ def dense_density(entries, a, t, dt):
                 A[blk(i, j), blk(l, j)] += C[i][l]     # Volterra: sum_l h_il(t-v) Phi_lj(v)
     x = np.linalg.solve(np.eye(dim) - A, b)
     return np.moveaxis(x.reshape(k, k, n1), -1, 0)
+
+
+def dense_double_sum(phi, hi, lo, fu, fv, i=0, j=0):
+    """sum_a sum_b w_a fu(u_a) w_b fv(v_b) Phi_ij(u_a - v_b) on the trapezoid
+    grids of [0, hi] and [0, lo], with Phi_ij(-x) = Phi_ji(x): the dense table
+    G[a, b] = Phi_ij(u_a - v_b) reduced by an einsum."""
+    def grid(T):
+        x = np.linspace(0.0, T, max(int(round(T / phi.dt)), 1) + 1)
+        w = np.full(x.size, x[1] - x[0])
+        w[0] = w[-1] = 0.5 * (x[1] - x[0])
+        return x, w
+
+    ug, wu = grid(hi)
+    vg, wv = grid(lo)
+    lag = ug[:, None] - vg[None, :]
+    fwd, bwd = (phi.values[:, i, j], phi.values[:, j, i]) if phi.is_matrix else (phi.values,) * 2
+    G = np.where(lag >= 0, np.interp(np.abs(lag), phi.t, fwd, right=0.0),
+                 np.interp(np.abs(lag), phi.t, bwd, right=0.0))
+    return np.einsum("a,b,ab->", wu * fu(ug), wv * fv(vg), G)

@@ -217,6 +217,19 @@ _DENSE_CASES = {
 }
 
 
+def test_matrix_density_evaluates_arrays(phi_asymmetric):
+    phi = phi_asymmetric
+    x = np.array([0.05, 0.37, 2.0, 7.31])
+    fwd, bwd = phi(x), phi(-x)
+    assert fwd.shape == (4, 2, 2)
+    assert np.array_equal(bwd, np.swapaxes(fwd, 1, 2))     # Phi(-x) = Phi(x)^T
+    assert np.abs(fwd[:, 0, 1] - fwd[:, 1, 0]).min() > 1e-3
+    for xi, m in zip(x, fwd):
+        assert np.array_equal(phi(xi), m) and np.array_equal(phi(-xi), m.T)
+    beyond = phi.t_max + np.array([0.01, 3.0])
+    assert np.array_equal(phi(np.concatenate([beyond, -beyond])), np.zeros((4, 2, 2)))
+
+
 @pytest.mark.parametrize("case", sorted(_DENSE_CASES))
 def test_matches_dense_reference(case):
     kernel, grid = _DENSE_CASES[case]

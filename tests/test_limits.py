@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import hawkesq as hq
-from hawkesq.errors import ConfigurationError
+from hawkesq.errors import ConfigurationError, NumericalError
 
 import oracles
+from dense_reference import dense_double_sum
 
 
 # --- var_X_infty / cov_X_general -------------------------------------------------
@@ -23,10 +26,39 @@ def test_var_x_infty_h1_exponential(phi_h1, phi_h1_exact):
 
 
 def test_var_x_infty_h1_deterministic(phi_h1):
-    # Q(t) with unit deterministic service counts arrivals in a unit window,
-    # so the steady-state variance is exactly K(1).
-    got = hq.var_X_infty(hq.DeterministicService(1.0), phi_h1, method="grid")
-    assert got == pytest.approx(oracles.K1(1.0), abs=1e-4)
+    # Q(t) with deterministic service v counts arrivals in a window of length v,
+    # so the steady-state variance is exactly K(v); 0.555 and 2.3456 are off the lattice.
+    for v in (1.0, 0.555, 2.3456):
+        got = hq.var_X_infty(hq.DeterministicService(v), phi_h1, method="grid")
+        assert got == pytest.approx(oracles.K1(v), abs=1e-4)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_var_x_infty_node_cap_checked_before_allocation(phi_h1):
+    # survival cutoff 1.3e6: 1.3e8 lattice nodes at dt = 0.01
+    def call():
+        with pytest.raises(NumericalError):
+            hq.var_X_infty(hq.LogNormalService(0.0, 2.0), phi_h1, method="grid")
+
+    _, peak = _peak_bytes(call)
+    assert peak < 1e6
+
+
+def test_var_x_infty_heavy_service_grid_matches_closed_form(phi_h1_exact):
+    # survival cutoff 1135: 113,512 lattice nodes at dt = 0.01
+    F = hq.LogNormalService(0.0, 1.0)
+    grid, peak = _peak_bytes(lambda: hq.var_X_infty(F, phi_h1_exact, method="grid"))
+    assert peak < 50e6
+    assert abs(grid - hq.var_X_infty(F, phi_h1_exact, method="closed_form")) < 1e-5
 
 
 def test_consistency_identity_exponential_service(h1, phi_h1_exact):
@@ -73,8 +105,57 @@ def test_cov_xe_poisson_and_zero_start(phi_h1):
 
 
 def test_cov_xe_matches_explicit_display(phi_h1):
-    for s, t in [(1.0, 2.0), (0.5, 1.5), (2.0, 2.0)]:
-        assert hq.cov_Xe(phi_h1, s, t) == pytest.approx(oracles.cov_xe1(s, t), abs=1e-3)
+    # the last two pairs lie off the dt = 0.01 lattice
+    for s, t in [(1.0, 2.0), (0.5, 1.5), (2.0, 2.0), (0.37, 2.913), (1.234, 5.678)]:
+        assert hq.cov_Xe(phi_h1, s, t) == pytest.approx(oracles.cov_xe1(s, t), abs=1e-4)
+
+
+def _dense_cov_xe(phi, s, t):
+    lo, hi = sorted((s, t))
+    first = (np.exp(-(hi - lo)) - np.exp(-(hi + lo))) / (1.0 - phi.norm)
+    return first + dense_double_sum(phi, hi, lo, lambda u: np.exp(-(hi - u)),
+                                    lambda v: np.exp(-(lo - v)))
+
+
+def _dense_cov_x_general(F, phi, s, t):
+    """cov_X_general with F0 = F and q0 = 1."""
+    lo, hi = sorted((s, t))
+    u = np.linspace(0.0, lo, int(round(lo / phi.dt)) + 1)
+    term2 = np.trapezoid(F.survival_closed(hi - u), u) / (1.0 - phi.norm)
+    return (F.cdf(lo) * F.survival(hi) + term2
+            + dense_double_sum(phi, hi, lo, lambda u: F.survival_closed(hi - u),
+                               lambda v: F.survival_closed(lo - v)))
+
+
+def _dense_cov_multi_ou_offdiag(phi, r, i, j, s, t):
+    if t < s:
+        return _dense_cov_multi_ou_offdiag(phi, r, j, i, t, s)
+    return dense_double_sum(phi, t, s, lambda u: np.exp(-r[i] * (t - u)),
+                            lambda v: np.exp(-r[j] * (s - v)), i, j)
+
+
+_SERVICES = {"lognormal": hq.LogNormalService(0.0, 0.5),
+             "exponential": hq.ExponentialService(1.0),
+             "deterministic": hq.DeterministicService(1.0)}
+_LAG_CASES = {
+    "cov_Xe": lambda phi, pm, s, t: (hq.cov_Xe(phi, s, t), _dense_cov_xe(phi, s, t)),
+    **{f"cov_X_general-{name}": (
+        lambda phi, pm, s, t, F=F: (hq.cov_X_general(F, F, 1.0, phi, s, t),
+                                    _dense_cov_x_general(F, phi, s, t)))
+       for name, F in _SERVICES.items()},
+    **{f"cov_multi_ou-{i}{j}": (
+        lambda phi, pm, s, t, i=i, j=j: (hq.cov_multi_ou(pm, [1.0, 2.0], i, j, s, t),
+                                         _dense_cov_multi_ou_offdiag(pm, [1.0, 2.0], i, j, s, t)))
+       for i, j in [(0, 1), (1, 0)]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LAG_CASES))
+def test_lag_quadrature_matches_dense_reference(case, phi_h1, phi_asymmetric):
+    # grid-aligned times in both orders: the lag sum is the dense double sum reordered
+    for s, t in [(1.0, 3.0), (2.5, 2.5), (4.0, 0.5)]:
+        got, ref = _LAG_CASES[case](phi_h1, phi_asymmetric, s, t)
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 def test_mean_xe_decay():

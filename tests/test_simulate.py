@@ -183,9 +183,12 @@ def test_paths_round_trip(tmp_path, h1):
         assert all(np.array_equal(x, y) for x, y in zip(a.times, b.times))
 
 
-def test_threaded_replications_match_serial(h1):
-    sim = hq.SimConfig(_config(h1, 10.0), horizon=3.0, seed=17, replications=8)
-    serial = hq.simulate_paths(sim, threads=1)
-    threaded = hq.simulate_paths(sim, threads=4)
-    for a, b in zip(serial, threaded):
-        assert all(np.array_equal(x, y) for x, y in zip(a.times, b.times))
+@pytest.mark.parametrize("engine", ["cluster", "thinning"])
+def test_permuted_replication_order_matches_simulate_paths(h1, engine):
+    sim = hq.SimConfig(_config(h1, 10.0), horizon=3.0, seed=17, engine=engine, replications=8)
+    paths = hq.simulate_paths(sim)
+    run = hq.simulate_cluster if engine == "cluster" else hq.simulate_thinning
+    permuted = {r: run(sim, r) for r in np.random.default_rng(0).permutation(sim.replications)}
+    for r, path in enumerate(paths):
+        assert permuted[r].replication == path.replication == r
+        assert all(np.array_equal(x, y) for x, y in zip(path.times, permuted[r].times))
