@@ -65,7 +65,13 @@ class Kernel:
         raise NotImplementedError
 
     def sample_offsets(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw n birth offsets with density h / ||h||_L1."""
+        """Draw n birth offsets with density h / ||h||_L1.
+
+        The values are iid as a multiset, but their order may carry
+        information (an exponential mixture returns one block per component),
+        so a caller that pairs offsets with parents by position must choose
+        the pairing at random.
+        """
         raise NotImplementedError
 
     def majorant(self, t):
@@ -176,13 +182,14 @@ class SumOfExponentialsKernel(Kernel):
             raise ConfigurationError("cannot sample offsets from the zero kernel")
         pos = self.alphas > 0
         weights = self.alphas[pos] / self.betas[pos]
-        envelope_mass = float(weights.sum())
-        cum = np.cumsum(weights) / envelope_mass
+        weights = weights / weights.sum()
         betas_pos = self.betas[pos]
 
         def draw(m):
-            comp = np.searchsorted(cum, rng.random(m))
-            return rng.exponential(1.0, size=m) / betas_pos[comp]
+            # multinomial component counts, then one exponential block per component
+            sizes = rng.multinomial(m, weights)
+            return np.concatenate([rng.exponential(1.0 / b, size=c)
+                                   for b, c in zip(betas_pos, sizes)])
 
         if np.all(self.alphas >= 0):
             return draw(n)

@@ -20,7 +20,7 @@ from .covariance import (_MAX_UNKNOWNS, CovarianceDensity, VarianceFunction,
                          limit_covariance_multi, variance_function)
 from .errors import ConfigurationError, NumericalError, TruncationError
 from .kernels import Kernel, SumOfExponentialsKernel
-from .service import ServiceModel
+from .service import DeterministicService, ServiceModel
 from .simulate import rep_stream
 
 _WEIGHT_FLOOR = 1e-12     # exponential-weight truncation for infinite integrals
@@ -53,6 +53,18 @@ def _lattice_weights(T: float, dt: float, f) -> np.ndarray:
         w[N] += r - r * r / (2.0 * dt)
         w[N + 1] = r * r / (2.0 * dt)
     return w * f(np.minimum(np.arange(w.size) * dt, T))
+
+
+def _survival_weights(F: ServiceModel, T: float, dt: float, shift: float = 0.0) -> np.ndarray:
+    """Lattice weights of int_0^T S(shift + tau) g(tau) dtau, S the service survival.
+
+    A deterministic service time v has S = 1 up to v and 0 beyond, so the
+    range is cut at v - shift and integrated with f = 1; sampling the step
+    at the nodes would leave an O(dt) error.
+    """
+    if isinstance(F, DeterministicService):
+        return _lattice_weights(min(T, max(F.value - shift, 0.0)), dt, np.ones_like)
+    return _lattice_weights(T, dt, lambda a: F.survival(shift + a))
 
 
 def _lag_sum(phi: CovarianceDensity, x: np.ndarray, y: np.ndarray, d: float,
@@ -95,9 +107,9 @@ def cov_X_general(F0: ServiceModel, F: ServiceModel, q0: float,
     if lo == 0.0:
         return float(term1)
     # in the ages tau = hi - u and sigma = lo - v the lag u - v is hi - lo + sigma - tau
-    term2 = _lattice_weights(lo, phi.dt, lambda a: F.survival_closed(hi - lo + a)).sum()
-    term3 = _lag_sum(phi, _lattice_weights(hi, phi.dt, F.survival_closed),
-                     _lattice_weights(lo, phi.dt, F.survival_closed), hi - lo)
+    term2 = _survival_weights(F, lo, phi.dt, hi - lo).sum()
+    term3 = _lag_sum(phi, _survival_weights(F, hi, phi.dt), _survival_weights(F, lo, phi.dt),
+                     hi - lo)
     return float(term1 + term2 / (1.0 - phi.norm) + term3)
 
 
@@ -134,7 +146,7 @@ def var_X_infty(F: ServiceModel, phi: CovarianceDensity, method: str = "auto"):
         return term1 + 2.0 * val
     if method != "grid":
         raise ConfigurationError(f"unknown method {method!r}")
-    x = _lattice_weights(F.survival_cutoff(), phi.dt, F.survival_closed)
+    x = _survival_weights(F, F.survival_cutoff(), phi.dt)
     return float(term1 + _lag_sum(phi, x, x, 0.0))
 
 

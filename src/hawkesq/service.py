@@ -20,15 +20,6 @@ class ServiceModel:
     def survival(self, x):
         return 1.0 - self.cdf(x)
 
-    def survival_closed(self, x):
-        """P(S >= x), the left-continuous version.
-
-        Coincides with survival() for continuous distributions; for jump
-        CDFs it is the version grid quadratures should sample so that a
-        node sitting exactly on a jump carries the cell's true value.
-        """
-        return self.survival(x)
-
     def inverse_cdf(self, u):
         raise NotImplementedError
 
@@ -88,11 +79,6 @@ class DeterministicService(ServiceModel):
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         out = np.where(x >= self.value, 1.0, 0.0)
-        return out if x.ndim else float(out)
-
-    def survival_closed(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x <= self.value, 1.0, 0.0)
         return out if x.ndim else float(out)
 
     def inverse_cdf(self, u):

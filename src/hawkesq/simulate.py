@@ -7,6 +7,7 @@ leaked points in the observation window stays below a tolerance.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,7 +142,12 @@ def simulate_cluster(sim: SimConfig, replication: int = 0) -> PointPath:
 
     Immigrants arrive Poisson on (-B, T]; a parent of type j spawns type-i
     children as an inhomogeneous Poisson cascade with intensity h_ij, i.e.
-    Poisson(||h_ij||) children placed with density h_ij/||h_ij||.
+    Poisson(||h_ij||) children placed with density h_ij/||h_ij||.  One
+    generation of n type-j parents draws its type-i children as a single
+    Poisson(n ||h_ij||) total, each child given a uniformly chosen parent;
+    this multinomial split has the law of n independent litters.  Uniform
+    parent indices also pair offsets with parents at random, as
+    Kernel.sample_offsets requires.
     """
     rng = rep_stream(sim.seed, replication, ARRIVAL_STREAM)
     multi = sim.config.kernel_matrix()
@@ -172,11 +178,12 @@ def simulate_cluster(sim: SimConfig, replication: int = 0) -> PointPath:
                 br = branching[i, j]
                 if br == 0.0:
                     continue
-                counts = rng.poisson(br, size=parents.size)
-                total = int(counts.sum())
+                # iid Poisson(br) litters = a Poisson(n br) total split uniformly over parents
+                total = int(rng.poisson(br * parents.size))
                 if total == 0:
                     continue
-                births = np.repeat(parents, counts) + multi.entries[i][j].sample_offsets(rng, total)
+                births = (parents[rng.integers(0, parents.size, size=total)]
+                          + multi.entries[i][j].sample_offsets(rng, total))
                 births = births[births <= T]    # later births cannot have offspring in (0, T]
                 nxt[i].append(births)
                 collected[i].append(births[births > 0])
@@ -210,7 +217,7 @@ class _ThinningState:
                                            np.zeros(kern.alphas.size)))
                 else:
                     self.generic.append((i, j, kern, kern.majorant_cutoff()))
-        self.events = [[] for _ in range(multi.k)]   # recent source events per type
+        self.events = [deque() for _ in range(multi.k)]   # recent source events per type
         # prune each source by the longest cutoff any entry still needs
         self.prune_horizon = np.zeros(multi.k)
         for _, j, _, cutoff in self.generic:
@@ -232,7 +239,7 @@ class _ThinningState:
                 continue
             ev = self.events[j]
             while ev and t - ev[0] > self.prune_horizon[j]:
-                ev.pop(0)
+                ev.popleft()
 
     def intensities(self, t):
         lam = self.mu.copy()
@@ -361,6 +368,7 @@ def var_of_sample_cov(x: np.ndarray, y: np.ndarray) -> float:
 # --- serialization -------------------------------------------------------------
 
 _BINARY_MAGIC = "hawkesq-pointpath-f64le"
+_BINARY_VERSION = 2
 
 
 def write_paths_csv(paths, path):
@@ -388,12 +396,21 @@ def read_paths_csv(path, horizon: float) -> list[PointPath]:
 
 def write_paths_binary(paths, path):
     """One JSON header line, then (replication, dimension, time) float64
-    triples, little-endian."""
+    triples, little-endian.
+
+    The header carries the dimension and every replication id, so paths
+    without events, or classes without events, read back intact.
+    """
+    paths = list(paths)
+    k = paths[0].dimension if paths else 1
+    if any(p.dimension != k for p in paths):
+        raise ConfigurationError("all paths must have the same dimension")
     records = [(float(p.replication), float(d), float(t))
                for p in paths for d, seq in enumerate(p.times) for t in seq]
     arr = np.asarray(records, dtype="<f8").reshape(-1, 3)
-    header = {"format": _BINARY_MAGIC, "version": 1, "count": arr.shape[0],
-              "horizon": paths[0].horizon if paths else 0.0}
+    header = {"format": _BINARY_MAGIC, "version": _BINARY_VERSION, "count": arr.shape[0],
+              "horizon": paths[0].horizon if paths else 0.0, "dimension": k,
+              "replications": [int(p.replication) for p in paths]}
     with open(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
         fh.write(arr.tobytes())
@@ -404,12 +421,14 @@ def read_paths_binary(path) -> list[PointPath]:
         header = json.loads(fh.readline().decode())
         if header.get("format") != _BINARY_MAGIC:
             raise ConfigurationError("not a point-path binary file")
+        if header.get("version") != _BINARY_VERSION:
+            raise ConfigurationError(
+                f"unsupported point-path binary version {header.get('version')!r}")
         arr = np.frombuffer(fh.read(), dtype="<f8").reshape(header["count"], 3)
-    horizon = header["horizon"]
+    horizon, k = header["horizon"], header["dimension"]
     out = []
-    for r in sorted(set(arr[:, 0].astype(int))):
+    for r in header["replications"]:
         sel = arr[arr[:, 0] == r]
-        k = int(sel[:, 1].max()) + 1 if sel.size else 1
         times = tuple(np.sort(sel[sel[:, 1] == d, 2]) for d in range(k))
-        out.append(PointPath(times, horizon, int(r)))
+        out.append(PointPath(times, horizon, r))
     return out

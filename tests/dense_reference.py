@@ -60,18 +60,18 @@ def dense_density(entries, a, t, dt):
     return np.moveaxis(x.reshape(k, k, n1), -1, 0)
 
 
-def dense_double_sum(phi, hi, lo, fu, fv, i=0, j=0):
+def dense_double_sum(phi, hi, lo, fu, fv, i=0, j=0, u0=0.0, v0=0.0):
     """sum_a sum_b w_a fu(u_a) w_b fv(v_b) Phi_ij(u_a - v_b) on the trapezoid
-    grids of [0, hi] and [0, lo], with Phi_ij(-x) = Phi_ji(x): the dense table
-    G[a, b] = Phi_ij(u_a - v_b) reduced by an einsum."""
-    def grid(T):
-        x = np.linspace(0.0, T, max(int(round(T / phi.dt)), 1) + 1)
+    grids of [u0, hi] and [v0, lo], with Phi_ij(-x) = Phi_ji(x): the dense
+    table G[a, b] = Phi_ij(u_a - v_b) reduced by an einsum."""
+    def grid(T0, T):
+        x = np.linspace(T0, T, max(int(round((T - T0) / phi.dt)), 1) + 1)
         w = np.full(x.size, x[1] - x[0])
         w[0] = w[-1] = 0.5 * (x[1] - x[0])
         return x, w
 
-    ug, wu = grid(hi)
-    vg, wv = grid(lo)
+    ug, wu = grid(u0, hi)
+    vg, wv = grid(v0, lo)
     lag = ug[:, None] - vg[None, :]
     fwd, bwd = (phi.values[:, i, j], phi.values[:, j, i]) if phi.is_matrix else (phi.values,) * 2
     G = np.where(lag >= 0, np.interp(np.abs(lag), phi.t, fwd, right=0.0),

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
 import hawkesq as hq
 from hawkesq.errors import ConfigurationError, IntegrabilityError
@@ -69,6 +70,21 @@ def test_power_law_offsets_follow_inverse_cdf():
     # CDF F(t) = 1 - (1+2t)^-4; compare the empirical median
     median = (2.0 ** 0.25 - 1.0) / 2.0
     assert np.median(draws) == pytest.approx(median, abs=5e-3)
+
+
+@pytest.mark.parametrize("alphas,betas", [([0.1, 0.4], [0.25, 4.0]),      # h2
+                                          ([1.0, -0.9], [1.0, 2.0])])    # mixed sign
+def test_exponential_mixture_offsets_ks(alphas, betas):
+    kern = hq.SumOfExponentialsKernel(alphas, betas)
+    a, b = np.asarray(alphas), np.asarray(betas)
+
+    def cdf(t):   # int_0^t h / ||h||, written out term by term
+        t = np.asarray(t)[..., None]
+        return (a / b * -np.expm1(-b * t)).sum(axis=-1) / (a / b).sum()
+
+    draws = kern.sample_offsets(np.random.default_rng(11), 50_000)
+    assert draws.size == 50_000 and draws.min() >= 0.0
+    assert kstest(draws, cdf).pvalue > 1e-3
 
 
 def test_mixed_sign_admission():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,36 @@ def test_engine_cross_validation(h1):
     se_var = np.hypot(mc.se_var[0, 0], mt.se_var[0, 0])
     assert abs(mc.mean[0, 0] - mt.mean[0, 0]) < 3.0 * se_mean
     assert abs(mc.var[0, 0] - mt.var[0, 0]) < 3.0 * se_var
+
+
+def test_engine_cross_validation_h2(h2):
+    # two-component mixture: the cluster engine's blocked offsets must pair
+    # with uniformly chosen parents; both engines start empty at -burn_in
+    cfg = _config(h2, 5.0)
+    reps = 2000
+    mc = hq.empirical_moments(hq.simulate_paths(
+        hq.SimConfig(cfg, 2.0, seed=610, burn_in=4.0, replications=reps)), [2.0])
+    mt = hq.empirical_moments(hq.simulate_paths(
+        hq.SimConfig(cfg, 2.0, seed=611, burn_in=4.0, engine="thinning",
+                     replications=reps)), [2.0])
+    se_mean = np.hypot(mc.se_mean[0, 0], mt.se_mean[0, 0])
+    se_var = np.hypot(mc.se_var[0, 0], mt.se_var[0, 0])
+    assert abs(mc.mean[0, 0] - mt.mean[0, 0]) < 3.0 * se_mean
+    assert abs(mc.var[0, 0] - mt.var[0, 0]) < 3.0 * se_var
+
+
+def test_cluster_mean_rates_asymmetric_matrix():
+    E = hq.SumOfExponentialsKernel
+    km = hq.KernelMatrix([[E([0.1, 0.2], [0.5, 4.0]), E([0.1], [2.0])],
+                          [E([0.2], [0.5]), E([0.05, 0.1], [1.0, 3.0])]], [1.0, 0.5])
+    cfg = hq.HawkesConfig(10.0, km)
+    T = 5.0
+    m = hq.empirical_moments(hq.simulate_paths(
+        hq.SimConfig(cfg, T, seed=620, replications=2000)), [T])
+    rates = cfg.mean_rate_vector()
+    assert rates[0] != pytest.approx(rates[1], rel=0.1)
+    for d in range(2):
+        assert abs(m.mean[0, d] - T * rates[d]) < 3.0 * m.se_mean[0, d]
 
 
 def test_thinning_handles_general_kernels():
@@ -181,6 +213,32 @@ def test_paths_round_trip(tmp_path, h1):
     back = hq.read_paths_binary(binp)
     for a, b in zip(paths, back):
         assert all(np.array_equal(x, y) for x, y in zip(a.times, b.times))
+
+
+def test_binary_paths_keep_empty_replications_and_classes(tmp_path):
+    empty = np.empty(0)
+    paths = [hq.PointPath((np.array([0.25, 1.5]), empty), 2.0, 0),
+             hq.PointPath((empty, empty), 2.0, 1),
+             hq.PointPath((np.array([0.75]), empty), 2.0, 4)]
+    binp = tmp_path / "paths.bin"
+    hq.write_paths_binary(paths, binp)
+    back = hq.read_paths_binary(binp)
+    assert [p.replication for p in back] == [0, 1, 4]
+    for a, b in zip(paths, back):
+        assert b.dimension == 2 and b.horizon == 2.0
+        assert all(np.array_equal(x, y) for x, y in zip(a.times, b.times))
+
+
+@pytest.mark.parametrize("version", [1, 3, None])
+def test_binary_paths_reject_unknown_versions(tmp_path, version):
+    binp = tmp_path / "paths.bin"
+    hq.write_paths_binary([hq.PointPath((np.array([0.5]),), 1.0, 0)], binp)
+    header, _, body = binp.read_bytes().partition(b"\n")
+    fields = json.loads(header)
+    fields["version"] = version
+    binp.write_bytes(json.dumps(fields).encode() + b"\n" + body)
+    with pytest.raises(ConfigurationError):
+        hq.read_paths_binary(binp)
 
 
 @pytest.mark.parametrize("engine", ["cluster", "thinning"])
