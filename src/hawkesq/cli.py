@@ -119,37 +119,40 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
     return 0
 
 
+def _solve_phi(kernel, grid: dict, dt: float, dt_matrix: float):
+    """The covariance density of a kernel or kernel matrix; the grid step
+    defaults to dt or dt_matrix."""
+    if isinstance(kernel, KernelMatrix):
+        return solve_multivariate_phi(kernel, dt=float(grid.get("dt", dt_matrix)),
+                                      t_max=grid.get("t_max"))
+    return solve_phi_grid(kernel, dt=float(grid.get("dt", dt)), t_max=grid.get("t_max"))
+
+
 def cmd_analyze(cfg: dict, out: Path) -> int:
     kernel = kernel_from_dict(_require(cfg, "kernel"))
-    grid = cfg.get("grid", {})
-    dt = float(grid.get("dt", 0.01))
-    t_max = grid.get("t_max")
-    if isinstance(kernel, KernelMatrix):
-        phi = solve_multivariate_phi(kernel, dt=float(grid.get("dt", 0.02)), t_max=t_max)
-    else:
-        phi = solve_phi_grid(kernel, dt=dt, t_max=t_max)
+    phi = _solve_phi(kernel, cfg.get("grid", {}), 0.01, 0.02)
     K = variance_function(phi)
     phi.write_csv(out / "phi.csv")
     K.write_csv(out / "K.csv")
-    probe = cfg.get("probe_times", [1.0, 2.0, 5.0])
-    if not phi.is_matrix:
-        write_covariance_csv(phi, K, probe, out / "covG.csv")
-        asym = {"slope": asymptotic_slope(kernel)}
-        try:
-            asym["offset"] = asymptotic_offset(kernel)
-        except HawkesqError as exc:
-            asym["offset_error"] = str(exc)
-        with open(out / "asymptotics.json", "w") as fh:
-            json.dump(asym, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        if isinstance(kernel, SumOfExponentialsKernel):
-            laplace_pipeline(kernel).write_json(out / "laplace.json")
+    if isinstance(kernel, KernelMatrix):
+        return 0
+    write_covariance_csv(phi, K, cfg.get("probe_times", [1.0, 2.0, 5.0]), out / "covG.csv")
+    asym = {"slope": asymptotic_slope(kernel)}
+    try:
+        asym["offset"] = asymptotic_offset(kernel)
+    except HawkesqError as exc:
+        asym["offset_error"] = str(exc)
+    with open(out / "asymptotics.json", "w") as fh:
+        json.dump(asym, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    if isinstance(kernel, SumOfExponentialsKernel):
+        laplace_pipeline(kernel).write_json(out / "laplace.json")
     return 0
 
 
 def cmd_validate_fclt(cfg: dict, out: Path) -> int:
     config = _hawkes_config(cfg)
-    mu = config.baseline
+    mu, k = config.baseline, config.dimension
     reps = int(cfg.get("reps", 2000))
     probe = [float(x) for x in cfg.get("probe_times", [1.0, 2.0, 5.0])]
     sim = SimConfig(config, max(probe), int(cfg["seed"]),
@@ -159,35 +162,26 @@ def cmd_validate_fclt(cfg: dict, out: Path) -> int:
     counts = np.stack([p.counts_at(probe) for p in paths]).astype(float)  # (R, nt, k)
     rates = config.mean_rate_vector()
     scaled = (counts - np.asarray(probe)[None, :, None] * rates[None, None, :]) / np.sqrt(mu)
-
-    grid_cfg = cfg.get("grid", {})
-    if config.is_multivariate:
-        phi = solve_multivariate_phi(config.kernel, dt=float(grid_cfg.get("dt", 0.05)),
-                                     t_max=grid_cfg.get("t_max"))
-    else:
-        phi = solve_phi_grid(config.kernel, dt=float(grid_cfg.get("dt", 0.01)),
-                             t_max=grid_cfg.get("t_max"))
-    K = variance_function(phi)
+    K = variance_function(_solve_phi(config.kernel, cfg.get("grid", {}), 0.01, 0.05))
 
     moments = empirical_moments(paths, probe)
     checks = []
     for a, t in enumerate(probe):
-        Kt = K.at(t)
-        for d in range(config.dimension):
-            target = float(Kt[d, d]) if config.is_multivariate else float(Kt)
+        Kt = np.reshape(K.at(t), (k, k))
+        for d in range(k):
+            target = float(Kt[d, d])
             emp = float(scaled[:, a, d].var(ddof=1))
             se = float(moments.se_var[a, d]) / mu
             z = (emp - target) / se if se > 0 else 0.0
             checks.append({"t": t, "dim": d, "empirical": emp, "analytic": target,
                            "z": z})
-        if config.dimension > 1:
-            for i in range(config.dimension):
-                for j in range(i + 1, config.dimension):
-                    c = float(np.cov(scaled[:, a, i], scaled[:, a, j])[0, 1])
-                    target = float(Kt[i, j])
-                    se = float(np.sqrt(var_of_sample_cov(scaled[:, a, i], scaled[:, a, j])))
-                    checks.append({"t": t, "dims": [i, j], "empirical": c,
-                                   "analytic": target, "z": (c - target) / se})
+        for i in range(k):
+            for j in range(i + 1, k):
+                c = float(np.cov(scaled[:, a, i], scaled[:, a, j])[0, 1])
+                target = float(Kt[i, j])
+                se = float(np.sqrt(var_of_sample_cov(scaled[:, a, i], scaled[:, a, j])))
+                checks.append({"t": t, "dims": [i, j], "empirical": c,
+                               "analytic": target, "z": (c - target) / se})
     worst = max(abs(c["z"]) for c in checks)
     report = {"mu": mu, "reps": reps, "checks": checks, "max_abs_z": worst,
               "pass": bool(worst < 3.0)}
@@ -207,7 +201,7 @@ def cmd_validate_queue(cfg: dict, out: Path) -> int:
                                  engine=cfg.get("engine", "cluster"),
                                  burn_in=cfg.get("queue_burn_in"),
                                  spacing=cfg.get("spacing"))
-    approx = gaussian_queue_approx(config.baseline, config.kernel)
+    approx = gaussian_queue_approx(config.baseline, config.kernel, service=service)
     report = compare_distributions(sample.pooled(0), approx)
     report.write_csv(out / "histogram.csv")
     summary_json(sample, report, out / "comparison.json")

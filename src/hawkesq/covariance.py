@@ -42,38 +42,58 @@ def _cumtrapz(y: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _interp(t: np.ndarray, values: np.ndarray, x, right=None):
-    """Linear interpolation of (n,) or (n, k, k) grid values at x in [0, inf),
+    """Linear interpolation of (n, k, k) grid values at x in [0, inf),
     scalar or array; beyond t[-1] the value is `right` (default: the last row)."""
     cols = [np.interp(x, t, col, right=right) for col in values.reshape(len(t), -1).T]
     return np.stack(cols, axis=-1).reshape(np.shape(x) + values.shape[1:])[()]
 
 
-@dataclass
-class CovarianceDensity:
-    """Covariance density on a uniform grid, scalar- or matrix-valued.
+class _KClassGrid:
+    """Values on the grid t stored as `grid`, shape (n, k, k), for every k.  At
+    the public boundary (`_public`) an object built from a Kernel shows its
+    k = 1 entry as a scalar; one built from a KernelMatrix stays a matrix."""
 
-    values has shape (n,) in the univariate case and (n, k, k) otherwise.
-    The negative half-line follows from the extension rule, see __call__.
-    """
+    @property
+    def is_matrix(self) -> bool:
+        return isinstance(self.kernel, KernelMatrix)
+
+    @property
+    def k(self) -> int:
+        return self.grid.shape[1]
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._public(self.grid)
+
+    def _public(self, arr):
+        return arr if self.is_matrix else arr[..., 0, 0]
+
+    def _univariate(self, what: str):
+        if self.k > 1:
+            raise ConfigurationError(f"{what} needs a univariate (k = 1) density")
+
+    def write_csv(self, path):
+        names = [f"{self._label}_{i+1}{j+1}" for i in range(self.k) for j in range(self.k)]
+        cols = ["t"] + (names if self.is_matrix else [self._label])
+        _write_csv(path, cols, np.column_stack([self.t, self.grid.reshape(len(self.t), -1)]))
+
+
+@dataclass
+class CovarianceDensity(_KClassGrid):
+    """Covariance density on a uniform grid; Phi(-x) = Phi(x)^T, see __call__."""
 
     t: np.ndarray
-    values: np.ndarray
+    grid: np.ndarray                 # (n, k, k)
     dt: float
-    norm: float                      # ||h||_L1 of the driving kernel (univariate sense)
+    norm: float                      # ||h||_L1 of the driving kernel (k = 1)
     kernel: object = None            # Kernel or KernelMatrix
-    a: np.ndarray | None = None      # branching vector (matrix case)
+    a: np.ndarray | None = None      # branching vector; [1/(1-||h||)] for k = 1
     closed_form: object = None       # optional exact evaluator phi(t)
     residual: float = 0.0
     _psi: np.ndarray = field(default=None, repr=False)
     _psi2: np.ndarray = field(default=None, repr=False)
 
-    @property
-    def is_matrix(self) -> bool:
-        return self.values.ndim == 3
-
-    @property
-    def k(self) -> int:
-        return self.values.shape[1] if self.is_matrix else 1
+    _label = "phi"
 
     @property
     def t_max(self) -> float:
@@ -81,37 +101,29 @@ class CovarianceDensity:
 
     def __call__(self, x):
         """Evaluate by linear interpolation, 0 beyond t_max, at scalar or array x;
-        phi(-x) = phi(x) (scalars) or Phi(-x) = Phi(x)^T (matrices)."""
+        Phi(-x) = Phi(x)^T."""
         x = np.asarray(x, dtype=float)
-        out = _interp(self.t, self.values, np.abs(x), right=0.0)
-        if self.is_matrix:
-            out = np.where((x < 0)[..., None, None], np.swapaxes(out, -1, -2), out)
-        return out
+        out = _interp(self.t, self.grid, np.abs(x), right=0.0)
+        return self._public(np.where((x < 0)[..., None, None], np.swapaxes(out, -1, -2), out))
 
-    def cumulative(self):
-        """(Psi, Psi2): first and second running integrals of the grid values."""
+    def _cumulative(self):
         if self._psi is None:
-            self._psi = _cumtrapz(self.values, self.dt)
+            self._psi = _cumtrapz(self.grid, self.dt)
             self._psi2 = _cumtrapz(self._psi, self.dt)
         return self._psi, self._psi2
 
+    def cumulative(self):
+        """(Psi, Psi2): first and second running integrals of the grid values."""
+        return tuple(self._public(p) for p in self._cumulative())
+
     def l1(self):
         """Trapezoid integral over [0, t_max] (entrywise for matrices)."""
-        psi, _ = self.cumulative()
-        return psi[-1]
+        return self._public(self._cumulative()[0][-1])
 
     def laplace(self, omega: float):
         """Trapezoid transform int_0^tmax exp(-omega t) values(t) dt."""
         w = _trapz_weights(len(self.t), self.dt) * np.exp(-omega * self.t)
-        if self.is_matrix:
-            return np.einsum("n,nij->ij", w, self.values)
-        return float(w @ self.values)
-
-    def write_csv(self, path):
-        cols = ["t"] + (["phi"] if not self.is_matrix
-                        else [f"phi_{i+1}{j+1}" for i in range(self.k) for j in range(self.k)])
-        data = self.values.reshape(len(self.t), -1)
-        _write_csv(path, cols, np.column_stack([self.t, data]))
+        return self._public(np.einsum("n,nij->ij", w, self.grid))
 
 
 def _default_t_max(kernel) -> float:
@@ -217,11 +229,12 @@ def solve_phi_grid(kernel: Kernel, dt: float = 0.01, t_max: float | None = None)
     if not norm < 1.0:
         raise ConfigurationError(f"||h||_L1 = {norm:.6g} >= 1")
     t = _resolve_grid(kernel, dt, t_max)
+    a = np.array([1.0 / (1.0 - norm)])
     if kernel.is_zero:
-        return CovarianceDensity(t, np.zeros_like(t), dt, norm, kernel=kernel,
+        return CovarianceDensity(t, np.zeros((t.size, 1, 1)), dt, norm, kernel=kernel, a=a,
                                  closed_form=lambda x: np.zeros_like(np.asarray(x, float)))
-    values, residual = _solve_density([[kernel]], [1.0 / (1.0 - norm)], t, dt)
-    return CovarianceDensity(t, values[:, 0, 0], dt, norm, kernel=kernel, residual=residual)
+    values, residual = _solve_density([[kernel]], a, t, dt)
+    return CovarianceDensity(t, values, dt, norm, kernel=kernel, a=a, residual=residual)
 
 
 def phi_exponential_closed_form(alpha: float, beta: float, dt: float = 0.01,
@@ -247,8 +260,9 @@ def phi_exponential_closed_form(alpha: float, beta: float, dt: float = 0.01,
         x = np.asarray(x, dtype=float)
         return pref * np.exp(-rate * np.abs(x))
 
-    return CovarianceDensity(t, evaluator(t), dt, alpha / beta, kernel=kernel,
-                             closed_form=evaluator)
+    norm = alpha / beta
+    return CovarianceDensity(t, evaluator(t)[:, None, None], dt, norm, kernel=kernel,
+                             a=np.array([1.0 / (1.0 - norm)]), closed_form=evaluator)
 
 
 def solve_multivariate_phi(multi: KernelMatrix, dt: float = 0.02,
@@ -266,91 +280,71 @@ def solve_multivariate_phi(multi: KernelMatrix, dt: float = 0.02,
 
 
 @dataclass
-class VarianceFunction:
+class VarianceFunction(_KClassGrid):
     """Grid of K(t) = Var N(0, t] for the unit-baseline stationary process.
-
-    Scalar grids store (n,), matrix grids (n, k, k).  The asymptotic slope
-    is 1/(1-||h||)^3 in the univariate case; the offset is computed lazily
-    through the spectral integral.
-    """
+    The slope 1/(1-||h||)^3 is kept for univariate kernels; the offset is
+    computed lazily through the spectral integral."""
 
     t: np.ndarray
-    values: np.ndarray
+    grid: np.ndarray                 # (n, k, k)
     dt: float
     kernel: object = None
     slope: float | None = None
     _offset: float | None = field(default=None, repr=False)
 
-    @property
-    def is_matrix(self) -> bool:
-        return self.values.ndim == 3
+    _label = "K"
 
-    def at(self, x):
+    def _at(self, x):
         if np.any(np.asarray(x) < 0) or np.any(np.asarray(x) > self.t[-1] + 1e-12):
             raise ConfigurationError(f"time {x} outside the solved grid [0, {self.t[-1]:g}]")
-        return _interp(self.t, self.values, x)
+        return _interp(self.t, self.grid, x)
+
+    def at(self, x):
+        return self._public(self._at(x))
 
     def asymptotic_offset(self) -> float:
         if self._offset is None:
             self._offset = asymptotic_offset(self.kernel)
         return self._offset
 
-    def write_csv(self, path):
-        cols = ["t"] + (["K"] if not self.is_matrix
-                        else [f"K_{i+1}{j+1}" for i in range(self.values.shape[1])
-                              for j in range(self.values.shape[2])])
-        _write_csv(path, cols, np.column_stack([self.t, self.values.reshape(len(self.t), -1)]))
 
-
-def variance_function(phi: CovarianceDensity, norm: float | None = None) -> VarianceFunction:
-    """K(t) = t/(1-||h||) + 2 * iterated integral of phi (univariate), or
-    K(t) = diag(a) t + Psi2(t) + Psi2(t)^T (matrix case, symmetrized)."""
-    _, psi2 = phi.cumulative()
-    if phi.is_matrix:
-        diag = np.einsum("n,ij->nij", phi.t, np.diag(phi.a))
-        values = diag + psi2 + np.transpose(psi2, (0, 2, 1))
-        return VarianceFunction(phi.t, values, phi.dt, kernel=phi.kernel)
-    if norm is None:
-        norm = phi.norm
-    values = phi.t / (1.0 - norm) + 2.0 * psi2
-    return VarianceFunction(phi.t, values, phi.dt, kernel=phi.kernel,
-                            slope=asymptotic_slope_from_norm(norm))
+def variance_function(phi: CovarianceDensity) -> VarianceFunction:
+    """K(t) = diag(a) t + Psi2(t) + Psi2(t)^T, Psi2 the iterated integral of
+    Phi; for k = 1 this is t/(1-||h||) + 2 Psi2(t)."""
+    _, psi2 = phi._cumulative()
+    values = phi.t[:, None, None] * np.diag(phi.a) + psi2 + np.swapaxes(psi2, 1, 2)
+    slope = None if phi.is_matrix else asymptotic_slope_from_norm(phi.norm)
+    return VarianceFunction(phi.t, values, phi.dt, kernel=phi.kernel, slope=slope)
 
 
 def multivariate_variance(phi: CovarianceDensity, t: float) -> np.ndarray:
-    """The k x k variance matrix at time t, from a solved matrix density."""
-    if not phi.is_matrix:
-        raise ConfigurationError("multivariate_variance needs a matrix-valued density")
-    return variance_function(phi).at(t)
+    """The k x k variance matrix at time t."""
+    return variance_function(phi)._at(t)
 
 
 def _strip_integral(phi: CovarianceDensity, s: float, t: float):
-    """int_s^t int_0^s phi(u - v) dv du for 0 <= s <= t, via the running
+    """int_s^t int_0^s Phi(u - v) dv du for 0 <= s <= t, via the running
     integrals (algebraically identical to the shared-grid iterated trapezoid)."""
-    _, psi2 = phi.cumulative()
+    _, psi2 = phi._cumulative()
     p2_t, p2_s, p2_gap = _interp(phi.t, psi2, np.array([t, s, t - s]))
     return p2_t - p2_s - p2_gap
 
 
-def limit_covariance_G(phi: CovarianceDensity, K: VarianceFunction,
-                       s: float, t: float) -> float:
-    """Cov(G(t), G(s)) = strip integral + K(min(s, t)); symmetric in (s, t)."""
-    lo, hi = (s, t) if s <= t else (t, s)
-    if lo < 0 or hi > phi.t_max:
-        raise ConfigurationError(f"({s}, {t}) outside the solved grid")
-    return float(_strip_integral(phi, lo, hi) + K.at(lo))
-
-
 def limit_covariance_multi(phi: CovarianceDensity, K: VarianceFunction,
                            s: float, t: float) -> np.ndarray:
-    """Entrywise Cov(G_i(t), G_j(s)); for s > t the transpose of (t, s)."""
-    if not phi.is_matrix:
-        raise ConfigurationError("limit_covariance_multi needs a matrix-valued density")
+    """The k x k matrix Cov(G_i(t), G_j(s)); for s > t the transpose of (t, s)."""
     if s > t:
         return limit_covariance_multi(phi, K, t, s).T
     if s < 0 or t > phi.t_max:
         raise ConfigurationError(f"({s}, {t}) outside the solved grid")
-    return _strip_integral(phi, s, t) + K.at(s)
+    return _strip_integral(phi, s, t) + K._at(s)
+
+
+def limit_covariance_G(phi: CovarianceDensity, K: VarianceFunction,
+                       s: float, t: float):
+    """Cov(G(t), G(s)) = strip integral + K(min(s, t)): a float for a density
+    built from a Kernel (symmetric in (s, t)), else limit_covariance_multi."""
+    return phi._public(limit_covariance_multi(phi, K, s, t))
 
 
 def asymptotic_slope_from_norm(norm: float) -> float:

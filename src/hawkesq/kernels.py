@@ -526,7 +526,9 @@ class HawkesConfig:
 
     For univariate input the stationarity bound ||h|| < 1 is enforced; for
     matrix input the spectral-radius bound is enforced by KernelMatrix.
-    The mean-rate vector must come out finite and positive.
+    Either way the model is held as a k x k KernelMatrix (1 x 1 with p = [1]
+    for a single kernel).  The mean-rate vector must come out finite and
+    positive.
     """
 
     def __init__(self, baseline: float, kernel):
@@ -538,7 +540,10 @@ class HawkesConfig:
             norm = kernel.l1_norm()
             if not norm < 1.0:
                 raise ConfigurationError(f"||h||_L1 = {norm:.6g} >= 1: no stationary version")
-        elif not isinstance(kernel, KernelMatrix):
+            self._matrix = KernelMatrix([[kernel]], [1.0])
+        elif isinstance(kernel, KernelMatrix):
+            self._matrix = kernel
+        else:
             raise ConfigurationError("kernel must be a Kernel or KernelMatrix")
         rates = self.mean_rate_vector()
         if np.any(~np.isfinite(rates)) or np.any(rates <= 0):
@@ -546,7 +551,7 @@ class HawkesConfig:
 
     @property
     def dimension(self) -> int:
-        return self.kernel.k if isinstance(self.kernel, KernelMatrix) else 1
+        return self._matrix.k
 
     @property
     def is_multivariate(self) -> bool:
@@ -554,14 +559,10 @@ class HawkesConfig:
 
     def kernel_matrix(self) -> KernelMatrix:
         """View the model as k >= 1 dimensional."""
-        if self.is_multivariate:
-            return self.kernel
-        return KernelMatrix([[self.kernel]], [1.0])
+        return self._matrix
 
     def branching_vector(self) -> np.ndarray:
-        if self.is_multivariate:
-            return self.kernel.branching_vector()
-        return np.array([1.0 / (1.0 - self.kernel.l1_norm())])
+        return self._matrix.branching_vector()
 
     def mean_rate_vector(self) -> np.ndarray:
         return self.baseline * self.branching_vector()

@@ -16,11 +16,11 @@ from scipy.fft import next_fast_len
 from scipy.integrate import quad
 
 from .covariance import (_MAX_UNKNOWNS, CovarianceDensity, VarianceFunction,
-                         laplace_pipeline, limit_covariance_G,
-                         limit_covariance_multi, variance_function)
+                         laplace_pipeline, limit_covariance_G, solve_phi_grid,
+                         variance_function)
 from .errors import ConfigurationError, NumericalError, TruncationError
 from .kernels import Kernel, SumOfExponentialsKernel
-from .service import DeterministicService, ServiceModel
+from .service import DeterministicService, ExponentialService, ServiceModel
 from .simulate import rep_stream
 
 _WEIGHT_FLOOR = 1e-12     # exponential-weight truncation for infinite integrals
@@ -73,20 +73,17 @@ def _lag_sum(phi: CovarianceDensity, x: np.ndarray, y: np.ndarray, d: float,
 
     Equals sum_l C[l] Phi_ij(d + l dt) with C[l] = sum_a x[a] y[a + l] the
     cross-correlation of the weights, taken by rFFT on enough points that
-    the lags -(nx - 1) .. ny - 1 do not wrap; Phi is evaluated once per lag.
+    the lags -(nx - 1) .. ny - 1 do not wrap; Phi_ij is evaluated once per
+    lag, as Phi_ji(-x) at negative lags.
     """
     size = next_fast_len(x.size + y.size - 1, real=True)
     corr = np.fft.irfft(np.fft.rfft(x, size).conj() * np.fft.rfft(y, size), size)
     lags = np.arange(1 - x.size, y.size)
-    values = phi(d + lags * phi.dt)
-    if phi.is_matrix:
-        values = values[:, i, j]
+    at = d + lags * phi.dt
+    neg = np.searchsorted(at, 0.0)           # at increases: the negative lags lead
+    values = np.concatenate([np.interp(-at[:neg], phi.t, phi.grid[:, j, i], right=0.0),
+                             np.interp(at[neg:], phi.t, phi.grid[:, i, j], right=0.0)])
     return float(corr[lags] @ values)
-
-
-def _require_scalar(phi: CovarianceDensity):
-    if phi.is_matrix:
-        raise ConfigurationError("this operation needs a scalar covariance density")
 
 
 def cov_X_general(F0: ServiceModel, F: ServiceModel, q0: float,
@@ -97,7 +94,7 @@ def cov_X_general(F0: ServiceModel, F: ServiceModel, q0: float,
                  + int_0^s int_0^t (1-F(t-u)) (1-F(s-v)) phi(v-u) du dv.
     The Brownian-bridge and theta components are the first two summands.
     """
-    _require_scalar(phi)
+    phi._univariate("cov_X_general")
     lo, hi = (s, t) if s <= t else (t, s)
     if lo < 0:
         raise ConfigurationError("times must be nonnegative")
@@ -110,7 +107,7 @@ def cov_X_general(F0: ServiceModel, F: ServiceModel, q0: float,
     term2 = _survival_weights(F, lo, phi.dt, hi - lo).sum()
     term3 = _lag_sum(phi, _survival_weights(F, hi, phi.dt), _survival_weights(F, lo, phi.dt),
                      hi - lo)
-    return float(term1 + term2 / (1.0 - phi.norm) + term3)
+    return float(term1 + term2 * phi.a[0] + term3)
 
 
 def var_X_infty(F: ServiceModel, phi: CovarianceDensity, method: str = "auto"):
@@ -118,18 +115,16 @@ def var_X_infty(F: ServiceModel, phi: CovarianceDensity, method: str = "auto"):
     double integral of the covariance density (infinite-horizon version of
     the queue-limit variance).
 
-    "grid" truncates both axes at the 1e-12 survival cutoff and sums the
-    lag quadrature on the phi lattice, in O(n log n) time and O(n) memory for
-    n = cutoff/dt nodes; it raises NumericalError when n exceeds the node cap
-    (heavy service tails at fine dt).  "closed_form" (when phi carries an
-    exact evaluator) uses nested adaptive quadrature of the lag-correlation
-    form.
+    "grid" is the k = 1 case of `_steady_cov`, in O(n log n) time and O(n)
+    memory for n = cutoff/dt nodes; it raises NumericalError when n exceeds
+    the node cap (heavy service tails at fine dt).  "closed_form" (when phi
+    carries an exact evaluator) uses nested adaptive quadrature of the
+    lag-correlation form.
     """
-    _require_scalar(phi)
+    phi._univariate("var_X_infty")
     mean = F.mean()
     if not math.isfinite(mean):
         raise ConfigurationError("service mean must be finite")
-    term1 = mean / (1.0 - phi.norm)
     if method == "auto":
         method = "closed_form" if phi.closed_form is not None else "grid"
     if method == "closed_form":
@@ -143,30 +138,31 @@ def var_X_infty(F: ServiceModel, phi: CovarianceDensity, method: str = "auto"):
 
         val, _ = quad(lambda w: phi.closed_form(w) * lag_corr(w), 0.0, phi.t_max,
                       limit=200)
-        return term1 + 2.0 * val
+        return mean * phi.a[0] + 2.0 * val
     if method != "grid":
         raise ConfigurationError(f"unknown method {method!r}")
-    x = _survival_weights(F, F.survival_cutoff(), phi.dt)
-    return float(term1 + _lag_sum(phi, x, x, 0.0))
+    return float(_steady_cov(phi, [F])[0, 0])
+
+
+def _steady_cov(phi: CovarianceDensity, services) -> np.ndarray:
+    """Steady-state covariance 1_{i=j} a_i E[S_i] + int int S_i(u) S_j(v) Phi_ij(v-u)
+    du dv of k classes, S_i the survival of service F_i, each axis truncated
+    at the 1e-12 survival cutoff; symmetrized."""
+    x = [_survival_weights(F, F.survival_cutoff(), phi.dt) for F in services]
+    lag = np.array([[_lag_sum(phi, xi, xj, 0.0, i, j) for j, xj in enumerate(x)]
+                    for i, xi in enumerate(x)])
+    return 0.5 * (lag + lag.T) + np.diag(phi.a * [F.mean() for F in services])
 
 
 def cov_Xe(phi: CovarianceDensity, s: float, t: float) -> float:
-    """Covariance of the unit-rate OU-type limit X_e at (s, t):
+    """Covariance of the unit-rate OU-type limit X_e at (s, t), the k = 1,
+    r = 1 case of `cov_multi_ou`:
 
         (e^{-(t-s)} - e^{-(t+s)})/(1-||h||)
         + int_0^t int_0^s e^{-(t-u)} e^{-(s-v)} phi(u-v) dv du,   s <= t.
     """
-    _require_scalar(phi)
-    lo, hi = (s, t) if s <= t else (t, s)
-    if lo < 0:
-        raise ConfigurationError("times must be nonnegative")
-    if hi > phi.t_max:
-        raise ConfigurationError(f"t = {hi:g} beyond the phi grid")
-    first = (math.exp(-(hi - lo)) - math.exp(-(hi + lo))) / (1.0 - phi.norm)
-    if lo == 0.0:
-        return 0.0
-    return first + _lag_sum(phi, _lattice_weights(hi, phi.dt, lambda a: np.exp(-a)),
-                            _lattice_weights(lo, phi.dt, lambda a: np.exp(-a)), hi - lo)
+    phi._univariate("cov_Xe")
+    return cov_multi_ou(phi, [1.0], 0, 0, s, t)
 
 
 def mean_Xe(x0: float, t) -> float:
@@ -211,7 +207,6 @@ def var_xe_infty(kernel: Kernel, phi: CovarianceDensity | None = None,
         return laplace_pipeline(kernel).phi_tilde(1.0) + 1.0 / (1.0 - norm)
     if method == "grid":
         if phi is None:
-            from .covariance import solve_phi_grid
             phi = solve_phi_grid(kernel)
         return float(phi.laplace(1.0)) + 1.0 / (1.0 - norm)
     raise ConfigurationError(f"unknown method {method!r}")
@@ -234,15 +229,23 @@ class GaussianQueueApprox:
         return {"mean": self.mean, "sigma": self.sigma}
 
 
-def gaussian_queue_approx(mu: float, kernel: Kernel,
-                          phi: CovarianceDensity | None = None) -> GaussianQueueApprox:
-    """Pair (lambda_bar, sigma) for the Hawkes/M/infinity steady state:
-    mean mu/(1-||h||), variance mu * Var(X_e(inf))."""
+def gaussian_queue_approx(mu: float, kernel: Kernel, phi: CovarianceDensity | None = None,
+                          service: ServiceModel = ExponentialService(1.0)) -> GaussianQueueApprox:
+    """Gaussian steady state of the Hawkes/G/infinity queue with service F:
+    mean lambda_bar E[S] = mu E[S]/(1-||h||), variance mu * var_X_infty(F, phi).
+
+    For the default Exp(1) service the variance is mu * Var(X_e(inf)) from
+    `var_xe_infty`, exact for exponential mixtures; other services solve
+    phi on the default grid unless it is given.
+    """
     if mu <= 0:
         raise ConfigurationError("mu must be positive")
     lam = mu / (1.0 - kernel.l1_norm())
-    sigma = math.sqrt(mu * var_xe_infty(kernel, phi=phi))
-    return GaussianQueueApprox(lam, sigma)
+    if isinstance(service, ExponentialService) and service.rate == 1.0:
+        var = var_xe_infty(kernel, phi=phi)
+    else:
+        var = var_X_infty(service, solve_phi_grid(kernel) if phi is None else phi)
+    return GaussianQueueApprox(lam * service.mean(), math.sqrt(mu * var))
 
 
 def gaussian_queue_pmf(mu: float, kernel: Kernel, i: int) -> float:
@@ -263,8 +266,6 @@ def cov_multi_ou(phi: CovarianceDensity, r, i: int, j: int,
 
     with the matrix extension rule for negative lags.
     """
-    if not phi.is_matrix:
-        raise ConfigurationError("cov_multi_ou needs a matrix-valued density")
     if t < s:
         return cov_multi_ou(phi, r, j, i, t, s)
     if s < 0:
@@ -287,24 +288,17 @@ def steady_state_cov_multi(phi: CovarianceDensity, r, tail_tol: float = 1e-6) ->
 
         1_{i=j} a_i/r_i + int_0^inf int_0^inf e^{-r_i u} e^{-r_j v} Phi_ij(v-u) du dv,
 
-    truncated where the exponential weights fall below 1e-12, with the
-    truncation certificate checked against tail_tol.  The result is
-    symmetrized and validated to be PSD.
+    the `_steady_cov` of Exp(r_i) service, truncated where the exponential
+    weights fall below 1e-12, with the truncation certificate checked
+    against tail_tol.  The result is validated to be PSD.
     """
-    if not phi.is_matrix:
-        raise ConfigurationError("steady_state_cov_multi needs a matrix-valued density")
     r = np.asarray(r, dtype=float)
-    k = phi.k
-    if r.shape != (k,) or np.any(r <= 0):
+    if r.shape != (phi.k,) or np.any(r <= 0):
         raise ConfigurationError("need one positive service rate per class")
-    tail = float(np.abs(phi.values).max()) * 2.0 * _WEIGHT_FLOOR / r.min() ** 2
+    tail = float(np.abs(phi.grid).max()) * 2.0 * _WEIGHT_FLOOR / r.min() ** 2
     if tail > tail_tol:
         raise TruncationError(f"truncation tail bound {tail:.2e} > {tail_tol:g}")
-    cut = -math.log(_WEIGHT_FLOOR)
-    x = [_lattice_weights(cut / ri, phi.dt, lambda a: np.exp(-ri * a)) for ri in r]
-    out = np.array([[_lag_sum(phi, x[i], x[j], 0.0, i, j) for j in range(k)]
-                    for i in range(k)])
-    out = 0.5 * (out + out.T) + np.diag(phi.a / r)
+    out = _steady_cov(phi, [ExponentialService(ri) for ri in r])
     eigmin = float(np.linalg.eigvalsh(out).min())
     if eigmin < -1e-8 * max(1.0, float(np.abs(np.diag(out)).max())):
         raise NumericalError(f"steady-state covariance not PSD (min eig {eigmin:.2e})")
@@ -331,37 +325,28 @@ class LimitModel:
     note: str = ""
 
     def gram(self, t_grid) -> np.ndarray:
+        """Covariance of the stacked (Z(t_1), ..., Z(t_m)): block (a, b) is
+        cov(t_b, t_a), block (b, a) its transpose, which cov(t_a, t_b) is."""
         t_grid = np.asarray(t_grid, dtype=float)
-        m = t_grid.size
-        if self.dim == 1:
-            out = np.empty((m, m))
-            for a in range(m):
-                for b in range(a, m):
-                    out[a, b] = out[b, a] = self.cov(t_grid[a], t_grid[b])
-            return out
-        out = np.empty((m * self.dim, m * self.dim))
-        for a in range(m):
-            for b in range(m):
-                block = self.cov(t_grid[b], t_grid[a])   # (i,j): Cov(Z_i(t_a), Z_j(t_b))
-                out[a * self.dim:(a + 1) * self.dim,
-                    b * self.dim:(b + 1) * self.dim] = block
+        d = self.dim
+        out = np.empty((t_grid.size * d, t_grid.size * d))
+        for a in range(t_grid.size):
+            for b in range(a, t_grid.size):
+                block = np.reshape(self.cov(t_grid[b], t_grid[a]), (d, d))
+                out[b * d:(b + 1) * d, a * d:(a + 1) * d] = block.T
+                out[a * d:(a + 1) * d, b * d:(b + 1) * d] = block
         return 0.5 * (out + out.T)
 
     def mean_vector(self, t_grid) -> np.ndarray:
-        t_grid = np.asarray(t_grid, dtype=float)
-        if self.dim == 1:
-            return np.asarray([self.mean(t) for t in t_grid], dtype=float)
-        return np.concatenate([np.asarray(self.mean(t), dtype=float) for t in t_grid])
+        return np.array([np.ravel(self.mean(t)) for t in t_grid], dtype=float).ravel()
 
 
 def count_limit_model(phi: CovarianceDensity,
                       K: VarianceFunction | None = None) -> LimitModel:
     if K is None:
         K = variance_function(phi)
-    if phi.is_matrix:
-        return LimitModel("multi_count", phi.k, lambda t: np.zeros(phi.k),
-                          lambda s, t: limit_covariance_multi(phi, K, s, t))
-    return LimitModel("count", 1, lambda t: 0.0,
+    kind, zero = ("multi_count", np.zeros(phi.k)) if phi.is_matrix else ("count", 0.0)
+    return LimitModel(kind, phi.k, lambda t: zero,
                       lambda s, t: limit_covariance_G(phi, K, s, t))
 
 
@@ -424,29 +409,20 @@ def sample_limit_path(model: LimitModel, t_grid, seed: int,
     rng = rep_stream(seed, 0)
     z = rng.standard_normal((n_draws, gram.shape[0]))
     draws = model.mean_vector(t_grid)[None, :] + z @ L.T
-    if model.dim > 1:
-        draws = draws.reshape(n_draws, t_grid.size, model.dim)
-    return draws
+    return draws.reshape(n_draws, t_grid.size, -1) if model.dim > 1 else draws
 
 
 # --- emitters -------------------------------------------------------------------
 
 def write_cov_csv(model: LimitModel, times, path):
+    """Rows (s, t, i, j, value) with value = entry (i, j) of cov(s, t), s <= t."""
     times = sorted(float(x) for x in times)
     with open(path, "w") as fh:
-        if model.dim == 1:
-            fh.write("s,t,value\n")
-            for a, s in enumerate(times):
-                for t in times[a:]:
-                    fh.write(f"{s:.17g},{t:.17g},{model.cov(s, t):.17g}\n")
-        else:
-            fh.write("s,t,i,j,value\n")
-            for a, s in enumerate(times):
-                for t in times[a:]:
-                    block = model.cov(s, t)
-                    for i in range(model.dim):
-                        for j in range(model.dim):
-                            fh.write(f"{s:.17g},{t:.17g},{i},{j},{block[i, j]:.17g}\n")
+        fh.write("s,t,i,j,value\n")
+        for a, s in enumerate(times):
+            for t in times[a:]:
+                for (i, j), v in np.ndenumerate(np.atleast_2d(model.cov(s, t))):
+                    fh.write(f"{s:.17g},{t:.17g},{i},{j},{v:.17g}\n")
 
 
 def write_matrix_json(matrix: np.ndarray, path):

@@ -152,10 +152,8 @@ def steady_state_sample(config: HawkesConfig, service, n_samples: int, seed: int
     means = np.array([s.mean() for s in services])
     if np.any(~np.isfinite(means)) or np.any(means <= 0):
         raise ConfigurationError("steady-state sampling needs finite positive service means")
-    if config.is_multivariate:
-        corr_scale = config.kernel.decay_scale() / (1.0 - config.kernel.spectral_radius())
-    else:
-        corr_scale = config.kernel.decay_scale() / (1.0 - config.kernel.l1_norm())
+    multi = config.kernel_matrix()
+    corr_scale = multi.decay_scale() / (1.0 - multi.spectral_radius())
     min_burn = 10.0 * means.max() + 10.0 * corr_scale
     if burn_in is None:
         burn_in = min_burn

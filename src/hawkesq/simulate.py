@@ -1,13 +1,12 @@
 """Sample-path generation by cluster construction and by dominated thinning.
 
 Both engines target the stationary version: ancestry older than the burn-in
-window is dropped, with the burn-in chosen so that the expected number of
-leaked points in the observation window stays below a tolerance.
+window is dropped, with the default burn-in set by the leak bound of
+`default_burn_in`.
 """
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,34 +90,26 @@ class SimConfig:
 
 
 def default_burn_in(config: HawkesConfig, leak_tol: float = _LEAK_TOL) -> float:
-    """Smallest burn-in B with expected pre-window leakage below leak_tol.
+    """Smallest burn-in B with leak bound sum_ij rate_j progeny_i int_B^inf H_ij
+    below leak_tol.
 
-    Univariate bound: mu * int_B^inf H(s) ds / (1 - ||h||).  The k-variate
-    bound weights each ancestor type by its rate and each first-generation
-    child by the total progeny of its type.
+    rate = mu a are the stationary rates, H_ij the tail mass of h_ij and
+    progeny = (I - ||H||^T)^{-1} 1 the expected family sizes.  rate_j
+    int_B^inf H_ij is the expected number of type-i points after 0 whose
+    type-j parent lies before -B; with their families, all dropped by the
+    engines, they are what the bound counts.  Dropped chains that pass
+    through a point in (-B, 0] are not counted.  For one kernel it reads
+    mu int_B^inf H / (1-||h||)^2, so for h = alpha e^{-beta t}
+    B = log(mu alpha / ((1-||h||)^2 beta^2 leak_tol)) / beta.
     """
-    if config.dimension > 1:
-        multi = config.kernel
-        k = multi.k
-        rates = config.mean_rate_vector()
-        progeny = np.linalg.solve(np.eye(k) - multi.l1_matrix().T, np.ones(k))
+    multi = config.kernel_matrix()
+    k = multi.k
+    rates = config.mean_rate_vector()
+    progeny = np.linalg.solve(np.eye(k) - multi.l1_matrix().T, np.ones(k))
 
-        def leak(b):
-            return float(sum(rates[j] * progeny[i] * multi.entries[i][j].tail_integral(b)
-                             for i in range(k) for j in range(k)))
-    else:
-        if config.is_multivariate:
-            kern = config.kernel.entries[0][0]
-            mu = config.baseline * float(config.kernel.p[0])
-        else:
-            kern = config.kernel
-            mu = config.baseline
-        if kern.is_zero:
-            return 0.0
-        scale = mu / (1.0 - kern.l1_norm())
-
-        def leak(b):
-            return scale * kern.tail_integral(b)
+    def leak(b):
+        return float(sum(rates[j] * progeny[i] * multi.entries[i][j].tail_integral(b)
+                         for i in range(k) for j in range(k)))
 
     if leak(0.0) <= leak_tol:
         return 0.0
@@ -199,7 +190,9 @@ class _ThinningState:
 
     Exponential-mixture entries keep per-term decayed sums (O(1) updates);
     other entries keep a pruned window of recent source events and use a
-    non-increasing majorant for the dominating bound.
+    non-increasing majorant for the dominating bound.  A source's window is
+    the live slice [start, stop) of a float array that pruning shortens from
+    the front; kernels are evaluated on that slice.
     """
 
     def __init__(self, multi, mu):
@@ -217,11 +210,13 @@ class _ThinningState:
                                            np.zeros(kern.alphas.size)))
                 else:
                     self.generic.append((i, j, kern, kern.majorant_cutoff()))
-        self.events = [deque() for _ in range(multi.k)]   # recent source events per type
-        # prune each source by the longest cutoff any entry still needs
+        # sources of generic entries keep events, pruned by the longest cutoff
         self.prune_horizon = np.zeros(multi.k)
         for _, j, _, cutoff in self.generic:
             self.prune_horizon[j] = max(self.prune_horizon[j], cutoff)
+        self.events = [np.empty(256) for _ in range(multi.k)]
+        self.start = [0] * multi.k
+        self.stop = [0] * multi.k
 
     def decay(self, dt):
         for _, _, _, betas, state in self.exp_terms:
@@ -231,37 +226,38 @@ class _ThinningState:
         for i, j, _, _, state in self.exp_terms:
             if j == m:
                 state += 1.0
-        self.events[m].append(t)
+        if not self.prune_horizon[m]:
+            return
+        buf, stop = self.events[m], self.stop[m]
+        if stop == buf.size:        # full: the live slice moves to an array twice its size
+            live = buf[self.start[m]:stop]
+            buf = self.events[m] = np.concatenate([live, np.empty(max(live.size, 256))])
+            self.start[m], stop = 0, live.size
+        buf[stop] = t
+        self.stop[m] = stop + 1
 
     def prune(self, t):
         for j in range(self.k):
-            if not self.prune_horizon[j]:
-                continue
-            ev = self.events[j]
-            while ev and t - ev[0] > self.prune_horizon[j]:
-                ev.popleft()
+            horizon, buf, lo, stop = self.prune_horizon[j], self.events[j], self.start[j], self.stop[j]
+            while lo < stop and t - buf[lo] > horizon:
+                lo += 1
+            self.start[j] = lo
 
-    def intensities(self, t):
+    def window(self, j):
+        return self.events[j][self.start[j]:self.stop[j]]
+
+    def intensities(self, t, bound=False):
+        """The intensities at t or, with bound, an upper bound valid on
+        [t, next event) from positive terms and non-increasing majorants."""
         lam = self.mu.copy()
         for i, _, alphas, _, state in self.exp_terms:
-            lam[i] += float(alphas @ state)
+            pos = alphas > 0 if bound else slice(None)
+            lam[i] += float(alphas[pos] @ state[pos])
         for i, j, kern, _ in self.generic:
-            ev = self.events[j]
-            if ev:
-                lam[i] += float(np.sum(kern(t - np.asarray(ev))))
+            ev = self.window(j)
+            if ev.size:
+                lam[i] += float(np.sum((kern.majorant if bound else kern)(t - ev)))
         return lam
-
-    def bound(self, t):
-        """Upper bound valid on [t, next event): non-increasing majorants."""
-        m = self.mu.copy()
-        for i, _, alphas, _, state in self.exp_terms:
-            pos = alphas > 0
-            m[i] += float(alphas[pos] @ state[pos])
-        for i, j, kern, _ in self.generic:
-            ev = self.events[j]
-            if ev:
-                m[i] += float(np.sum(kern.majorant(t - np.asarray(ev))))
-        return m
 
 
 def simulate_thinning(sim: SimConfig, replication: int = 0) -> PointPath:
@@ -280,7 +276,7 @@ def simulate_thinning(sim: SimConfig, replication: int = 0) -> PointPath:
     t = -B
     while True:
         state.prune(t)
-        bound = state.bound(t)
+        bound = state.intensities(t, bound=True)
         total_bound = float(bound.sum())
         if total_bound <= 0:
             break

@@ -101,6 +101,22 @@ def test_validate_queue_poisson(tmp_path):
     assert verdict["pass"]
 
 
+def test_validate_queue_general_service(tmp_path):
+    # Exp(2) service: mean lambda_bar E[S] = 40/2 = 20, variance
+    # mu * var_X_infty(Exp(2), phi) = 20 (2 + phi~(2)) / 2 = 26 for h1
+    cfg = _write(tmp_path, "q.json", {
+        "name": "exp2", "kernel": H1, "mu": 20.0,
+        "service": {"type": "exponential", "rate": 2.0},
+        "n_samples": 4000, "seed": 7})
+    code = main(["validate-queue", "--config", cfg, "--out", str(tmp_path / "out")])
+    outdir = tmp_path / "out" / "validate-queue" / "exp2"
+    comparison = json.loads((outdir / "comparison.json").read_text())
+    assert comparison["mean"][0] - comparison["mean_gap"] == pytest.approx(20.0)
+    assert comparison["var"][0] - comparison["var_gap"] == pytest.approx(26.0, rel=1e-3)
+    assert code == 0
+    assert json.loads((outdir / "verdict.json").read_text())["pass"]
+
+
 def test_manifest_rerun_is_bitwise(tmp_path):
     cfg = _write(tmp_path, "sim.json", {
         "name": "first", "kernel": H1, "mu": 10.0, "horizon": 3.0,

@@ -362,7 +362,7 @@ def test_model_evaluators_symmetric_psd(phi_h1, phi_quarter):
 def test_emitters(tmp_path, phi_h1, h1):
     model = hq.exp_queue_limit_model(phi_h1)
     hq.limits.write_cov_csv(model, [1.0, 2.0], tmp_path / "cov.csv")
-    assert (tmp_path / "cov.csv").read_text().startswith("s,t,value")
+    assert (tmp_path / "cov.csv").read_text().startswith("s,t,i,j,value\n1,1,0,0,")
     approx = hq.gaussian_queue_approx(20.0, h1)
     hq.limits.write_pmf_csv(approx, range(10, 70), tmp_path / "pmf.csv")
     assert len((tmp_path / "pmf.csv").read_text().splitlines()) == 61

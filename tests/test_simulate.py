@@ -14,10 +14,14 @@ def _config(kernel, mu):
 
 
 def test_default_burn_in_bound(h1):
-    cfg = _config(h1, 10.0)
-    b = hq.default_burn_in(cfg)
-    # mu * tail_integral(B) / (1 - ||h||) = 10 e^{-B} = 1e-3
-    assert b == pytest.approx(np.log(1e4), abs=1e-6)
+    # one bound for every k: mu int_B^inf H(s) ds / (1-||h||)^2 = tol, which for
+    # h = alpha e^{-beta t} gives B = log(mu alpha / ((1-||h||)^2 beta^2 tol)) / beta
+    alpha, beta, norm, tol = 0.5, 1.0, 0.5, 1e-3
+    for mu in (20.0, 10.0):
+        b = hq.default_burn_in(_config(h1, mu))
+        exact = np.log(mu * alpha / ((1.0 - norm) ** 2 * beta**2 * tol)) / beta
+        assert b == pytest.approx(exact, abs=1e-9)
+        assert hq.default_burn_in(_config(hq.KernelMatrix([[h1]], [1.0]), mu)) == b
     assert hq.default_burn_in(_config(hq.ZERO_KERNEL, 5.0)) == 0.0
 
 
@@ -90,6 +94,34 @@ def test_engine_cross_validation_h2(h2):
     se_var = np.hypot(mc.se_var[0, 0], mt.se_var[0, 0])
     assert abs(mc.mean[0, 0] - mt.mean[0, 0]) < 3.0 * se_mean
     assert abs(mc.var[0, 0] - mt.var[0, 0]) < 3.0 * se_var
+
+
+def test_cluster_covariance_density_from_pair_counts(h2, phi_h2):
+    # For a stationary path on [0, T] the ordered pairs with lag in a bin
+    # [l0, l1) number int_bin (T - u) (lambda^2 + mu phi(u)) du in
+    # expectation.  Dividing by int_bin (T - u) du and subtracting the
+    # path's (N/T)^2, whose mean is lambda^2 + mu K(T)/T^2, estimates the
+    # bin average of mu phi minus mu K(T)/T^2.  Offsets paired with parents
+    # in any non-random order change the sibling lags and fail this at z > 10.
+    mu, T, reps = 5.0, 1000.0, 100
+    edges = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
+    sim = hq.SimConfig(_config(h2, mu), T, seed=8080, replications=reps)
+    exposure = T * np.diff(edges) - 0.5 * np.diff(edges**2)      # int_bin (T - u) du
+    est = []
+    for r in range(reps):
+        times = hq.simulate_cluster(sim, r).times[0]
+        below = [np.sum(np.searchsorted(times, times + e) - np.arange(1, times.size + 1))
+                 for e in edges[1:]]                              # pairs with lag < e
+        est.append(np.diff(below, prepend=0) / exposure - (times.size / T) ** 2)
+    est = np.array(est)
+    u = np.linspace(0.0, edges[-1], 8001)
+    weighted = np.array([np.trapezoid(((T - u) * phi_h2(u))[(u >= lo) & (u <= hi)],
+                                      u[(u >= lo) & (u <= hi)])
+                         for lo, hi in zip(edges[:-1], edges[1:])])
+    K_T = hq.asymptotic_slope(h2) * T + oracles.H2_OFFSET   # exact to e^{-T/10}
+    target = mu * weighted / exposure - mu * K_T / T**2
+    z = (est.mean(axis=0) - target) / (est.std(axis=0, ddof=1) / np.sqrt(reps))
+    assert np.all(np.abs(z) < 4.0), z
 
 
 def test_cluster_mean_rates_asymmetric_matrix():
