@@ -27,6 +27,7 @@ _MAX_UNKNOWNS = 1_000_000  # k^2 (n + 1) grid values; ~200 bytes of working memo
 _GMRES_RTOL = 1e-10       # above the rounding floor, which reaches ~5e-11 at ||h|| = 0.9999
 _GMRES_RESTART = 40
 _GMRES_MAXITER = 10       # restart cycles; the preconditioned solve needs one
+_OFFSET_NODES = 4001      # log-spaced frequencies of the spectral offset integral
 
 
 def _trapz_weights(n: int, dt: float) -> np.ndarray:
@@ -85,7 +86,6 @@ class CovarianceDensity(_KClassGrid):
     t: np.ndarray
     grid: np.ndarray                 # (n, k, k)
     dt: float
-    norm: float                      # ||h||_L1 of the driving kernel (k = 1)
     kernel: object = None            # Kernel or KernelMatrix
     a: np.ndarray | None = None      # branching vector; [1/(1-||h||)] for k = 1
     closed_form: object = None       # optional exact evaluator phi(t)
@@ -98,6 +98,12 @@ class CovarianceDensity(_KClassGrid):
     @property
     def t_max(self) -> float:
         return float(self.t[-1])
+
+    @property
+    def norm(self) -> float:
+        """||h||_L1 of the driving kernel (or of its 1 x 1 entry); NaN for k > 1."""
+        kern = self.kernel if isinstance(self.kernel, Kernel) else self.kernel.entries[0][0]
+        return kern.l1_norm() if self.k == 1 else float("nan")
 
     def __call__(self, x):
         """Evaluate by linear interpolation, 0 beyond t_max, at scalar or array x;
@@ -230,11 +236,8 @@ def solve_phi_grid(kernel: Kernel, dt: float = 0.01, t_max: float | None = None)
         raise ConfigurationError(f"||h||_L1 = {norm:.6g} >= 1")
     t = _resolve_grid(kernel, dt, t_max)
     a = np.array([1.0 / (1.0 - norm)])
-    if kernel.is_zero:
-        return CovarianceDensity(t, np.zeros((t.size, 1, 1)), dt, norm, kernel=kernel, a=a,
-                                 closed_form=lambda x: np.zeros_like(np.asarray(x, float)))
     values, residual = _solve_density([[kernel]], a, t, dt)
-    return CovarianceDensity(t, values, dt, norm, kernel=kernel, a=a, residual=residual)
+    return CovarianceDensity(t, values, dt, kernel=kernel, a=a, residual=residual)
 
 
 def phi_exponential_closed_form(alpha: float, beta: float, dt: float = 0.01,
@@ -260,9 +263,8 @@ def phi_exponential_closed_form(alpha: float, beta: float, dt: float = 0.01,
         x = np.asarray(x, dtype=float)
         return pref * np.exp(-rate * np.abs(x))
 
-    norm = alpha / beta
-    return CovarianceDensity(t, evaluator(t)[:, None, None], dt, norm, kernel=kernel,
-                             a=np.array([1.0 / (1.0 - norm)]), closed_form=evaluator)
+    return CovarianceDensity(t, evaluator(t)[:, None, None], dt, kernel=kernel,
+                             a=np.array([1.0 / (1.0 - alpha / beta)]), closed_form=evaluator)
 
 
 def solve_multivariate_phi(multi: KernelMatrix, dt: float = 0.02,
@@ -275,22 +277,17 @@ def solve_multivariate_phi(multi: KernelMatrix, dt: float = 0.02,
     a = multi.branching_vector()
     t = _resolve_grid(multi, dt, t_max, k=multi.k)
     values, residual = _solve_density(multi.entries, a, t, dt)
-    norm = multi.entries[0][0].l1_norm() if multi.k == 1 else float("nan")
-    return CovarianceDensity(t, values, dt, norm, kernel=multi, a=a, residual=residual)
+    return CovarianceDensity(t, values, dt, kernel=multi, a=a, residual=residual)
 
 
 @dataclass
 class VarianceFunction(_KClassGrid):
-    """Grid of K(t) = Var N(0, t] for the unit-baseline stationary process.
-    The slope 1/(1-||h||)^3 is kept for univariate kernels; the offset is
-    computed lazily through the spectral integral."""
+    """Grid of K(t) = Var N(0, t] for the unit-baseline stationary process."""
 
     t: np.ndarray
     grid: np.ndarray                 # (n, k, k)
     dt: float
     kernel: object = None
-    slope: float | None = None
-    _offset: float | None = field(default=None, repr=False)
 
     _label = "K"
 
@@ -302,19 +299,13 @@ class VarianceFunction(_KClassGrid):
     def at(self, x):
         return self._public(self._at(x))
 
-    def asymptotic_offset(self) -> float:
-        if self._offset is None:
-            self._offset = asymptotic_offset(self.kernel)
-        return self._offset
-
 
 def variance_function(phi: CovarianceDensity) -> VarianceFunction:
     """K(t) = diag(a) t + Psi2(t) + Psi2(t)^T, Psi2 the iterated integral of
     Phi; for k = 1 this is t/(1-||h||) + 2 Psi2(t)."""
     _, psi2 = phi._cumulative()
     values = phi.t[:, None, None] * np.diag(phi.a) + psi2 + np.swapaxes(psi2, 1, 2)
-    slope = None if phi.is_matrix else asymptotic_slope_from_norm(phi.norm)
-    return VarianceFunction(phi.t, values, phi.dt, kernel=phi.kernel, slope=slope)
+    return VarianceFunction(phi.t, values, phi.dt, kernel=phi.kernel)
 
 
 def multivariate_variance(phi: CovarianceDensity, t: float) -> np.ndarray:
@@ -347,19 +338,15 @@ def limit_covariance_G(phi: CovarianceDensity, K: VarianceFunction,
     return phi._public(limit_covariance_multi(phi, K, s, t))
 
 
-def asymptotic_slope_from_norm(norm: float) -> float:
-    return 1.0 / (1.0 - norm) ** 3
-
-
 def asymptotic_slope(kernel: Kernel) -> float:
     """lim K(t)/t = 1/(1-||h||)^3."""
     norm = kernel.l1_norm()
     if not norm < 1.0:
         raise ConfigurationError("slope defined only for ||h|| < 1")
-    return asymptotic_slope_from_norm(norm)
+    return 1.0 / (1.0 - norm) ** 3
 
 
-def asymptotic_offset(kernel: Kernel, n_nodes: int = 4001) -> float:
+def asymptotic_offset(kernel: Kernel) -> float:
     """lim [K(t) - t/(1-||h||)^3], the spectral (Bartlett) offset.
 
     Evaluates the frequency integral on symmetric log-spaced nodes with the
@@ -377,7 +364,7 @@ def asymptotic_offset(kernel: Kernel, n_nodes: int = 4001) -> float:
     m1 = kernel.first_moment()
     m2 = kernel.second_moment()    # raises IntegrabilityError for heavy tails
     g0 = -((1.0 - norm) * m2 + m1 * m1) / (1.0 - norm) ** 2
-    omegas = np.logspace(-4, 4, n_nodes)
+    omegas = np.logspace(-4, 4, _OFFSET_NODES)
     hat = kernel.fourier(omegas)
     denom = np.abs(1.0 - hat) ** 2
     g = ((1.0 - norm) ** 2 - denom) / (denom * omegas**2)

@@ -19,6 +19,8 @@ from .errors import ConfigurationError, IntegrabilityError, NumericalError
 _PROBE_POINTS = 10_000
 # Relative floor below which the kernel is treated as fully decayed.
 _DECAY_FLOOR = 1e-12
+# Entries per (frequencies x values) work array of TabulatedKernel.fourier (4 MB).
+_FOURIER_BLOCK = 1 << 18
 
 
 class Kernel:
@@ -79,19 +81,16 @@ class Kernel:
         raise NotImplementedError
 
     def majorant_cutoff(self) -> float:
-        """Lag beyond which the majorant is negligible and events are pruned."""
+        """Lag beyond which the majorant is negligible: the thinning prune
+        horizon and the upper limit of quadratures over h."""
         raise NotImplementedError
 
     def to_dict(self) -> dict:
         raise NotImplementedError
 
-    def _quad_cutoff(self) -> float:
-        """Upper quadrature limit where h has decayed to ~1e-12 of h(0)."""
-        raise NotImplementedError
-
     def _laplace_quadrature(self, omega: float) -> float:
         val, _ = quad(lambda t: math.exp(-omega * t) * float(self(t)),
-                      0.0, self._quad_cutoff(), limit=200)
+                      0.0, self.majorant_cutoff(), limit=200)
         return val
 
 
@@ -209,23 +208,10 @@ class SumOfExponentialsKernel(Kernel):
                 return out
         raise NumericalError("offset rejection sampler failed to converge")
 
-    def majorant(self, t):
-        # Dropping negative-amplitude terms gives a non-increasing bound.
-        t = np.asarray(t, dtype=float)
-        pos = self.alphas > 0
-        if not pos.any():
-            return np.zeros(t.shape) if t.ndim else 0.0
-        flat = np.maximum(t.ravel(), 0.0)
-        out = (self.alphas[pos][:, None] * np.exp(-self.betas[pos][:, None] * flat[None, :])).sum(axis=0)
-        return out.reshape(t.shape) if t.ndim else float(out[0])
-
     def majorant_cutoff(self) -> float:
         if self.alphas.size == 0:
             return 0.0
         return -math.log(_DECAY_FLOOR) / float(self.betas.min())
-
-    def _quad_cutoff(self) -> float:
-        return self.majorant_cutoff()
 
     def to_dict(self):
         return {"type": "sum_exp",
@@ -280,7 +266,7 @@ class PowerLawKernel(Kernel):
         self._require(1.0, "Fourier transform")
         scalar = np.isscalar(omega) or np.ndim(omega) == 0
         omegas = np.atleast_1d(np.asarray(omega, dtype=float))
-        cutoff = self._quad_cutoff()
+        cutoff = self.majorant_cutoff()
         out = np.empty(omegas.shape, dtype=complex)
         for i, w in enumerate(omegas):
             if w == 0.0:
@@ -328,9 +314,6 @@ class PowerLawKernel(Kernel):
     def majorant_cutoff(self):
         # h(T) = 1e-12 * h(0)
         return ((_DECAY_FLOOR) ** (-1.0 / self.exponent) - 1.0) / self.scale
-
-    def _quad_cutoff(self):
-        return self.majorant_cutoff()
 
     def to_dict(self):
         return {"type": "power_law", "scale": self.scale,
@@ -388,11 +371,14 @@ class TabulatedKernel(Kernel):
                             (1.0 + 1j * a - np.exp(1j * a)) / np.where(small, 1.0, om**2 * self.dt))
             sinc2 = np.where(small, self.dt * (1.0 - a**2 / 12.0 + a**4 / 360.0),
                              (2.0 - 2.0 * np.cos(a)) / np.where(small, 1.0, om**2 * self.dt))
-        w = np.broadcast_to(sinc2.astype(complex), (om.shape[0], self.values.size)).copy()
-        w[:, 0] = half[:, 0]
-        w[:, -1] = np.conj(half[:, 0])
-        phase = np.exp(1j * om * self.grid[None, :])
-        out = (w * phase * self.values[None, :]).sum(axis=1)
+        out = np.empty(om.shape[0], dtype=complex)
+        step = max(1, _FOURIER_BLOCK // self.values.size)
+        for rows in (slice(lo, lo + step) for lo in range(0, om.shape[0], step)):
+            w = np.repeat(sinc2[rows].astype(complex), self.values.size, axis=1)
+            w[:, 0] = half[rows, 0]
+            w[:, -1] = np.conj(half[rows, 0])
+            phase = np.exp(1j * om[rows] * self.grid[None, :])
+            out[rows] = (w * phase * self.values[None, :]).sum(axis=1)
         return out if not scalar else complex(out[0])
 
     def first_moment(self):
@@ -451,9 +437,6 @@ class TabulatedKernel(Kernel):
     def majorant_cutoff(self):
         return self.cutoff
 
-    def _quad_cutoff(self):
-        return self.cutoff
-
     def to_dict(self):
         return {"type": "tabulated", "dt": self.dt, "values": self.values.tolist()}
 
@@ -483,9 +466,6 @@ class KernelMatrix:
         rho = self.spectral_radius()
         if not rho < 1.0:
             raise ConfigurationError(f"spectral radius {rho:.6g} >= 1: no stationary version")
-
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
 
     def l1_matrix(self) -> np.ndarray:
         return np.array([[kern.l1_norm() for kern in row] for row in self.entries])
@@ -572,9 +552,6 @@ class HawkesConfig:
         if self.is_multivariate:
             raise ConfigurationError("mean_rate() is univariate; use mean_rate_vector()")
         return float(self.mean_rate_vector()[0])
-
-    def to_dict(self):
-        return {"mu": self.baseline, "kernel": self.kernel.to_dict()}
 
 
 # --- functional facades matching the published operation names ---------------

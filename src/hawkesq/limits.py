@@ -20,11 +20,11 @@ from .covariance import (_MAX_UNKNOWNS, CovarianceDensity, VarianceFunction,
                          variance_function)
 from .errors import ConfigurationError, NumericalError, TruncationError
 from .kernels import Kernel, SumOfExponentialsKernel
-from .service import DeterministicService, ExponentialService, ServiceModel
+from .service import _SURVIVAL_FLOOR, DeterministicService, ExponentialService, ServiceModel
 from .simulate import rep_stream
 
-_WEIGHT_FLOOR = 1e-12     # exponential-weight truncation for infinite integrals
 _PSD_JITTERS = (0.0, 1e-10, 1e-9, 1e-8)
+_STEADY_TAIL_TOL = 1e-6   # bound on the mass that survival truncation drops
 
 
 def _lattice_weights(T: float, dt: float, f) -> np.ndarray:
@@ -283,21 +283,21 @@ def cov_multi_ou(phi: CovarianceDensity, r, i: int, j: int,
                                   t - s, i, j))
 
 
-def steady_state_cov_multi(phi: CovarianceDensity, r, tail_tol: float = 1e-6) -> np.ndarray:
+def steady_state_cov_multi(phi: CovarianceDensity, r) -> np.ndarray:
     """Steady-state covariance matrix of the k-dimensional OU-type limit:
 
         1_{i=j} a_i/r_i + int_0^inf int_0^inf e^{-r_i u} e^{-r_j v} Phi_ij(v-u) du dv,
 
     the `_steady_cov` of Exp(r_i) service, truncated where the exponential
     weights fall below 1e-12, with the truncation certificate checked
-    against tail_tol.  The result is validated to be PSD.
+    against 1e-6.  The result is validated to be PSD.
     """
     r = np.asarray(r, dtype=float)
     if r.shape != (phi.k,) or np.any(r <= 0):
         raise ConfigurationError("need one positive service rate per class")
-    tail = float(np.abs(phi.grid).max()) * 2.0 * _WEIGHT_FLOOR / r.min() ** 2
-    if tail > tail_tol:
-        raise TruncationError(f"truncation tail bound {tail:.2e} > {tail_tol:g}")
+    tail = float(np.abs(phi.grid).max()) * 2.0 * _SURVIVAL_FLOOR / r.min() ** 2
+    if tail > _STEADY_TAIL_TOL:
+        raise TruncationError(f"truncation tail bound {tail:.2e} > {_STEADY_TAIL_TOL:g}")
     out = _steady_cov(phi, [ExponentialService(ri) for ri in r])
     eigmin = float(np.linalg.eigvalsh(out).min())
     if eigmin < -1e-8 * max(1.0, float(np.abs(np.diag(out)).max())):

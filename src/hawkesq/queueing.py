@@ -25,7 +25,6 @@ class QueueTrajectory:
 
     times: np.ndarray
     q: np.ndarray              # (nt, k) integer counts
-    arrivals_seen: np.ndarray  # (nt, k) cumulative arrivals
     replication: int = 0
 
     def __post_init__(self):
@@ -63,7 +62,6 @@ def simulate_queue(arrivals: PointPath, service, q_init, t_grid,
         raise ConfigurationError("probe times outside the arrival window")
 
     q = np.empty((t_grid.size, k), dtype=int)
-    seen = np.empty((t_grid.size, k), dtype=int)
     for d in range(k):
         remaining = np.sort(init_services[d].sample(rng, int(q_init[d])))
         taus = arrivals.times[d]
@@ -72,8 +70,7 @@ def simulate_queue(arrivals: PointPath, service, q_init, t_grid,
         gone = np.searchsorted(departures, t_grid, side="right")
         init_left = q_init[d] - np.searchsorted(remaining, t_grid, side="right")
         q[:, d] = init_left + n_arrived - gone
-        seen[:, d] = n_arrived
-    return QueueTrajectory(t_grid, q, seen, arrivals.replication)
+    return QueueTrajectory(t_grid, q, arrivals.replication)
 
 
 @dataclass
@@ -136,14 +133,15 @@ class SteadyStateSample:
 
 def steady_state_sample(config: HawkesConfig, service, n_samples: int, seed: int,
                         *, engine: str = "cluster", burn_in: float | None = None,
-                        spacing: float | None = None, samples_per_rep: int | None = None,
-                        arrival_burn_in: float | None = None) -> SteadyStateSample:
+                        spacing: float | None = None) -> SteadyStateSample:
     """Draw pooled steady-state queue lengths at well-separated times.
 
     Sampling starts after a burn-in of ten service means plus ten cluster
     decorrelation scales and proceeds with spacing of five service means
-    (both overridable, with a floor enforced).  Initial counts are Poisson
-    at the offered load so the transient starts near the fluid state.
+    (both overridable, with a floor enforced).  The draws are split over
+    min(400, max(25, ceil(n_samples / 200))) replications.  Initial counts
+    are Poisson at the offered load so the transient starts near the fluid
+    state.
     """
     if n_samples < 1:
         raise ConfigurationError("need a positive sample count")
@@ -165,16 +163,15 @@ def steady_state_sample(config: HawkesConfig, service, n_samples: int, seed: int
         spacing = min_spacing
     elif spacing < min_spacing:
         raise ConfigurationError(f"spacing {spacing:g} below the floor {min_spacing:g}")
-    if samples_per_rep is None:
-        reps = int(min(400, max(25, math.ceil(n_samples / 200))))
-        samples_per_rep = math.ceil(n_samples / reps)
+    reps = int(min(400, max(25, math.ceil(n_samples / 200))))
+    samples_per_rep = math.ceil(n_samples / reps)
     reps = math.ceil(n_samples / samples_per_rep)
 
     horizon = burn_in + spacing * (samples_per_rep - 1) + 1e-9
     t_grid = burn_in + spacing * np.arange(samples_per_rep)
     rates = config.mean_rate_vector()
     offered = rates * means
-    sim = SimConfig(config, horizon, seed, burn_in=arrival_burn_in, engine=engine)
+    sim = SimConfig(config, horizon, seed, engine=engine)
     engine_fn = _ENGINES[sim.engine]
 
     draws = np.empty((reps, samples_per_rep, k), dtype=int)

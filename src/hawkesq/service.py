@@ -8,6 +8,9 @@ from scipy.special import ndtr, ndtri
 
 from .errors import ConfigurationError
 
+# Survival level at which integrals over service ages are truncated.
+_SURVIVAL_FLOOR = 1e-12
+
 
 class ServiceModel:
     """A nonnegative service-time distribution with F(0) = 0."""
@@ -26,8 +29,8 @@ class ServiceModel:
     def mean(self) -> float:
         raise NotImplementedError
 
-    def survival_cutoff(self, tol: float = 1e-12) -> float:
-        """Smallest x with survival(x) <= tol; truncation point for integrals."""
+    def survival_cutoff(self) -> float:
+        """Smallest x with survival(x) <= _SURVIVAL_FLOOR; truncation point for integrals."""
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -58,8 +61,8 @@ class ExponentialService(ServiceModel):
     def mean(self):
         return 1.0 / self.rate
 
-    def survival_cutoff(self, tol=1e-12):
-        return -math.log(tol) / self.rate
+    def survival_cutoff(self):
+        return -math.log(_SURVIVAL_FLOOR) / self.rate
 
     def to_dict(self):
         return {"type": "exponential", "rate": self.rate}
@@ -89,7 +92,7 @@ class DeterministicService(ServiceModel):
     def mean(self):
         return self.value
 
-    def survival_cutoff(self, tol=1e-12):
+    def survival_cutoff(self):
         return self.value
 
     def to_dict(self):
@@ -122,8 +125,8 @@ class LogNormalService(ServiceModel):
     def mean(self):
         return math.exp(self.m + 0.5 * self.s**2)
 
-    def survival_cutoff(self, tol=1e-12):
-        return math.exp(self.m + self.s * ndtri(1.0 - tol))
+    def survival_cutoff(self):
+        return math.exp(self.m + self.s * ndtri(1.0 - _SURVIVAL_FLOOR))
 
     def to_dict(self):
         return {"type": "lognormal", "m": self.m, "s": self.s}
@@ -161,7 +164,7 @@ class TabulatedInverseCDFService(ServiceModel):
     def mean(self):
         return float(np.trapezoid(self.quantiles, self.u_grid))
 
-    def survival_cutoff(self, tol=1e-12):
+    def survival_cutoff(self):
         return float(self.quantiles[-1])
 
     def to_dict(self):

@@ -52,10 +52,6 @@ class PointPath:
     def dimension(self) -> int:
         return len(self.times)
 
-    @property
-    def counts(self) -> np.ndarray:
-        return np.array([seq.size for seq in self.times])
-
     def counts_at(self, t_grid) -> np.ndarray:
         """Counts N_i(t) for each grid time; shape (len(t_grid), k)."""
         t_grid = np.asarray(t_grid, dtype=float)
@@ -79,7 +75,7 @@ class SimConfig:
     def __post_init__(self):
         if self.horizon <= 0:
             raise ConfigurationError("horizon must be positive")
-        if self.engine not in ("cluster", "thinning"):
+        if self.engine not in _ENGINES:
             raise ConfigurationError(f"unknown engine {self.engine!r}")
         if self.replications < 1:
             raise ConfigurationError("need at least one replication")
@@ -89,9 +85,9 @@ class SimConfig:
             raise ConfigurationError("burn-in must be nonnegative")
 
 
-def default_burn_in(config: HawkesConfig, leak_tol: float = _LEAK_TOL) -> float:
+def default_burn_in(config: HawkesConfig) -> float:
     """Smallest burn-in B with leak bound sum_ij rate_j progeny_i int_B^inf H_ij
-    below leak_tol.
+    below _LEAK_TOL = 1e-3.
 
     rate = mu a are the stationary rates, H_ij the tail mass of h_ij and
     progeny = (I - ||H||^T)^{-1} 1 the expected family sizes.  rate_j
@@ -100,7 +96,7 @@ def default_burn_in(config: HawkesConfig, leak_tol: float = _LEAK_TOL) -> float:
     engines, they are what the bound counts.  Dropped chains that pass
     through a point in (-B, 0] are not counted.  For one kernel it reads
     mu int_B^inf H / (1-||h||)^2, so for h = alpha e^{-beta t}
-    B = log(mu alpha / ((1-||h||)^2 beta^2 leak_tol)) / beta.
+    B = log(mu alpha / ((1-||h||)^2 beta^2 _LEAK_TOL)) / beta.
     """
     multi = config.kernel_matrix()
     k = multi.k
@@ -111,17 +107,17 @@ def default_burn_in(config: HawkesConfig, leak_tol: float = _LEAK_TOL) -> float:
         return float(sum(rates[j] * progeny[i] * multi.entries[i][j].tail_integral(b)
                          for i in range(k) for j in range(k)))
 
-    if leak(0.0) <= leak_tol:
+    if leak(0.0) <= _LEAK_TOL:
         return 0.0
     lo, hi = 0.0, 1.0
-    while leak(hi) > leak_tol:
+    while leak(hi) > _LEAK_TOL:
         hi *= 2.0
         if hi > 1e7:
             raise ConfigurationError(
                 "burn-in bias bound unattainable (heavy kernel tail); set burn_in explicitly")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if leak(mid) > leak_tol:
+        if leak(mid) > _LEAK_TOL:
             lo = mid
         else:
             hi = mid

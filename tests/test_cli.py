@@ -4,6 +4,8 @@ import pytest
 
 from hawkesq.cli import main
 
+import oracles
+
 H1 = {"type": "sum_exp", "terms": [{"alpha": 0.5, "beta": 1.0}]}
 H2 = {"type": "sum_exp", "terms": [{"alpha": 0.1, "beta": 0.25},
                                    {"alpha": 0.4, "beta": 4.0}]}
@@ -87,6 +89,26 @@ def test_validate_fclt_multivariate_decoupled(tmp_path):
         (tmp_path / "out" / "validate-fclt" / "dec" / "report.json").read_text())
     cross = [c for c in report["checks"] if "dims" in c]
     assert cross and all(abs(c["z"]) < 3.0 for c in cross)
+
+
+def test_validate_fclt_cross_time_h1(tmp_path):
+    cfg = _write(tmp_path, "c.json", {
+        "name": "cross", "kernel": H1, "mu": 50.0, "reps": 2000,
+        "probe_times": [0.5, 1.0, 2.0], "seed": 1})
+    code = main(["validate-fclt", "--config", cfg, "--out", str(tmp_path / "out")])
+    report = json.loads(
+        (tmp_path / "out" / "validate-fclt" / "cross" / "report.json").read_text())
+    assert code == 0 and report["pass"]
+    assert [c["t"] for c in report["checks"]] == [0.5, 1.0, 2.0]
+    cross = report["cross_time_checks"]
+    assert [(c["s"], c["t"], c["dims"]) for c in cross] == [
+        (0.5, 1.0, [0, 0]), (0.5, 2.0, [0, 0]), (1.0, 2.0, [0, 0])]
+    for c in cross:
+        # stationary increments: Cov(G(s), G(t)) = (K(s) + K(t) - K(t - s)) / 2
+        oracle = 0.5 * (oracles.K1(c["s"]) + oracles.K1(c["t"]) - oracles.K1(c["t"] - c["s"]))
+        assert c["analytic"] == pytest.approx(oracle, rel=1e-3)
+        assert abs(c["z"]) < 3.0
+    assert report["max_abs_z"] == max(abs(c["z"]) for c in report["checks"] + cross)
 
 
 def test_validate_queue_poisson(tmp_path):

@@ -154,7 +154,16 @@ def test_asymptotic_offset_h2_two_methods(h2, K_h2):
 def test_asymptotic_offset_tabulated(h1):
     grid = np.arange(0, 8001) * 0.005
     tab = hq.TabulatedKernel(0.005, h1(grid))
-    assert hq.asymptotic_offset(tab) == pytest.approx(-12.0, abs=5e-2)
+    tracemalloc.start()
+    try:
+        offset = hq.asymptotic_offset(tab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert offset == pytest.approx(-12.0, abs=5e-2)
+    # 4001 frequencies x 8001 values: one dense complex work table would take 512 MB
+    assert peak < 100e6
+    assert offset == pytest.approx(-11.999777100856212, rel=1e-12)   # value of the dense table
 
 
 def test_multivariate_reduces_to_univariate(phi_h1, h1):

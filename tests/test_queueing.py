@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import hawkesq as hq
 from hawkesq.errors import ConfigurationError
+from hawkesq.simulate import SERVICE_STREAM, var_of_sample_cov
 
 
 # --- service models -----------------------------------------------------------
@@ -142,6 +145,35 @@ def test_steady_state_hawkes_mean(h1):
     cfg = hq.HawkesConfig(20.0, h1)
     sample = hq.steady_state_sample(cfg, hq.ExponentialService(1.0), 4000, seed=12)
     assert abs(sample.mean()[0] - 40.0) < 3.0 * sample.se_mean()[0]
+
+
+@pytest.mark.parametrize("service", [hq.LogNormalService(0.0, 0.5), hq.DeterministicService(1.0)],
+                         ids=["lognormal", "deterministic"])
+def test_steady_state_non_exponential_service(h1, phi_h1, service):
+    # mean lambda_bar E[S] (lambda_bar = 2 mu for h1) and variance mu var_X_infty(F, phi),
+    # each within 4 jackknife SEs
+    mu = 20.0
+    sample = hq.steady_state_sample(hq.HawkesConfig(mu, h1), service, 4000, seed=11)
+    mean_z = (sample.mean()[0] - 2.0 * mu * service.mean()) / sample.se_mean()[0]
+    var_z = (sample.var()[0] - mu * hq.var_X_infty(service, phi_h1)) / sample.se_var()[0]
+    assert abs(mean_z) < 4.0 and abs(var_z) < 4.0
+
+
+def test_transient_covariance_initial_service(h1, phi_h1):
+    # A fixed initial count mu q0 whose customers leave independently under F0
+    # contributes mu q0 F0(s) S0(t), the first term of cov_X_general.
+    mu, q0, probes = 50.0, 3.0, [0.5, 1.0, 2.0]
+    F, F0 = hq.LogNormalService(0.0, 0.5), hq.ExponentialService(2.0)
+    sim = hq.SimConfig(hq.HawkesConfig(mu, h1), max(probes), seed=4242, replications=3000)
+    q = np.array([hq.simulate_queue(p, F, [int(mu * q0)], probes,
+                                    hq.rep_stream(4242, p.replication, SERVICE_STREAM),
+                                    initial_service=F0).q[:, 0]
+                  for p in hq.simulate_paths(sim)], dtype=float)
+    for a, b in itertools.combinations_with_replacement(range(len(probes)), 2):
+        emp = float(np.cov(q[:, a], q[:, b])[0, 1])
+        se = np.sqrt(var_of_sample_cov(q[:, a], q[:, b]))
+        want = mu * hq.cov_X_general(F0, F, q0, phi_h1, probes[a], probes[b])
+        assert abs(emp - want) < 4.0 * se, (probes[a], probes[b], emp, want, se)
 
 
 # --- distribution comparison -----------------------------------------------------
