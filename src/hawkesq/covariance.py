@@ -236,6 +236,9 @@ def solve_phi_grid(kernel: Kernel, dt: float = 0.01, t_max: float | None = None)
         raise ConfigurationError(f"||h||_L1 = {norm:.6g} >= 1")
     t = _resolve_grid(kernel, dt, t_max)
     a = np.array([1.0 / (1.0 - norm)])
+    if kernel.is_zero:    # an exact zero closed form keeps var_X_infty off the node-capped grid
+        return CovarianceDensity(t, np.zeros((t.size, 1, 1)), dt, kernel=kernel, a=a,
+                                 closed_form=lambda x: np.zeros_like(np.asarray(x, float)))
     values, residual = _solve_density([[kernel]], a, t, dt)
     return CovarianceDensity(t, values, dt, kernel=kernel, a=a, residual=residual)
 

@@ -123,13 +123,6 @@ class SteadyStateSample:
         return self._jackknife(
             lambda s: np.cov(s.reshape(-1, self.k).astype(float).T).reshape(self.k, self.k))
 
-    def pmf(self, dim: int = 0):
-        """(support, relative frequencies) for one class."""
-        pooled = self.pooled(dim)
-        support = np.arange(int(pooled.min()), int(pooled.max()) + 1)
-        freq = np.bincount(pooled - support[0], minlength=support.size) / pooled.size
-        return support, freq
-
 
 def steady_state_sample(config: HawkesConfig, service, n_samples: int, seed: int,
                         *, engine: str = "cluster", burn_in: float | None = None,

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import hawkesq as hq
 from hawkesq.cli import main
 
 import oracles
@@ -109,6 +110,30 @@ def test_validate_fclt_cross_time_h1(tmp_path):
         assert c["analytic"] == pytest.approx(oracle, rel=1e-3)
         assert abs(c["z"]) < 3.0
     assert report["max_abs_z"] == max(abs(c["z"]) for c in report["checks"] + cross)
+
+
+def test_validate_fclt_cross_time_orientation(tmp_path):
+    # four distinct entries, so Cov(G_0(t), G_1(s)) != Cov(G_1(t), G_0(s)) for s < t
+    def exp(alpha, beta):
+        return {"type": "sum_exp", "terms": [{"alpha": alpha, "beta": beta}]}
+    kernel = {"type": "matrix", "p": [1.0, 0.5],
+              "entries": [[exp(0.3, 1.0), exp(0.1, 2.0)], [exp(0.2, 0.5), exp(0.05, 1.0)]]}
+    cfg = _write(tmp_path, "a.json", {
+        "name": "asym", "kernel": kernel, "mu": 20.0, "reps": 400,
+        "probe_times": [1.0, 3.0], "seed": 2, "grid": {"dt": 0.05, "t_max": 40.0}})
+    code = main(["validate-fclt", "--config", cfg, "--out", str(tmp_path / "out")])
+    report = json.loads(
+        (tmp_path / "out" / "validate-fclt" / "asym" / "report.json").read_text())
+    assert code == 0 and report["pass"]
+    phi = hq.solve_multivariate_phi(hq.kernel_from_dict(kernel), dt=0.05, t_max=40.0)
+    target = hq.limit_covariance_multi(phi, hq.variance_function(phi), 1.0, 3.0)
+    assert abs(target[0, 1] - target[1, 0]) > 0.1
+    cross = report["cross_time_checks"]
+    assert [c["dims"] for c in cross] == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    for c in cross:
+        i, j = c["dims"]
+        assert (c["s"], c["t"]) == (1.0, 3.0)
+        assert c["analytic"] == pytest.approx(target[i, j], rel=1e-12)
 
 
 def test_validate_queue_poisson(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,13 @@ def test_var_x_infty_poisson_is_mean_service():
     phi0 = hq.solve_phi_grid(hq.ZERO_KERNEL, dt=0.02, t_max=40.0)
     assert hq.var_X_infty(hq.ExponentialService(2.0), phi0) == pytest.approx(0.5, abs=1e-9)
     assert hq.var_X_infty(hq.DeterministicService(1.0), phi0) == pytest.approx(1.0, abs=1e-9)
+    # The zero density keeps an exact closed form, so heavy service tails whose
+    # survival cutoff / dt exceeds the grid route's node cap still give E[S].
+    assert hq.var_X_infty(hq.LogNormalService(0.0, 2.0), phi0) == pytest.approx(math.exp(2.0))
+    approx = hq.gaussian_queue_approx(20.0, hq.ZERO_KERNEL, service=hq.LogNormalService(0.0, 1.5))
+    assert approx.sigma == pytest.approx(math.sqrt(20.0 * math.exp(1.125)))
+    limit = hq.phi_exponential_closed_form(0.0, 1.0)
+    assert hq.var_X_infty(hq.DeterministicService(2.0), limit, method="closed_form") == 2.0
 
 
 def test_var_x_infty_h1_exponential(phi_h1, phi_h1_exact):
