@@ -12,6 +12,7 @@ asymptotics) is driven by the solved grid.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,10 +31,32 @@ _GMRES_MAXITER = 10       # restart cycles; the preconditioned solve needs one
 _OFFSET_NODES = 4001      # log-spaced frequencies of the spectral offset integral
 
 
-def _trapz_weights(n: int, dt: float) -> np.ndarray:
-    w = np.full(n, dt)
-    w[0] = w[-1] = 0.5 * dt
-    return w
+def _lattice_weights(T: float, dt: float, f) -> np.ndarray:
+    """Weights x[a] = w[a] f(a dt) of int_0^T f(tau) g(tau) dtau ~ sum_a x[a] g(a dt).
+
+    w are the trapezoid weights when T is a lattice node.  Otherwise the
+    partial last cell [N dt, T], r = T - N dt, adds r - r^2/(2 dt) to node N
+    and r^2/(2 dt) to node N + 1, which integrates the lattice's
+    piecewise-linear interpolant exactly; f is sampled at T in place of
+    (N + 1) dt, so a factor that is constant on the cell (a service survival
+    ending at T) stays exact.  The node count is checked against the cap
+    before anything is allocated.
+    """
+    n = T / dt
+    if not n + 1 <= _MAX_UNKNOWNS:
+        raise NumericalError(f"[0, {T:g}] needs {n + 1:.3g} nodes at dt = {dt:g}, "
+                             f"over the cap {_MAX_UNKNOWNS}")
+    N, r = round(n), 0.0
+    if abs(n - N) > 1e-9 * max(1.0, n):     # T within rounding of a node is that node
+        N = math.floor(n)
+        r = T - N * dt
+    w = np.zeros(N + 1 + (r > 0))
+    w[:N] += 0.5 * dt
+    w[1:N + 1] += 0.5 * dt
+    if r > 0:
+        w[N] += r - r * r / (2.0 * dt)
+        w[N + 1] = r * r / (2.0 * dt)
+    return w * f(np.minimum(np.arange(w.size) * dt, T))
 
 
 def _cumtrapz(y: np.ndarray, dt: float) -> np.ndarray:
@@ -128,7 +151,7 @@ class CovarianceDensity(_KClassGrid):
 
     def laplace(self, omega: float):
         """Trapezoid transform int_0^tmax exp(-omega t) values(t) dt."""
-        w = _trapz_weights(len(self.t), self.dt) * np.exp(-omega * self.t)
+        w = _lattice_weights(self.t_max, self.dt, lambda x: np.exp(-omega * x))
         return self._public(np.einsum("n,nij->ij", w, self.grid))
 
 
@@ -193,7 +216,7 @@ def _solve_density(entries, a, t, dt):
     hist_hat = spectrum(h)
     conv_hat = dt * spectrum(h0)
     inv_hat = np.linalg.inv(np.eye(k) - conv_hat + 0.5 * dt * h0[0])
-    w = _trapz_weights(n, dt)[:, None, None]
+    w = _lattice_weights(t[-1], dt, np.ones_like)[:, None, None]
 
     def apply(phi):
         spec = (hist_hat @ spectrum(w * phi).conj().transpose(0, 2, 1)
@@ -402,8 +425,6 @@ class LaplacePipeline:
         """Laplace transform of the covariance density at omega > 0."""
         if omega <= 0:
             raise ConfigurationError("phi_tilde requires omega > 0")
-        if self.kernel.is_zero:
-            return 0.0
         ht = self.kernel.laplace(omega)
         extra = float(np.sum(self.kernel.alphas * self.Xtilde
                              / (self.kernel.betas + omega)))

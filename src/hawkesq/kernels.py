@@ -111,11 +111,11 @@ class SumOfExponentialsKernel(Kernel):
         self.betas = np.atleast_1d(np.asarray(betas, dtype=float))
         if self.alphas.shape != self.betas.shape or self.alphas.ndim != 1:
             raise ConfigurationError("alphas and betas must be 1-d and of equal length")
-        if self.alphas.size and not np.all(np.isfinite(self.alphas)):
+        if not np.all(np.isfinite(self.alphas)):
             raise ConfigurationError("non-finite amplitude")
-        if self.alphas.size and np.any(self.betas <= 0):
+        if np.any(self.betas <= 0):
             raise ConfigurationError("decay rates must be positive")
-        if self.alphas.size and np.any(self.alphas < 0):
+        if np.any(self.alphas < 0):
             probe = np.linspace(0.0, 20.0 / self.betas.min(), _PROBE_POINTS)
             if np.min(self(probe)) < 0:
                 raise ConfigurationError(
@@ -127,15 +127,13 @@ class SumOfExponentialsKernel(Kernel):
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        if self.alphas.size == 0:
-            return np.zeros(t.shape) if t.ndim else 0.0
         flat = t.ravel()
         out = (self.alphas[:, None] * np.exp(-self.betas[:, None] * np.maximum(flat, 0.0)[None, :])).sum(axis=0)
         out = np.where(flat < 0, 0.0, out)
         return out.reshape(t.shape) if t.ndim else float(out[0])
 
     def l1_norm(self) -> float:
-        return float(np.sum(self.alphas / self.betas)) if self.alphas.size else 0.0
+        return float(np.sum(self.alphas / self.betas))
 
     def laplace(self, omega, method="auto"):
         if omega <= 0:
@@ -144,31 +142,23 @@ class SumOfExponentialsKernel(Kernel):
             raise ConfigurationError(f"unknown method {method!r}")
         if method == "quadrature":
             return self._laplace_quadrature(omega)
-        if self.alphas.size == 0:
-            return 0.0
         return float(np.sum(self.alphas / (self.betas + omega)))
 
     def fourier(self, omega):
         omega = np.asarray(omega, dtype=float)
-        if self.alphas.size == 0:
-            return np.zeros(omega.shape, complex) if omega.ndim else 0j
         out = (self.alphas[:, None] / (self.betas[:, None] - 1j * omega.ravel()[None, :])).sum(axis=0)
         return out.reshape(omega.shape) if omega.ndim else complex(out[0])
 
     def first_moment(self) -> float:
-        return float(np.sum(self.alphas / self.betas**2)) if self.alphas.size else 0.0
+        return float(np.sum(self.alphas / self.betas**2))
 
     def second_moment(self) -> float:
-        return float(np.sum(2.0 * self.alphas / self.betas**3)) if self.alphas.size else 0.0
+        return float(np.sum(2.0 * self.alphas / self.betas**3))
 
     def tail_mass(self, t):
-        if self.alphas.size == 0:
-            return 0.0
         return float(np.sum((self.alphas / self.betas) * np.exp(-self.betas * t)))
 
     def tail_integral(self, b):
-        if self.alphas.size == 0:
-            return 0.0
         return float(np.sum((self.alphas / self.betas**2) * np.exp(-self.betas * b)))
 
     def decay_scale(self) -> float:
@@ -209,9 +199,7 @@ class SumOfExponentialsKernel(Kernel):
         raise NumericalError("offset rejection sampler failed to converge")
 
     def majorant_cutoff(self) -> float:
-        if self.alphas.size == 0:
-            return 0.0
-        return -math.log(_DECAY_FLOOR) / float(self.betas.min())
+        return -math.log(_DECAY_FLOOR) / float(np.min(self.betas, initial=np.inf))
 
     def to_dict(self):
         return {"type": "sum_exp",

@@ -7,7 +7,6 @@ finite-dimensional sampling of any of these from its covariance.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -15,7 +14,7 @@ import numpy as np
 from scipy.fft import next_fast_len
 from scipy.integrate import quad
 
-from .covariance import (_MAX_UNKNOWNS, CovarianceDensity, VarianceFunction,
+from .covariance import (CovarianceDensity, VarianceFunction, _lattice_weights,
                          laplace_pipeline, limit_covariance_G, solve_phi_grid,
                          variance_function)
 from .errors import ConfigurationError, NumericalError, TruncationError
@@ -25,34 +24,6 @@ from .simulate import rep_stream
 
 _PSD_JITTERS = (0.0, 1e-10, 1e-9, 1e-8)
 _STEADY_TAIL_TOL = 1e-6   # bound on the mass that survival truncation drops
-
-
-def _lattice_weights(T: float, dt: float, f) -> np.ndarray:
-    """Weights x[a] = w[a] f(a dt) of int_0^T f(tau) g(tau) dtau ~ sum_a x[a] g(a dt).
-
-    w are the trapezoid weights when T is a lattice node.  Otherwise the
-    partial last cell [N dt, T], r = T - N dt, adds r - r^2/(2 dt) to node N
-    and r^2/(2 dt) to node N + 1, which integrates the lattice's
-    piecewise-linear interpolant exactly; f is sampled at T in place of
-    (N + 1) dt, so a factor that is constant on the cell (a service survival
-    ending at T) stays exact.  The node count is checked against the cap
-    before anything is allocated.
-    """
-    n = T / dt
-    if not n + 1 <= _MAX_UNKNOWNS:
-        raise NumericalError(f"[0, {T:g}] needs {n + 1:.3g} nodes at dt = {dt:g}, "
-                             f"over the cap {_MAX_UNKNOWNS}")
-    N, r = round(n), 0.0
-    if abs(n - N) > 1e-9 * max(1.0, n):     # T within rounding of a node is that node
-        N = math.floor(n)
-        r = T - N * dt
-    w = np.zeros(N + 1 + (r > 0))
-    w[:N] += 0.5 * dt
-    w[1:N + 1] += 0.5 * dt
-    if r > 0:
-        w[N] += r - r * r / (2.0 * dt)
-        w[N + 1] = r * r / (2.0 * dt)
-    return w * f(np.minimum(np.arange(w.size) * dt, T))
 
 
 def _survival_weights(F: ServiceModel, T: float, dt: float, shift: float = 0.0) -> np.ndarray:
@@ -178,8 +149,6 @@ def var_xe_infty_exponential(alpha: float, beta: float) -> float:
     """
     if not 0 <= alpha < beta:
         raise ConfigurationError("need 0 <= alpha < beta")
-    if alpha == 0.0:
-        return 1.0
     return (alpha * beta * (2.0 * beta - alpha)
             / (2.0 * (beta - alpha) ** 2 * (1.0 + beta - alpha))
             + beta / (beta - alpha))
@@ -257,6 +226,13 @@ def gaussian_queue_pmf(mu: float, kernel: Kernel, i: int) -> float:
 
 # --- multivariate OU-type limit -----------------------------------------------
 
+def _class_rates(phi: CovarianceDensity, r) -> np.ndarray:
+    r = np.asarray(r, dtype=float)
+    if r.shape != (phi.k,) or not np.all(r > 0):
+        raise ConfigurationError("need one positive service rate per class")
+    return r
+
+
 def cov_multi_ou(phi: CovarianceDensity, r, i: int, j: int,
                  s: float, t: float) -> float:
     """Cov(X_i(t), X_j(s)) for the k-dimensional OU-type queue limit:
@@ -266,13 +242,15 @@ def cov_multi_ou(phi: CovarianceDensity, r, i: int, j: int,
 
     with the matrix extension rule for negative lags.
     """
+    r = _class_rates(phi, r)
+    if i not in range(phi.k) or j not in range(phi.k):
+        raise ConfigurationError(f"class indices ({i}, {j}) outside 0..{phi.k - 1}")
     if t < s:
         return cov_multi_ou(phi, r, j, i, t, s)
     if s < 0:
         raise ConfigurationError("times must be nonnegative")
     if t > phi.t_max:
         raise ConfigurationError("t beyond the solved grid")
-    r = np.asarray(r, dtype=float)
     first = 0.0
     if i == j:
         first = phi.a[i] / r[i] * (math.exp(-r[i] * (t - s)) - math.exp(-r[i] * (t + s)))
@@ -292,9 +270,7 @@ def steady_state_cov_multi(phi: CovarianceDensity, r) -> np.ndarray:
     weights fall below 1e-12, with the truncation certificate checked
     against 1e-6.  The result is validated to be PSD.
     """
-    r = np.asarray(r, dtype=float)
-    if r.shape != (phi.k,) or np.any(r <= 0):
-        raise ConfigurationError("need one positive service rate per class")
+    r = _class_rates(phi, r)
     tail = float(np.abs(phi.grid).max()) * 2.0 * _SURVIVAL_FLOOR / r.min() ** 2
     if tail > _STEADY_TAIL_TOL:
         raise TruncationError(f"truncation tail bound {tail:.2e} > {_STEADY_TAIL_TOL:g}")
@@ -311,18 +287,14 @@ def steady_state_cov_multi(phi: CovarianceDensity, r) -> np.ndarray:
 class LimitModel:
     """Mean and covariance evaluators for one Gaussian limit object.
 
-    kind is one of count, multi_count, queue_general, queue_exponential,
-    multi_ou.  cov(s, t) returns a scalar for univariate kinds and a k x k
-    matrix (entry (i, j) = Cov(Z_i(t), Z_j(s))) for multivariate ones.
+    cov(s, t) returns a scalar for a univariate object and a dim x dim
+    matrix (entry (i, j) = Cov(Z_i(t), Z_j(s))) for a multivariate one.
     """
 
-    kind: str
     dim: int
     mean: object
     cov: object
     steady_state_variance: object = None
-    samplable: bool = True
-    note: str = ""
 
     def gram(self, t_grid) -> np.ndarray:
         """Covariance of the stacked (Z(t_1), ..., Z(t_m)): block (a, b) is
@@ -345,30 +317,25 @@ def count_limit_model(phi: CovarianceDensity,
                       K: VarianceFunction | None = None) -> LimitModel:
     if K is None:
         K = variance_function(phi)
-    kind, zero = ("multi_count", np.zeros(phi.k)) if phi.is_matrix else ("count", 0.0)
-    return LimitModel(kind, phi.k, lambda t: zero,
+    zero = np.zeros(phi.k) if phi.is_matrix else 0.0
+    return LimitModel(phi.k, lambda t: zero,
                       lambda s, t: limit_covariance_G(phi, K, s, t))
 
 
 def queue_limit_model(phi: CovarianceDensity, F0: ServiceModel, F: ServiceModel,
                       q0: float, x0: float = 0.0) -> LimitModel:
-    samplable = F.is_continuous and F0.is_continuous
-    note = "" if samplable else (
-        "path sampling disabled: the pathwise integral needs continuous "
-        "service distributions; covariance evaluation remains valid")
     return LimitModel(
-        "queue_general", 1,
+        1,
         lambda t: x0 * F0.survival(t),
         lambda s, t: cov_X_general(F0, F, q0, phi, s, t),
-        steady_state_variance=var_X_infty(F, phi),
-        samplable=samplable, note=note)
+        steady_state_variance=var_X_infty(F, phi))
 
 
 def exp_queue_limit_model(phi: CovarianceDensity, x0: float = 0.0) -> LimitModel:
     steady = None
     if phi.kernel is not None and isinstance(phi.kernel, Kernel):
         steady = var_xe_infty(phi.kernel, phi=phi)
-    return LimitModel("queue_exponential", 1,
+    return LimitModel(1,
                       lambda t: mean_Xe(x0, t),
                       lambda s, t: cov_Xe(phi, s, t),
                       steady_state_variance=steady)
@@ -378,7 +345,7 @@ def multi_ou_limit_model(phi: CovarianceDensity, r, x0=None) -> LimitModel:
     r = np.asarray(r, dtype=float)
     x0 = np.zeros(phi.k) if x0 is None else np.asarray(x0, dtype=float)
     return LimitModel(
-        "multi_ou", phi.k,
+        phi.k,
         lambda t: x0 * np.exp(-r * t),
         lambda s, t: np.array([[cov_multi_ou(phi, r, i, j, s, t)
                                 for j in range(phi.k)] for i in range(phi.k)]),
@@ -393,8 +360,6 @@ def sample_limit_path(model: LimitModel, t_grid, seed: int,
     matrix is factorized after symmetrization, escalating a diagonal jitter
     tenfold from 1e-10 to at most 1e-8 before failing.
     """
-    if not model.samplable:
-        raise ConfigurationError(model.note or "model is not samplable")
     t_grid = np.asarray(t_grid, dtype=float)
     gram = model.gram(t_grid)
     L = None
@@ -410,29 +375,3 @@ def sample_limit_path(model: LimitModel, t_grid, seed: int,
     z = rng.standard_normal((n_draws, gram.shape[0]))
     draws = model.mean_vector(t_grid)[None, :] + z @ L.T
     return draws.reshape(n_draws, t_grid.size, -1) if model.dim > 1 else draws
-
-
-# --- emitters -------------------------------------------------------------------
-
-def write_cov_csv(model: LimitModel, times, path):
-    """Rows (s, t, i, j, value) with value = entry (i, j) of cov(s, t), s <= t."""
-    times = sorted(float(x) for x in times)
-    with open(path, "w") as fh:
-        fh.write("s,t,i,j,value\n")
-        for a, s in enumerate(times):
-            for t in times[a:]:
-                for (i, j), v in np.ndenumerate(np.atleast_2d(model.cov(s, t))):
-                    fh.write(f"{s:.17g},{t:.17g},{i},{j},{v:.17g}\n")
-
-
-def write_matrix_json(matrix: np.ndarray, path):
-    with open(path, "w") as fh:
-        json.dump({"matrix": np.asarray(matrix).tolist()}, fh, indent=2)
-        fh.write("\n")
-
-
-def write_pmf_csv(approx: GaussianQueueApprox, support, path):
-    with open(path, "w") as fh:
-        fh.write("i,p\n")
-        for i in support:
-            fh.write(f"{int(i)},{approx.pmf(float(i)):.17g}\n")

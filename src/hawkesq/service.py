@@ -15,8 +15,6 @@ _SURVIVAL_FLOOR = 1e-12
 class ServiceModel:
     """A nonnegative service-time distribution with F(0) = 0."""
 
-    is_continuous = True
-
     def cdf(self, x):
         raise NotImplementedError
 
@@ -69,8 +67,6 @@ class ExponentialService(ServiceModel):
 
 
 class DeterministicService(ServiceModel):
-    is_continuous = False
-
     def __init__(self, value: float):
         if value <= 0:
             raise ConfigurationError("deterministic service time must be positive (F(0) = 0)")

@@ -14,6 +14,26 @@ def test_l1_norms(h1, h2):
     assert hq.l1_norm(hq.ZERO_KERNEL) == 0.0
 
 
+def test_empty_mixture_values_and_types():
+    z = hq.ZERO_KERNEL
+    assert repr(hq.SumOfExponentialsKernel()) == "SumOfExponentialsKernel(0)"
+    for t in (0.0, 1.5, -1.0):
+        for value in (z(t), z.tail_mass(t), z.tail_integral(t)):
+            assert type(value) is float and value == 0.0
+        assert type(z.fourier(t)) is complex and z.fourier(t) == 0j
+    for value in (z.l1_norm(), z.laplace(2.0), z.laplace(2.0, method="closed_form"),
+                  z.first_moment(), z.second_moment(), z.majorant_cutoff()):
+        assert type(value) is float and value == 0.0
+    grid = np.linspace(-1.0, 3.0, 12).reshape(3, 4)
+    for out, dtype in [(z(grid), float), (z.fourier(grid), complex)]:
+        assert out.dtype == dtype and out.shape == (3, 4) and not out.any()
+    assert z(np.empty(0)).shape == (0,)
+    for beta in (0.3, 1.0, 7.0):
+        assert hq.var_xe_infty_exponential(0.0, beta) == 1.0
+    assert hq.laplace_pipeline(z).phi_tilde(1.0) == 0.0
+    assert hq.laplace_pipeline(z).to_dict()["phi_tilde_at"] == {}
+
+
 def test_laplace_transform_values(h1, h2):
     assert hq.laplace_transform(h2, 1.0) == pytest.approx(0.16, abs=1e-12)
     assert hq.laplace_transform(h1, 1.0) == pytest.approx(0.25, abs=1e-12)

@@ -287,6 +287,20 @@ def test_cov_multi_ou_k1_matches_cov_xe(phi_h1, h1):
             hq.cov_Xe(phi_h1, s, t), abs=1e-6)
 
 
+def test_cov_multi_ou_rejects_bad_rates_and_classes(phi_h1, phi_asymmetric):
+    # a zero, negative or missing rate and an out-of-range class index are
+    # configuration errors, not nan, a silent value or an IndexError
+    for phi, r in [(phi_h1, [0.0]), (phi_h1, [-1.0]), (phi_h1, [1.0, 1.0]),
+                   (phi_asymmetric, [1.0]), (phi_asymmetric, [1.0, np.nan])]:
+        with pytest.raises(ConfigurationError):
+            hq.cov_multi_ou(phi, r, 0, 0, 1.0, 2.0)
+    for i, j in [(2, 0), (0, 2), (-1, 0)]:
+        with pytest.raises(ConfigurationError):
+            hq.cov_multi_ou(phi_asymmetric, [1.0, 2.0], i, j, 1.0, 2.0)
+    with pytest.raises(ConfigurationError):
+        hq.steady_state_cov_multi(phi_asymmetric, [1.0, 0.0])
+
+
 def test_steady_state_cov_multi_exchangeable(phi_quarter):
     ss = hq.steady_state_cov_multi(phi_quarter, [1.0, 1.0])
     # frozen oracle: superposition/thinning argument gives [[2.5, .5], [.5, 2.5]]
@@ -342,14 +356,23 @@ def test_sample_limit_path_multivariate(phi_quarter):
     assert abs(c - target) < 0.1
 
 
-def test_queue_general_model_discontinuous_service_not_samplable(phi_h1):
-    model = hq.queue_limit_model(phi_h1, hq.DeterministicService(1.0),
-                                 hq.DeterministicService(1.0), q0=2.0)
-    assert not model.samplable
-    with pytest.raises(ConfigurationError):
-        hq.sample_limit_path(model, [1.0, 2.0], seed=1)
-    # covariance evaluation stays available
+def test_queue_general_model_deterministic_service_sampling(phi_h1):
+    # the limit is Gaussian for any service law: its exact Gram samples it
+    F0, F, q0, x0 = hq.DeterministicService(1.5), hq.DeterministicService(1.0), 2.0, 1.0
+    model = hq.queue_limit_model(phi_h1, F0, F, q0=q0, x0=x0)
     assert model.cov(1.0, 2.0) == model.cov(2.0, 1.0)
+    times = [1.0, 2.0]
+    draws = hq.sample_limit_path(model, times, seed=1, n_draws=20_000)
+    assert draws.shape == (20_000, 2)
+    mean = np.array([x0 * F0.survival(t) for t in times])
+    assert np.array_equal(model.mean_vector(times), mean)
+    se_mean = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
+    assert np.all(np.abs(draws.mean(axis=0) - mean) < 4.0 * se_mean)
+    for a, b in [(0, 0), (0, 1), (1, 1)]:
+        target = hq.cov_X_general(F0, F, q0, phi_h1, times[a], times[b])
+        sample = np.cov(draws[:, a], draws[:, b])[0, 1]
+        se = np.sqrt(hq.simulate.var_of_sample_cov(draws[:, a], draws[:, b]))
+        assert abs(sample - target) < 4.0 * se
 
 
 def test_model_evaluators_symmetric_psd(phi_h1, phi_quarter):
@@ -365,13 +388,3 @@ def test_model_evaluators_symmetric_psd(phi_h1, phi_quarter):
         assert np.allclose(gram, gram.T, atol=1e-10)
         eigs = np.linalg.eigvalsh(gram + 1e-10 * np.eye(gram.shape[0]))
         assert eigs.min() > -1e-9
-
-
-def test_emitters(tmp_path, phi_h1, h1):
-    model = hq.exp_queue_limit_model(phi_h1)
-    hq.limits.write_cov_csv(model, [1.0, 2.0], tmp_path / "cov.csv")
-    assert (tmp_path / "cov.csv").read_text().startswith("s,t,i,j,value\n1,1,0,0,")
-    approx = hq.gaussian_queue_approx(20.0, h1)
-    hq.limits.write_pmf_csv(approx, range(10, 70), tmp_path / "pmf.csv")
-    assert len((tmp_path / "pmf.csv").read_text().splitlines()) == 61
-    hq.limits.write_matrix_json(np.eye(2), tmp_path / "m.json")
