@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._io import write_json
 from .covariance import (asymptotic_offset, asymptotic_slope, laplace_pipeline,
                          limit_covariance_multi, solve_multivariate_phi, solve_phi_grid,
                          variance_function, write_covariance_csv)
@@ -89,9 +90,7 @@ def _write_manifest(out: Path, command: str, cfg: dict, args) -> None:
                 "version": _version_string(),
                 "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                 "argv": sys.argv[1:]}
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "manifest.json", manifest)
 
 
 def _resolve_common(cfg: dict, args) -> dict:
@@ -119,18 +118,16 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
     return 0
 
 
-def _solve_phi(kernel, grid: dict, dt: float, dt_matrix: float):
-    """The covariance density of a kernel or kernel matrix; the grid step
-    defaults to dt or dt_matrix."""
-    if isinstance(kernel, KernelMatrix):
-        return solve_multivariate_phi(kernel, dt=float(grid.get("dt", dt_matrix)),
-                                      t_max=grid.get("t_max"))
-    return solve_phi_grid(kernel, dt=float(grid.get("dt", dt)), t_max=grid.get("t_max"))
+def _solve_phi(kernel, grid: dict):
+    """phi of a kernel or kernel matrix; a missing or null grid value keeps the default."""
+    solve = solve_multivariate_phi if isinstance(kernel, KernelMatrix) else solve_phi_grid
+    return solve(kernel, **{key: float(grid[key]) for key in ("dt", "t_max")
+                            if grid.get(key) is not None})
 
 
 def cmd_analyze(cfg: dict, out: Path) -> int:
     kernel = kernel_from_dict(_require(cfg, "kernel"))
-    phi = _solve_phi(kernel, cfg.get("grid", {}), 0.01, 0.02)
+    phi = _solve_phi(kernel, cfg.get("grid") or {})
     K = variance_function(phi)
     phi.write_csv(out / "phi.csv")
     K.write_csv(out / "K.csv")
@@ -142,9 +139,7 @@ def cmd_analyze(cfg: dict, out: Path) -> int:
         asym["offset"] = asymptotic_offset(kernel)
     except HawkesqError as exc:
         asym["offset_error"] = str(exc)
-    with open(out / "asymptotics.json", "w") as fh:
-        json.dump(asym, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "asymptotics.json", asym)
     if isinstance(kernel, SumOfExponentialsKernel):
         laplace_pipeline(kernel).write_json(out / "laplace.json")
     return 0
@@ -162,7 +157,7 @@ def cmd_validate_fclt(cfg: dict, out: Path) -> int:
     counts = np.stack([p.counts_at(probe) for p in paths]).astype(float)  # (R, nt, k)
     rates = config.mean_rate_vector()
     scaled = (counts - np.asarray(probe)[None, :, None] * rates[None, None, :]) / np.sqrt(mu)
-    phi = _solve_phi(config.kernel, cfg.get("grid", {}), 0.01, 0.05)
+    phi = _solve_phi(config.kernel, cfg.get("grid") or {})
     K = variance_function(phi)
 
     moments = empirical_moments(paths, probe)
@@ -197,9 +192,7 @@ def cmd_validate_fclt(cfg: dict, out: Path) -> int:
     worst = max(abs(c["z"]) for c in checks + cross_time)
     report = {"mu": mu, "reps": reps, "checks": checks, "cross_time_checks": cross_time,
               "max_abs_z": worst, "pass": bool(worst < 3.0)}
-    with open(out / "report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "report.json", report)
     return 0 if report["pass"] else 1
 
 
@@ -223,10 +216,8 @@ def cmd_validate_queue(cfg: dict, out: Path) -> int:
     tv_cap = float(cfg.get("tv_threshold", 0.05))
     ok = mean_z < 3.0 and var_rel < float(cfg.get("var_rel_threshold", 0.05)) \
         and report.tv_distance < tv_cap
-    with open(out / "verdict.json", "w") as fh:
-        json.dump({"mean_z": mean_z, "var_rel_gap": var_rel,
-                   "tv_distance": report.tv_distance, "pass": bool(ok)}, fh, indent=2)
-        fh.write("\n")
+    write_json(out / "verdict.json", {"mean_z": mean_z, "var_rel_gap": var_rel,
+                                      "tv_distance": report.tv_distance, "pass": bool(ok)})
     return 0 if ok else 1
 
 

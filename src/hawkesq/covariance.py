@@ -11,7 +11,6 @@ asymptotics) is driven by the solved grid.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -19,6 +18,7 @@ import numpy as np
 from scipy.fft import next_fast_len
 from scipy.sparse.linalg import LinearOperator, gmres
 
+from ._io import write_csv, write_json
 from .errors import ConfigurationError, NumericalError
 from .kernels import Kernel, KernelMatrix, SumOfExponentialsKernel
 
@@ -99,7 +99,7 @@ class _KClassGrid:
     def write_csv(self, path):
         names = [f"{self._label}_{i+1}{j+1}" for i in range(self.k) for j in range(self.k)]
         cols = ["t"] + (names if self.is_matrix else [self._label])
-        _write_csv(path, cols, np.column_stack([self.t, self.grid.reshape(len(self.t), -1)]))
+        write_csv(path, cols, np.column_stack([self.t, self.grid.reshape(len(self.t), -1)]))
 
 
 @dataclass
@@ -437,9 +437,7 @@ class LaplacePipeline:
                 "phi_tilde_at": {"1.0": self.phi_tilde(1.0)} if not self.kernel.is_zero else {}}
 
     def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
 
 def laplace_pipeline(kernel: SumOfExponentialsKernel) -> LaplacePipeline:
@@ -470,19 +468,10 @@ def laplace_pipeline(kernel: SumOfExponentialsKernel) -> LaplacePipeline:
     return LaplacePipeline(R, M, x, kernel, norm, residual, condition)
 
 
-# --- plain-text emitters -------------------------------------------------------
-
-def _write_csv(path, columns, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in np.atleast_2d(rows):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
 def write_covariance_csv(phi: CovarianceDensity, K: VarianceFunction,
                          times, path):
     """Triangular dump of Cov(G(s), G(t)) over the given probe times."""
     times = sorted(float(x) for x in times)
     rows = [(s, t, limit_covariance_G(phi, K, s, t))
             for i, s in enumerate(times) for t in times[i:]]
-    _write_csv(path, ["s", "t", "cov"], np.array(rows))
+    write_csv(path, ["s", "t", "cov"], rows)

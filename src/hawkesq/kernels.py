@@ -24,9 +24,20 @@ _FOURIER_BLOCK = 1 << 18
 
 
 class Kernel:
-    """Base class: a nonnegative, integrable function on [0, inf)."""
+    """Base class: a nonnegative, integrable function on [0, inf).
+
+    The base owns the argument rules.  A family supplies `_h` on nonnegative
+    arrays, `_fourier` on 1-d frequency arrays, `_sample_offsets` and, if it
+    has one, a `_laplace` rule (adaptive quadrature otherwise).
+    """
 
     def __call__(self, t):
+        """h at scalar or array t: 0 for t < 0, a float for a scalar."""
+        t = np.asarray(t, dtype=float)
+        out = np.where(t < 0, 0.0, self._h(np.maximum(t, 0.0)))
+        return out if t.ndim else float(out)
+
+    def _h(self, t):
         raise NotImplementedError
 
     def l1_norm(self) -> float:
@@ -38,14 +49,24 @@ class Kernel:
         return self.l1_norm() == 0.0
 
     def laplace(self, omega: float, method: str = "auto") -> float:
-        """One-sided Laplace transform at omega > 0."""
-        raise NotImplementedError
+        """One-sided Laplace transform at omega > 0: "auto" and "closed_form"
+        use the family's rule, "quadrature" adaptive quadrature of h."""
+        if omega <= 0:
+            raise ConfigurationError("laplace transform requires omega > 0")
+        if method not in ("auto", "closed_form", "quadrature"):
+            raise ConfigurationError(f"unknown method {method!r}")
+        if method == "quadrature":
+            return self._laplace_quadrature(omega)
+        return self._laplace(omega)
 
     def fourier(self, omega):
-        """One-sided Fourier transform: integral of exp(i*omega*t)*h(t).
+        """One-sided Fourier transform, the integral of exp(i*omega*t)*h(t), at
+        scalar or array omega; at omega = 0 this equals the L1 norm."""
+        omega = np.asarray(omega, dtype=float)
+        out = self._fourier(omega.ravel())
+        return out.reshape(omega.shape) if omega.ndim else complex(out[0])
 
-        Accepts scalars or arrays; at omega = 0 this equals the L1 norm.
-        """
+    def _fourier(self, omega: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def first_moment(self) -> float:
@@ -72,8 +93,13 @@ class Kernel:
         The values are iid as a multiset, but their order may carry
         information (an exponential mixture returns one block per component),
         so a caller that pairs offsets with parents by position must choose
-        the pairing at random.
+        the pairing at random.  The zero kernel has no offset density.
         """
+        if self.is_zero:
+            raise ConfigurationError("cannot sample offsets from the zero kernel")
+        return self._sample_offsets(rng, n)
+
+    def _sample_offsets(self, rng: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError
 
     def majorant(self, t):
@@ -92,6 +118,8 @@ class Kernel:
         val, _ = quad(lambda t: math.exp(-omega * t) * float(self(t)),
                       0.0, self.majorant_cutoff(), limit=200)
         return val
+
+    _laplace = _laplace_quadrature
 
 
 class SumOfExponentialsKernel(Kernel):
@@ -125,29 +153,18 @@ class SumOfExponentialsKernel(Kernel):
         terms = ", ".join(f"{a:g}*exp(-{b:g}t)" for a, b in zip(self.alphas, self.betas))
         return f"SumOfExponentialsKernel({terms or '0'})"
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        flat = t.ravel()
-        out = (self.alphas[:, None] * np.exp(-self.betas[:, None] * np.maximum(flat, 0.0)[None, :])).sum(axis=0)
-        out = np.where(flat < 0, 0.0, out)
-        return out.reshape(t.shape) if t.ndim else float(out[0])
+    def _h(self, t):
+        out = (self.alphas[:, None] * np.exp(-self.betas[:, None] * t.ravel())).sum(axis=0)
+        return out.reshape(t.shape)
 
     def l1_norm(self) -> float:
         return float(np.sum(self.alphas / self.betas))
 
-    def laplace(self, omega, method="auto"):
-        if omega <= 0:
-            raise ConfigurationError("laplace transform requires omega > 0")
-        if method not in ("auto", "closed_form", "quadrature"):
-            raise ConfigurationError(f"unknown method {method!r}")
-        if method == "quadrature":
-            return self._laplace_quadrature(omega)
+    def _laplace(self, omega):
         return float(np.sum(self.alphas / (self.betas + omega)))
 
-    def fourier(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        out = (self.alphas[:, None] / (self.betas[:, None] - 1j * omega.ravel()[None, :])).sum(axis=0)
-        return out.reshape(omega.shape) if omega.ndim else complex(out[0])
+    def _fourier(self, omega):
+        return (self.alphas[:, None] / (self.betas[:, None] - 1j * omega)).sum(axis=0)
 
     def first_moment(self) -> float:
         return float(np.sum(self.alphas / self.betas**2))
@@ -164,11 +181,7 @@ class SumOfExponentialsKernel(Kernel):
     def decay_scale(self) -> float:
         return 1.0 / float(self.betas.min()) if self.alphas.size else 1.0
 
-    def sample_offsets(self, rng, n):
-        if n == 0:
-            return np.empty(0)
-        if self.alphas.size == 0:
-            raise ConfigurationError("cannot sample offsets from the zero kernel")
+    def _sample_offsets(self, rng, n):
         pos = self.alphas > 0
         weights = self.alphas[pos] / self.betas[pos]
         weights = weights / weights.sum()
@@ -226,11 +239,8 @@ class PowerLawKernel(Kernel):
     def __repr__(self):
         return (f"PowerLawKernel({self.amplitude:g}/(1+{self.scale:g}t)^{self.exponent:g})")
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        out = self.amplitude * (1.0 + self.scale * np.maximum(t, 0.0)) ** (-self.exponent)
-        out = np.where(t < 0, 0.0, out)
-        return out if t.ndim else float(out)
+    def _h(self, t):
+        return self.amplitude * (1.0 + self.scale * t) ** (-self.exponent)
 
     @property
     def is_zero(self):
@@ -245,15 +255,8 @@ class PowerLawKernel(Kernel):
         self._require(1.0, "L1 norm")
         return self.amplitude / (self.scale * (self.exponent - 1.0))
 
-    def laplace(self, omega, method="auto"):
-        if omega <= 0:
-            raise ConfigurationError("laplace transform requires omega > 0")
-        return self._laplace_quadrature(omega)
-
-    def fourier(self, omega):
+    def _fourier(self, omegas):
         self._require(1.0, "Fourier transform")
-        scalar = np.isscalar(omega) or np.ndim(omega) == 0
-        omegas = np.atleast_1d(np.asarray(omega, dtype=float))
         cutoff = self.majorant_cutoff()
         out = np.empty(omegas.shape, dtype=complex)
         for i, w in enumerate(omegas):
@@ -263,7 +266,7 @@ class PowerLawKernel(Kernel):
             re, _ = quad(self, 0.0, cutoff, weight="cos", wvar=abs(w), limit=400)
             im, _ = quad(self, 0.0, cutoff, weight="sin", wvar=abs(w), limit=400)
             out[i] = re + 1j * math.copysign(1.0, w) * im
-        return out if not scalar else complex(out[0])
+        return out
 
     def first_moment(self):
         self._require(2.0, "first moment")
@@ -288,9 +291,7 @@ class PowerLawKernel(Kernel):
     def decay_scale(self):
         return 1.0 / self.scale
 
-    def sample_offsets(self, rng, n):
-        if self.is_zero:
-            raise ConfigurationError("cannot sample offsets from the zero kernel")
+    def _sample_offsets(self, rng, n):
         self._require(1.0, "offset density")
         # Exact inverse CDF: F(t) = 1 - (1 + scale*t)^(1-exponent).
         u = rng.random(n)
@@ -311,9 +312,10 @@ class PowerLawKernel(Kernel):
 class TabulatedKernel(Kernel):
     """Piecewise-linear kernel from values h(k*dt) on a uniform grid.
 
-    Values beyond the cutoff (n-1)*dt are treated as zero.  All integrals
-    use trapezoid quadrature on the same grid, i.e. they are exact for the
-    interpolant.
+    Values beyond the cutoff (n-1)*dt are treated as zero.  The L1 norm,
+    tail masses and `fourier` are exact for the interpolant; the moments and
+    `laplace` are trapezoid sums on the same grid, which are not, and
+    `laplace(omega, method="quadrature")` integrates the interpolant adaptively.
     """
 
     def __init__(self, dt: float, values):
@@ -331,25 +333,19 @@ class TabulatedKernel(Kernel):
     def __repr__(self):
         return f"TabulatedKernel(dt={self.dt:g}, cutoff={self.cutoff:g}, n={self.values.size})"
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.interp(t, self.grid, self.values, left=0.0, right=0.0)
-        out = np.where(t < 0, 0.0, out)
-        return out if t.ndim else float(out)
+    def _h(self, t):
+        return np.interp(t, self.grid, self.values, right=0.0)
 
     def l1_norm(self):
         return float(np.trapezoid(self.values, dx=self.dt))
 
-    def laplace(self, omega, method="auto"):
-        if omega <= 0:
-            raise ConfigurationError("laplace transform requires omega > 0")
+    def _laplace(self, omega):
         return float(np.trapezoid(np.exp(-omega * self.grid) * self.values, dx=self.dt))
 
-    def fourier(self, omega):
+    def _fourier(self, omega):
         # Exact transform of the piecewise-linear interpolant: hat-function
         # weights keep this accurate at frequencies far above 1/dt.
-        scalar = np.isscalar(omega) or np.ndim(omega) == 0
-        om = np.atleast_1d(np.asarray(omega, dtype=float))[:, None]
+        om = omega[:, None]
         a = om * self.dt
         small = np.abs(a) < 1e-3      # series below this to dodge cancellation
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -367,7 +363,7 @@ class TabulatedKernel(Kernel):
             w[:, -1] = np.conj(half[rows, 0])
             phase = np.exp(1j * om[rows] * self.grid[None, :])
             out[rows] = (w * phase * self.values[None, :]).sum(axis=1)
-        return out if not scalar else complex(out[0])
+        return out
 
     def first_moment(self):
         return float(np.trapezoid(self.grid * self.values, dx=self.dt))
@@ -396,10 +392,8 @@ class TabulatedKernel(Kernel):
     def decay_scale(self):
         return max(self.dt, self.cutoff / 10.0)
 
-    def sample_offsets(self, rng, n):
+    def _sample_offsets(self, rng, n):
         norm = self.l1_norm()
-        if norm == 0:
-            raise ConfigurationError("cannot sample offsets from the zero kernel")
         seg = 0.5 * (self.values[1:] + self.values[:-1]) * self.dt
         cdf = np.concatenate([[0.0], np.cumsum(seg)]) / norm
         u = rng.random(n)

@@ -6,12 +6,12 @@ state is sampled by spaced reads within long replications after a burn-in.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import write_csv, write_json
 from .errors import ConfigurationError
 from .kernels import HawkesConfig
 from .service import ServiceModel
@@ -25,7 +25,6 @@ class QueueTrajectory:
 
     times: np.ndarray
     q: np.ndarray              # (nt, k) integer counts
-    replication: int = 0
 
     def __post_init__(self):
         if np.any(self.q < 0):
@@ -70,7 +69,7 @@ def simulate_queue(arrivals: PointPath, service, q_init, t_grid,
         gone = np.searchsorted(departures, t_grid, side="right")
         init_left = q_init[d] - np.searchsorted(remaining, t_grid, side="right")
         q[:, d] = init_left + n_arrived - gone
-    return QueueTrajectory(t_grid, q, arrivals.replication)
+    return QueueTrajectory(t_grid, q)
 
 
 @dataclass
@@ -81,7 +80,6 @@ class SteadyStateSample:
     seed: int
     burn_in: float
     spacing: float
-    config: HawkesConfig
 
     @property
     def k(self) -> int:
@@ -175,7 +173,7 @@ def steady_state_sample(config: HawkesConfig, service, n_samples: int, seed: int
         svc_rng = rep_stream(seed, r, SERVICE_STREAM)
         traj = simulate_queue(arrivals, services, q0, t_grid, svc_rng)
         draws[r] = traj.q
-    return SteadyStateSample(draws, seed, burn_in, spacing, config)
+    return SteadyStateSample(draws, seed, burn_in, spacing)
 
 
 @dataclass
@@ -197,10 +195,8 @@ class ComparisonReport:
                 "n_samples": self.n_samples}
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("q,empirical_pmf,gaussian_pmf\n")
-            for q, e, g in zip(self.support, self.empirical, self.gaussian):
-                fh.write(f"{q},{e:.17g},{g:.17g}\n")
+        write_csv(path, ["q", "empirical_pmf", "gaussian_pmf"],
+                  zip(self.support, self.empirical, self.gaussian))
 
 
 def compare_distributions(samples, approx) -> ComparisonReport:
@@ -231,6 +227,4 @@ def summary_json(sample: SteadyStateSample, report: ComparisonReport | None, pat
                "burn_in": sample.burn_in, "spacing": sample.spacing}
     if report is not None:
         payload.update(report.to_dict())
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)

@@ -16,6 +16,12 @@ class ServiceModel:
     """A nonnegative service-time distribution with F(0) = 0."""
 
     def cdf(self, x):
+        """F at scalar or array x, a float for a scalar; a law supplies `_cdf`."""
+        x = np.asarray(x, dtype=float)
+        out = self._cdf(x)
+        return out if x.ndim else float(out)
+
+    def _cdf(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def survival(self, x):
@@ -48,10 +54,8 @@ class ExponentialService(ServiceModel):
     def __repr__(self):
         return f"ExponentialService(rate={self.rate:g})"
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x > 0, -np.expm1(-self.rate * np.maximum(x, 0.0)), 0.0)
-        return out if x.ndim else float(out)
+    def _cdf(self, x):
+        return np.where(x > 0, -np.expm1(-self.rate * np.maximum(x, 0.0)), 0.0)
 
     def inverse_cdf(self, u):
         return -np.log1p(-np.asarray(u, dtype=float)) / self.rate
@@ -75,10 +79,8 @@ class DeterministicService(ServiceModel):
     def __repr__(self):
         return f"DeterministicService({self.value:g})"
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x >= self.value, 1.0, 0.0)
-        return out if x.ndim else float(out)
+    def _cdf(self, x):
+        return np.where(x >= self.value, 1.0, 0.0)
 
     def inverse_cdf(self, u):
         u = np.asarray(u, dtype=float)
@@ -107,12 +109,10 @@ class LogNormalService(ServiceModel):
     def __repr__(self):
         return f"LogNormalService(m={self.m:g}, s={self.s:g})"
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _cdf(self, x):
         with np.errstate(divide="ignore"):
             z = (np.log(np.maximum(x, 1e-300)) - self.m) / self.s
-        out = np.where(x > 0, ndtr(z), 0.0)
-        return out if x.ndim else float(out)
+        return np.where(x > 0, ndtr(z), 0.0)
 
     def inverse_cdf(self, u):
         u = np.asarray(u, dtype=float)
@@ -149,10 +149,8 @@ class TabulatedInverseCDFService(ServiceModel):
     def __repr__(self):
         return f"TabulatedInverseCDFService(n={self.quantiles.size}, max={self.quantiles[-1]:g})"
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.interp(x, self.quantiles, self.u_grid, left=0.0, right=1.0)
-        return out if x.ndim else float(out)
+    def _cdf(self, x):
+        return np.interp(x, self.quantiles, self.u_grid, left=0.0, right=1.0)
 
     def inverse_cdf(self, u):
         return np.interp(np.asarray(u, dtype=float), self.u_grid, self.quantiles)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import write_csv, write_json
 from .errors import ConfigurationError, NumericalError, StabilityError
 from .kernels import HawkesConfig, SumOfExponentialsKernel
 
@@ -325,9 +326,7 @@ class MomentSummary:
                 "cov": self.cov.tolist()}
 
     def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
 
 def empirical_moments(paths, t_grid) -> MomentSummary:
@@ -365,12 +364,9 @@ _BINARY_VERSION = 2
 
 def write_paths_csv(paths, path):
     """Columns (replication, dimension, event_time), dimensions 0-based."""
-    with open(path, "w") as fh:
-        fh.write("replication,dimension,event_time\n")
-        for p in paths:
-            for d, seq in enumerate(p.times):
-                for t in seq:
-                    fh.write(f"{p.replication},{d},{t:.17g}\n")
+    write_csv(path, ["replication", "dimension", "event_time"],
+              ((p.replication, d, t) for p in paths
+               for d, seq in enumerate(p.times) for t in seq))
 
 
 def read_paths_csv(path, horizon: float) -> list[PointPath]:

@@ -186,3 +186,38 @@ def test_seed_flag_overrides_config(tmp_path):
     a = (tmp_path / "a" / "simulate" / "s" / "paths.csv").read_bytes()
     b = (tmp_path / "b" / "simulate" / "s" / "paths.csv").read_bytes()
     assert a != b
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("analyze", {"kernel": H2, "grid": {"dt": 0.05, "t_max": 80.0}}),
+    ("validate-fclt", {"kernel": H1, "mu": 10.0, "reps": 100, "probe_times": [1.0, 2.0],
+                       "grid": {"dt": 0.05, "t_max": 40.0}}),
+    ("validate-queue", {"kernel": H1, "mu": 10.0, "n_samples": 200}),
+], ids=["analyze", "validate-fclt", "validate-queue"])
+def test_manifest_rerun_is_bitwise_every_command(tmp_path, command, cfg):
+    path = _write(tmp_path, "cfg.json", dict(cfg, name="first", seed=7))
+    first_dir = tmp_path / "a" / command / "first"
+    code = main([command, "--config", path, "--out", str(tmp_path / "a")])
+    assert code in (0, 1)
+    assert main([command, "--config", str(first_dir / "manifest.json"),
+                 "--out", str(tmp_path / "b")]) == code
+    names = sorted(p.name for p in first_dir.iterdir() if p.name != "manifest.json")
+    second_dir = tmp_path / "b" / command / "first"
+    assert names == sorted(p.name for p in second_dir.iterdir() if p.name != "manifest.json")
+    for name in names:
+        text = (first_dir / name).read_bytes()
+        assert text == (second_dir / name).read_bytes(), name
+        if name.endswith(".json"):      # one JSON format: indent 2, sorted keys, newline
+            assert text.decode() == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_missing_or_null_grid_keeps_solver_defaults(tmp_path):
+    outputs = []
+    for name, grid in [("absent", {}), ("null", {"grid": None}),
+                       ("null_values", {"grid": {"dt": None, "t_max": None}})]:
+        cfg = _write(tmp_path, f"{name}.json", dict(grid, name=name, kernel=H1))
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        outputs.append((tmp_path / "out" / "analyze" / name / "phi.csv").read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+    lines = outputs[0].decode().splitlines()     # solve_phi_grid: dt = 0.01, t_max = 40
+    assert len(lines) == 4002 and lines[2].startswith("0.01,")

@@ -157,3 +157,42 @@ def test_kernel_json_round_trip(h2, quarter_matrix):
         assert rebuilt.to_dict() == spec.to_dict()
     with pytest.raises(ConfigurationError):
         hq.kernel_from_dict({"type": "nope"})
+
+
+_FAMILIES = [hq.SumOfExponentialsKernel([0.5], [1.0]), hq.PowerLawKernel(1.0, 3.5, 0.5),
+             hq.TabulatedKernel(0.5, [1.0, 0.5, 0.25, 0.0])]
+
+
+@pytest.mark.parametrize("kern", _FAMILIES, ids=["sum_exp", "power_law", "tabulated"])
+def test_laplace_rejects_unknown_method(kern):
+    with pytest.raises(ConfigurationError, match="unknown method"):
+        kern.laplace(1.0, method="bogus")
+    with pytest.raises(ConfigurationError, match="omega > 0"):
+        kern.laplace(0.0)
+
+
+def test_tabulated_laplace_quadrature_is_quadrature():
+    tab = hq.TabulatedKernel(0.5, [1.0, 0.5, 0.25, 0.0])
+    for omega in (0.5, 1.0, 3.0):
+        assert tab.laplace(omega, method="quadrature") == tab._laplace_quadrature(omega)
+    # the grid trapezoid (0.44762) and the quadrature of the interpolant differ
+    assert tab.laplace(1.0, method="quadrature") == pytest.approx(0.41483041, abs=1e-8)
+    assert tab.laplace(1.0) == pytest.approx(0.44761760, abs=1e-8)
+
+
+@pytest.mark.parametrize("kern", _FAMILIES[1:], ids=["power_law", "tabulated"])
+def test_fourier_of_2d_frequencies_is_elementwise(kern):
+    omega = np.array([[0.0, 1.5], [-2.0, 40.0]])
+    out = kern.fourier(omega)
+    assert out.shape == (2, 2) and out.dtype == complex
+    for idx in np.ndindex(2, 2):
+        assert out[idx] == kern.fourier(omega[idx])
+
+
+def test_zero_amplitude_mixture_refuses_offsets():
+    rng = np.random.default_rng(0)
+    for kern in (hq.SumOfExponentialsKernel([0.0], [1.0]), hq.ZERO_KERNEL,
+                 hq.PowerLawKernel(1.0, 3.0, 0.0), hq.TabulatedKernel(0.5, [0.0, 0.0])):
+        for n in (0, 5):
+            with pytest.raises(ConfigurationError, match="zero kernel"):
+                kern.sample_offsets(rng, n)
