@@ -115,8 +115,10 @@ class Kernel:
         raise NotImplementedError
 
     def _laplace_quadrature(self, omega: float) -> float:
-        val, _ = quad(lambda t: math.exp(-omega * t) * float(self(t)),
-                      0.0, self.majorant_cutoff(), limit=200)
+        # beyond -log(1e-16)/omega the factor e^{-omega t} drops at most 1e-16 ||h||;
+        # a heavy tail's cutoff lies so far out that quad would miss the mass near 0
+        end = min(self.majorant_cutoff(), -math.log(1e-16) / omega)
+        val, _ = quad(lambda t: math.exp(-omega * t) * float(self(t)), 0.0, end, limit=200)
         return val
 
     _laplace = _laplace_quadrature
@@ -188,10 +190,15 @@ class SumOfExponentialsKernel(Kernel):
         betas_pos = self.betas[pos]
 
         def draw(m):
-            # multinomial component counts, then one exponential block per component
-            sizes = rng.multinomial(m, weights)
-            return np.concatenate([rng.exponential(1.0 / b, size=c)
-                                   for b, c in zip(betas_pos, sizes)])
+            # multinomial component counts, then one exponential block per component,
+            # filled in place: exponential(scale) is scale times the standard draw
+            out = np.empty(m)
+            ends = np.cumsum(rng.multinomial(m, weights)).tolist()
+            for b, start, end in zip(betas_pos, [0] + ends, ends):
+                block = out[start:end]
+                rng.standard_exponential(out=block)
+                block *= 1.0 / b
+            return out
 
         if np.all(self.alphas >= 0):
             return draw(n)

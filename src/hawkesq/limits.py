@@ -14,7 +14,7 @@ import numpy as np
 from scipy.fft import next_fast_len
 from scipy.integrate import quad
 
-from .covariance import (CovarianceDensity, VarianceFunction, _lattice_weights,
+from .covariance import (_MAX_UNKNOWNS, CovarianceDensity, VarianceFunction, _lattice_weights,
                          laplace_pipeline, limit_covariance_G, solve_phi_grid,
                          variance_function)
 from .errors import ConfigurationError, NumericalError, TruncationError
@@ -38,23 +38,86 @@ def _survival_weights(F: ServiceModel, T: float, dt: float, shift: float = 0.0) 
     return _lattice_weights(T, dt, lambda a: F.survival(shift + a))
 
 
-def _lag_sum(phi: CovarianceDensity, x: np.ndarray, y: np.ndarray, d: float,
-             i: int = 0, j: int = 0) -> float:
-    """sum_a sum_b x[a] y[b] Phi_ij(d + (b - a) dt) on the phi lattice.
+def _lag_sums(phi: CovarianceDensity, rows, pairs) -> np.ndarray:
+    """Lag sums of the lattice quadrature, one per (p, q) in `pairs`:
 
-    Equals sum_l C[l] Phi_ij(d + l dt) with C[l] = sum_a x[a] y[a + l] the
-    cross-correlation of the weights, taken by rFFT on enough points that
-    the lags -(nx - 1) .. ny - 1 do not wrap; Phi_ij is evaluated once per
-    lag, as Phi_ji(-x) at negative lags.
+        sum_u sum_v x[u] y[v] Phi_ij(t_p - t_q + (v - u) dt),
+
+    where row p = (t_p, i, x) holds the later time (t_p >= t_q) and row
+    q = (t_q, j, y).  Phi_ij is phi's linear interpolant, read as Phi_ji(-x)
+    at negative lags and 0 beyond t_max.
+
+    With t_p - t_q = (n0 + f) dt the interpolant at lag (n0 + f + l) dt is
+    (1 - f) Q[n0 + l] + f Q[n0 + l + 1], Q the two-sided lattice values
+    (Q[L] = Phi_ij(L dt), Phi_ji(-L dt) for L < 0, 0 beyond t_max), so the sum
+    is (1 - f) R(n0) + f R(n0 + 1) with R(n) = sum_u x[u] H[n - u] and
+    H[m] = sum_v y[v] Q[m + v].  H is one rFFT correlation per earlier row and
+    later class, formed one at a time; each pair then costs two dot products.
+    The cell (-dt, 0) interpolates from Phi_ji(0), not Phi_ij(0): a last term
+    f (Phi_ji(0) - Phi_ij(0)) sum_u x[u] y[u - n0 - 1] restores it.
     """
-    size = next_fast_len(x.size + y.size - 1, real=True)
-    corr = np.fft.irfft(np.fft.rfft(x, size).conj() * np.fft.rfft(y, size), size)
-    lags = np.arange(1 - x.size, y.size)
-    at = d + lags * phi.dt
-    neg = np.searchsorted(at, 0.0)           # at increases: the negative lags lead
-    values = np.concatenate([np.interp(-at[:neg], phi.t, phi.grid[:, j, i], right=0.0),
-                             np.interp(at[neg:], phi.t, phi.grid[:, i, j], right=0.0)])
-    return float(corr[lags] @ values)
+    p, q = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+    t = np.array([row[0] for row in rows], dtype=float)
+    cls = np.array([row[1] for row in rows], dtype=int)
+    nodes = np.array([row[2].size for row in rows], dtype=int)
+    z = (t[p] - t[q]) / phi.dt
+    n0 = np.floor(z).astype(int)
+    f = z - n0
+    # every index n - u of H and every lag n + v - u of a pair lies in [lo, hi],
+    # so an FFT of hi - lo + 1 points does not wrap
+    lo, hi = int(np.min(n0 - nodes[p] + 1, initial=0)), int(np.max(n0 + nodes[q], initial=0))
+    size = next_fast_len(hi - lo + 1, real=True)
+    if size > _MAX_UNKNOWNS:
+        raise NumericalError(f"lag sums need an FFT of {size} points, over the cap {_MAX_UNKNOWNS}")
+    top = phi.t.size - 1
+    neg, pos = max(lo, -top), min(hi, top)                  # Q is 0 outside [neg, pos]
+    spectra = {}
+
+    def spectrum(i, j):
+        if (i, j) not in spectra:
+            Q = np.zeros(size)                              # Q[L] at L - lo
+            Q[-lo:pos - lo + 1] = phi.grid[:pos + 1, i, j]
+            Q[neg - lo:-lo] = phi.grid[-neg:0:-1, j, i]
+            # reversed: the convolution with y holds H[m] at size - 1 - (m - lo),
+            # so H[n - u] runs forward in u
+            spectra[i, j] = np.fft.rfft(Q[::-1])
+        return spectra[i, j]
+
+    out = np.empty(p.size)
+    order = np.lexsort((cls[p], q))                    # by earlier row, then later class
+    key = None
+    for n, pn, qn, i, fn, nn in zip(order.tolist(), p[order].tolist(), q[order].tolist(),
+                                    cls[p[order]].tolist(), f[order].tolist(),
+                                    n0[order].tolist()):
+        if key is None or key[0] != qn:
+            y = rows[qn][2]
+            y_hat = np.fft.rfft(y, size)
+        if key != (qn, i):
+            key, j = (qn, i), rows[qn][1]
+            H = np.fft.irfft(spectrum(i, j) * y_hat, size)
+            jump = phi.grid[0, j, i] - phi.grid[0, i, j]
+        x = rows[pn][2]
+        at = size - 1 + lo - nn                        # H[nn - u] is at at + u
+        out[n] = (1.0 - fn) * (x @ H[at:at + x.size]) + fn * (x @ H[at - 1:at - 1 + x.size])
+        if fn and jump:
+            xs = x[nn + 1:nn + 1 + y.size]
+            out[n] += fn * jump * (xs @ y[:xs.size])
+    return out
+
+
+def _check_times(phi: CovarianceDensity, times):
+    if np.min(times, initial=0.0) < 0:
+        raise ConfigurationError("times must be nonnegative")
+    hi = np.max(times, initial=0.0)
+    if hi > phi.t_max:
+        raise ConfigurationError(f"t = {hi:g} beyond the phi grid [0, {phi.t_max:g}]")
+
+
+def _queue_closed(F0: ServiceModel, F: ServiceModel, q0: float, phi: CovarianceDensity,
+                  s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The terms of cov_X_general outside the lag sum, at pairs s <= t."""
+    theta = [_survival_weights(F, lo, phi.dt, hi - lo).sum() for lo, hi in zip(s, t)]
+    return q0 * F0.cdf(s) * F0.survival(t) + np.array(theta) * phi.a[0]
 
 
 def cov_X_general(F0: ServiceModel, F: ServiceModel, q0: float,
@@ -67,18 +130,10 @@ def cov_X_general(F0: ServiceModel, F: ServiceModel, q0: float,
     """
     phi._univariate("cov_X_general")
     lo, hi = (s, t) if s <= t else (t, s)
-    if lo < 0:
-        raise ConfigurationError("times must be nonnegative")
-    if hi > phi.t_max:
-        raise ConfigurationError(f"t = {hi:g} beyond the phi grid [0, {phi.t_max:g}]")
-    term1 = q0 * F0.cdf(lo) * F0.survival(hi)
-    if lo == 0.0:
-        return float(term1)
+    _check_times(phi, [lo, hi])
     # in the ages tau = hi - u and sigma = lo - v the lag u - v is hi - lo + sigma - tau
-    term2 = _survival_weights(F, lo, phi.dt, hi - lo).sum()
-    term3 = _lag_sum(phi, _survival_weights(F, hi, phi.dt), _survival_weights(F, lo, phi.dt),
-                     hi - lo)
-    return float(term1 + term2 * phi.a[0] + term3)
+    rows = [(hi, 0, _survival_weights(F, hi, phi.dt)), (lo, 0, _survival_weights(F, lo, phi.dt))]
+    return float(_queue_closed(F0, F, q0, phi, [lo], [hi])[0] + _lag_sums(phi, rows, [(0, 1)])[0])
 
 
 def var_X_infty(F: ServiceModel, phi: CovarianceDensity, method: str = "auto"):
@@ -119,9 +174,10 @@ def _steady_cov(phi: CovarianceDensity, services) -> np.ndarray:
     """Steady-state covariance 1_{i=j} a_i E[S_i] + int int S_i(u) S_j(v) Phi_ij(v-u)
     du dv of k classes, S_i the survival of service F_i, each axis truncated
     at the 1e-12 survival cutoff; symmetrized."""
-    x = [_survival_weights(F, F.survival_cutoff(), phi.dt) for F in services]
-    lag = np.array([[_lag_sum(phi, xi, xj, 0.0, i, j) for j, xj in enumerate(x)]
-                    for i, xi in enumerate(x)])
+    k = len(services)
+    rows = [(0.0, i, _survival_weights(F, F.survival_cutoff(), phi.dt))
+            for i, F in enumerate(services)]
+    lag = _lag_sums(phi, rows, [(i, j) for i in range(k) for j in range(k)]).reshape(k, k)
     return 0.5 * (lag + lag.T) + np.diag(phi.a * [F.mean() for F in services])
 
 
@@ -247,18 +303,22 @@ def cov_multi_ou(phi: CovarianceDensity, r, i: int, j: int,
         raise ConfigurationError(f"class indices ({i}, {j}) outside 0..{phi.k - 1}")
     if t < s:
         return cov_multi_ou(phi, r, j, i, t, s)
-    if s < 0:
-        raise ConfigurationError("times must be nonnegative")
-    if t > phi.t_max:
-        raise ConfigurationError("t beyond the solved grid")
-    first = 0.0
-    if i == j:
-        first = phi.a[i] / r[i] * (math.exp(-r[i] * (t - s)) - math.exp(-r[i] * (t + s)))
-    if s == 0.0:
-        return float(first)
-    return float(first + _lag_sum(phi, _lattice_weights(t, phi.dt, lambda a: np.exp(-r[i] * a)),
-                                  _lattice_weights(s, phi.dt, lambda a: np.exp(-r[j] * a)),
-                                  t - s, i, j))
+    _check_times(phi, [s, t])
+    first = _ou_first(phi, r, [s], [t])[0, i, j]
+    rows = [(t, i, _ou_weights(phi, r[i], t)), (s, j, _ou_weights(phi, r[j], s))]
+    return float(first + _lag_sums(phi, rows, [(0, 1)])[0])
+
+
+def _ou_first(phi: CovarianceDensity, r: np.ndarray, s, t) -> np.ndarray:
+    """The lag-free term 1_{i=j} (a_i/r_i) (e^{-r_i(t-s)} - e^{-r_i(t+s)}) of
+    cov_multi_ou(i, j, s <= t), a k x k block per pair."""
+    s, t = np.asarray(s, dtype=float)[:, None], np.asarray(t, dtype=float)[:, None]
+    diag = phi.a / r * (np.exp(-r * (t - s)) - np.exp(-r * (t + s)))
+    return diag[:, :, None] * np.eye(r.size)
+
+
+def _ou_weights(phi: CovarianceDensity, rate: float, t: float) -> np.ndarray:
+    return _lattice_weights(t, phi.dt, lambda a: np.exp(-rate * a))
 
 
 def steady_state_cov_multi(phi: CovarianceDensity, r) -> np.ndarray:
@@ -289,24 +349,43 @@ class LimitModel:
 
     cov(s, t) returns a scalar for a univariate object and a dim x dim
     matrix (entry (i, j) = Cov(Z_i(t), Z_j(s))) for a multivariate one.
+    A queue limit's cov(s, t) is its terms without a double integral plus
+    a lag sum of phi.  It gives the first as closed(s, t), one value or block
+    per pair at arrays s <= t, and the second as lag = (phi, weights),
+    weights(t) the per-class lattice weights at time t.  Without them the
+    Gram calls cov once per pair.
     """
 
     dim: int
     mean: object
     cov: object
     steady_state_variance: object = None
+    closed: object = None
+    lag: tuple | None = None
 
     def gram(self, t_grid) -> np.ndarray:
         """Covariance of the stacked (Z(t_1), ..., Z(t_m)): block (a, b) is
-        cov(t_b, t_a), block (b, a) its transpose, which cov(t_a, t_b) is."""
+        cov(t_b, t_a), block (b, a) its transpose, which cov(t_a, t_b) is.
+        The lag parts of all pairs come from one `_lag_sums` call."""
         t_grid = np.asarray(t_grid, dtype=float)
-        d = self.dim
-        out = np.empty((t_grid.size * d, t_grid.size * d))
-        for a in range(t_grid.size):
-            for b in range(a, t_grid.size):
-                block = np.reshape(self.cov(t_grid[b], t_grid[a]), (d, d))
-                out[b * d:(b + 1) * d, a * d:(a + 1) * d] = block.T
-                out[a * d:(a + 1) * d, b * d:(b + 1) * d] = block
+        m, d = t_grid.size, self.dim
+        a, b = np.triu_indices(m)
+        later = t_grid[a] >= t_grid[b]                # equal times keep the grid order
+        pairs = np.column_stack([np.where(later, a, b), np.where(later, b, a)])
+        closed = self.closed or (lambda s, t: [self.cov(*pair) for pair in zip(s, t)])
+        blocks = np.reshape(closed(t_grid[pairs[:, 1]], t_grid[pairs[:, 0]]), (-1, d, d))
+        if self.lag is not None:
+            phi, weights = self.lag
+            _check_times(phi, t_grid)
+            rows = [(t, c, w) for t in t_grid for c, w in enumerate(weights(t))]
+            c = np.arange(d)        # row a d + c holds class c at time a
+            row_pairs = np.broadcast_arrays(pairs[:, :1, None] * d + c[:, None],
+                                            pairs[:, 1:, None] * d + c)
+            blocks += _lag_sums(phi, rows, np.stack(row_pairs, axis=-1)).reshape(-1, d, d)
+        out = np.empty((m, d, m, d))
+        out[pairs[:, 0], :, pairs[:, 1], :] = blocks
+        out[pairs[:, 1], :, pairs[:, 0], :] = np.swapaxes(blocks, 1, 2)
+        out = out.reshape(m * d, m * d)
         return 0.5 * (out + out.T)
 
     def mean_vector(self, t_grid) -> np.ndarray:
@@ -328,28 +407,34 @@ def queue_limit_model(phi: CovarianceDensity, F0: ServiceModel, F: ServiceModel,
         1,
         lambda t: x0 * F0.survival(t),
         lambda s, t: cov_X_general(F0, F, q0, phi, s, t),
-        steady_state_variance=var_X_infty(F, phi))
+        steady_state_variance=var_X_infty(F, phi),
+        closed=lambda s, t: _queue_closed(F0, F, q0, phi, s, t),
+        lag=(phi, lambda t: [_survival_weights(F, t, phi.dt)]))
+
+
+def _ou_model(phi: CovarianceDensity, r: np.ndarray, mean, cov, steady) -> LimitModel:
+    return LimitModel(
+        phi.k, mean, cov, steady_state_variance=steady,
+        closed=lambda s, t: _ou_first(phi, r, s, t),
+        lag=(phi, lambda t: [_ou_weights(phi, ri, t) for ri in r]))
 
 
 def exp_queue_limit_model(phi: CovarianceDensity, x0: float = 0.0) -> LimitModel:
+    phi._univariate("exp_queue_limit_model")
     steady = None
     if phi.kernel is not None and isinstance(phi.kernel, Kernel):
         steady = var_xe_infty(phi.kernel, phi=phi)
-    return LimitModel(1,
-                      lambda t: mean_Xe(x0, t),
-                      lambda s, t: cov_Xe(phi, s, t),
-                      steady_state_variance=steady)
+    return _ou_model(phi, np.ones(1), lambda t: mean_Xe(x0, t),
+                     lambda s, t: cov_Xe(phi, s, t), steady)
 
 
 def multi_ou_limit_model(phi: CovarianceDensity, r, x0=None) -> LimitModel:
     r = np.asarray(r, dtype=float)
     x0 = np.zeros(phi.k) if x0 is None else np.asarray(x0, dtype=float)
-    return LimitModel(
-        phi.k,
-        lambda t: x0 * np.exp(-r * t),
-        lambda s, t: np.array([[cov_multi_ou(phi, r, i, j, s, t)
-                                for j in range(phi.k)] for i in range(phi.k)]),
-        steady_state_variance=steady_state_cov_multi(phi, r))
+    return _ou_model(phi, r, lambda t: x0 * np.exp(-r * t),
+                     lambda s, t: np.array([[cov_multi_ou(phi, r, i, j, s, t)
+                                             for j in range(phi.k)] for i in range(phi.k)]),
+                     steady_state_cov_multi(phi, r))
 
 
 def sample_limit_path(model: LimitModel, t_grid, seed: int,

@@ -64,7 +64,9 @@ def simulate_queue(arrivals: PointPath, service, q_init, t_grid,
     for d in range(k):
         remaining = np.sort(init_services[d].sample(rng, int(q_init[d])))
         taus = arrivals.times[d]
-        departures = np.sort(taus + services[d].sample(rng, taus.size))
+        departures = services[d].sample(rng, taus.size)
+        departures += taus
+        departures.sort()
         n_arrived = np.searchsorted(taus, t_grid, side="right")
         gone = np.searchsorted(departures, t_grid, side="right")
         init_left = q_init[d] - np.searchsorted(remaining, t_grid, side="right")

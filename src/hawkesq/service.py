@@ -58,7 +58,11 @@ class ExponentialService(ServiceModel):
         return np.where(x > 0, -np.expm1(-self.rate * np.maximum(x, 0.0)), 0.0)
 
     def inverse_cdf(self, u):
-        return -np.log1p(-np.asarray(u, dtype=float)) / self.rate
+        x = np.array(u, dtype=float)
+        np.negative(x, out=x)
+        np.log1p(x, out=x)
+        x /= -self.rate
+        return x if x.ndim else x[()]
 
     def mean(self):
         return 1.0 / self.rate

@@ -46,7 +46,7 @@ class PointPath:
         for seq in self.times:
             if seq.size and (seq[0] <= 0 or seq[-1] > self.horizon + 1e-12):
                 raise ConfigurationError("event times must lie in (0, horizon]")
-            if seq.size > 1 and np.any(np.diff(seq) < 0):
+            if np.any(seq[1:] < seq[:-1]):
                 raise ConfigurationError("event times must be sorted")
 
     @property
@@ -177,9 +177,10 @@ def simulate_cluster(sim: SimConfig, replication: int = 0) -> PointPath:
                 collected[i].append(births[births > 0])
         gen = [np.concatenate(buf) if buf else np.empty(0) for buf in nxt]
 
-    times = tuple(np.sort(np.concatenate(buf)) if buf else np.empty(0)
-                  for buf in collected)
-    return PointPath(times, T, replication)
+    times = [np.concatenate(buf) if buf else np.empty(0) for buf in collected]
+    for seq in times:
+        seq.sort()
+    return PointPath(tuple(times), T, replication)
 
 
 class _ThinningState:

@@ -1,7 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from scipy.special import exp1
 from scipy.stats import kstest
 
 import hawkesq as hq
@@ -196,3 +198,15 @@ def test_zero_amplitude_mixture_refuses_offsets():
         for n in (0, 5):
             with pytest.raises(ConfigurationError, match="zero kernel"):
                 kern.sample_offsets(rng, n)
+
+
+@pytest.mark.parametrize("scale, amplitude, omega",
+                         [(0.2, 1.0, 0.5), (1.0, 0.8, 0.3), (0.05, 0.5, 2.0),
+                          (3.0, 2.0, 0.1), (0.5, 1.0, 10.0), (2.0, 0.3, 0.01)])
+def test_power_law_laplace_matches_exponent_two_closed_form(scale, amplitude, omega):
+    # int_0^inf e^{-omega t} A (1 + c t)^{-2} dt = A/c (1 - z e^z E1(z)), z = omega/c;
+    # a heavy tail puts the majorant cutoff far beyond 1/omega
+    z = omega / scale
+    exact = amplitude / scale * (1.0 - z * math.exp(z) * exp1(z))
+    got = hq.PowerLawKernel(scale, 2.0, amplitude).laplace(omega)
+    assert abs(got - exact) <= 1e-10 * exact

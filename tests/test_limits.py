@@ -388,3 +388,83 @@ def test_model_evaluators_symmetric_psd(phi_h1, phi_quarter):
         assert np.allclose(gram, gram.T, atol=1e-10)
         eigs = np.linalg.eigvalsh(gram + 1e-10 * np.eye(gram.shape[0]))
         assert eigs.min() > -1e-9
+
+
+# --- Gram matrices from the batched lag sums ---------------------------------------
+
+def _pairwise_gram(model, grid):
+    """The Gram from one cov(s, t) call per pair: block (a, b) is cov(t_b, t_a)."""
+    d, m = model.dim, len(grid)
+    out = np.empty((m * d, m * d))
+    for a in range(m):
+        for b in range(a, m):
+            block = np.reshape(model.cov(grid[b], grid[a]), (d, d))
+            out[b * d:(b + 1) * d, a * d:(a + 1) * d] = block.T
+            out[a * d:(a + 1) * d, b * d:(b + 1) * d] = block
+    return 0.5 * (out + out.T)
+
+
+# unsorted, with a repeated time, off the lattice of dt = 0.01 and 0.05 in places
+_GRAM_TIMES = [3.7, 0.37, 1.234, 3.7, 0.0, 5.678, 2.913, 1.0]
+
+
+def test_gram_matches_pairwise_cov(phi_h1, phi_quarter):
+    logn, det = hq.LogNormalService(0.0, 0.5), hq.DeterministicService(1.0)
+    models = {"exp queue": hq.exp_queue_limit_model(phi_h1),
+              "lognormal": hq.queue_limit_model(phi_h1, hq.ExponentialService(2.0), logn, q0=2.0),
+              "deterministic": hq.queue_limit_model(phi_h1, hq.DeterministicService(1.5), det,
+                                                    q0=2.0),
+              "multi ou": hq.multi_ou_limit_model(phi_quarter, [1.0, 0.7])}
+    for name, model in models.items():
+        got, ref = model.gram(_GRAM_TIMES), _pairwise_gram(model, _GRAM_TIMES)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), name
+
+
+def test_gram_matches_dense_reference(phi_h1, phi_asymmetric):
+    times = [3.0, 1.0, 2.5, 1.0, 0.5]         # on both lattices, unsorted, one repeat
+    F = hq.LogNormalService(0.0, 0.5)
+    r = [1.0, 2.0]
+
+    def ou(s, t):
+        # Cov(X_i(t), X_j(s)) for every (i, j), s the earlier time when they differ
+        lo, hi = sorted((s, t))
+        out = np.array([[_dense_cov_multi_ou_offdiag(phi_asymmetric, r, i, j, s, t)
+                         for j in range(2)] for i in range(2)])
+        return out + np.diag(phi_asymmetric.a / r * (np.exp(-np.multiply(r, hi - lo))
+                                                    - np.exp(-np.multiply(r, hi + lo))))
+
+    cases = [(hq.exp_queue_limit_model(phi_h1), lambda s, t: _dense_cov_xe(phi_h1, s, t)),
+             (hq.queue_limit_model(phi_h1, F, F, q0=1.0),
+              lambda s, t: _dense_cov_x_general(F, phi_h1, s, t)),
+             (hq.multi_ou_limit_model(phi_asymmetric, r), ou)]
+    for model, dense in cases:
+        ref = _pairwise_gram(hq.LimitModel(model.dim, model.mean, dense), times)
+        got = model.gram(times)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_lag_sums_off_lattice_match_direct_double_sum(phi_asymmetric):
+    # the direct sum reads phi(x) = Phi(x), Phi(-x) = Phi(x)^T, at every lag of the
+    # lattice weights; off the lattice the lags fall inside cells, (-dt, 0) included
+    from hawkesq.covariance import _lattice_weights
+    r = [1.0, 0.7]
+    for s, t in [(0.37, 1.234), (1.234, 2.913), (0.9, 0.9), (0.02, 3.33)]:
+        x = [_lattice_weights(t, phi_asymmetric.dt, lambda a, ri=ri: np.exp(-ri * a)) for ri in r]
+        y = [_lattice_weights(s, phi_asymmetric.dt, lambda a, ri=ri: np.exp(-ri * a)) for ri in r]
+        for i in range(2):
+            for j in range(2):
+                u, v = np.arange(x[i].size), np.arange(y[j].size)
+                table = phi_asymmetric(t - s + (v[None, :] - u[:, None]) * phi_asymmetric.dt)
+                direct = x[i] @ table[:, :, i, j] @ y[j]
+                if i == j:
+                    direct += phi_asymmetric.a[i] / r[i] * (np.exp(-r[i] * (t - s))
+                                                             - np.exp(-r[i] * (t + s)))
+                got = hq.cov_multi_ou(phi_asymmetric, r, i, j, s, t)
+                assert abs(got - direct) <= 1e-13 * abs(direct), (s, t, i, j)
+
+
+def test_gram_200_points_is_symmetric_and_factors(phi_h1):
+    gram = hq.exp_queue_limit_model(phi_h1).gram(np.linspace(0.1, 20.0, 200))
+    assert gram.shape == (200, 200)
+    assert np.array_equal(gram, gram.T)
+    np.linalg.cholesky(gram)
