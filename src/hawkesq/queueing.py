@@ -6,6 +6,7 @@ state is sampled by spaced reads within long replications after a burn-in.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ from .errors import ConfigurationError
 from .kernels import HawkesConfig
 from .service import ServiceModel
 from .simulate import (_ENGINES, INITIAL_STREAM, SERVICE_STREAM, PointPath, SimConfig,
-                       rep_stream)
+                       _map_replications, rep_stream)
 
 
 @dataclass
@@ -124,6 +125,14 @@ class SteadyStateSample:
             lambda s: np.cov(s.reshape(-1, self.k).astype(float).T).reshape(self.k, self.k))
 
 
+def _queue_replication(sim: SimConfig, services, offered, t_grid, r: int) -> np.ndarray:
+    """Queue counts (per_rep, k) of replication r, started from Poisson(offered)."""
+    arrivals = _ENGINES[sim.engine](sim, r)
+    q0 = rep_stream(sim.seed, r, INITIAL_STREAM).poisson(offered)
+    svc_rng = rep_stream(sim.seed, r, SERVICE_STREAM)
+    return simulate_queue(arrivals, services, q0, t_grid, svc_rng).q
+
+
 def steady_state_sample(config: HawkesConfig, service, n_samples: int, seed: int,
                         *, engine: str = "cluster", burn_in: float | None = None,
                         spacing: float | None = None) -> SteadyStateSample:
@@ -135,6 +144,10 @@ def steady_state_sample(config: HawkesConfig, service, n_samples: int, seed: int
     min(400, max(25, ceil(n_samples / 200))) replications.  Initial counts
     are Poisson at the offered load so the transient starts near the fluid
     state.
+
+    Replications run across the usable CPUs, one replication's working set
+    per worker; each draws from its own keyed streams, so the samples are
+    bitwise the same for any worker count (see `simulate._map_replications`).
     """
     if n_samples < 1:
         raise ConfigurationError("need a positive sample count")
@@ -165,17 +178,8 @@ def steady_state_sample(config: HawkesConfig, service, n_samples: int, seed: int
     rates = config.mean_rate_vector()
     offered = rates * means
     sim = SimConfig(config, horizon, seed, engine=engine)
-    engine_fn = _ENGINES[sim.engine]
-
-    draws = np.empty((reps, samples_per_rep, k), dtype=int)
-    for r in range(reps):
-        arrivals = engine_fn(sim, r)
-        init_rng = rep_stream(seed, r, INITIAL_STREAM)
-        q0 = init_rng.poisson(offered)
-        svc_rng = rep_stream(seed, r, SERVICE_STREAM)
-        traj = simulate_queue(arrivals, services, q0, t_grid, svc_rng)
-        draws[r] = traj.q
-    return SteadyStateSample(draws, seed, burn_in, spacing)
+    run = functools.partial(_queue_replication, sim, services, offered, t_grid)
+    return SteadyStateSample(np.stack(_map_replications(run, reps)), seed, burn_in, spacing)
 
 
 @dataclass
@@ -220,6 +224,20 @@ def compare_distributions(samples, approx) -> ComparisonReport:
         mean_gap=float(samples.mean() - approx.mean),
         var_gap=float(samples.var(ddof=1) - approx.sigma**2),
         support=support, empirical=emp, gaussian=gauss, n_samples=samples.size)
+
+
+def sampling_tv_quantile(pmf, n: float, rng: np.random.Generator) -> float:
+    """The 99% quantile of the TV distance between pmf and the empirical pmf
+    of n independent draws from it, from 400 parametric-bootstrap samples.
+
+    TV(empirical, target) <= TV(law, target) + TV(empirical, law), so this
+    quantile, taken at the target, is the sampling allowance of a TV check.
+    """
+    pmf = np.asarray(pmf, dtype=float)
+    pmf = pmf / pmf.sum()
+    n = max(1, round(n))
+    counts = rng.multinomial(n, pmf, size=400)
+    return float(np.quantile(0.5 * np.abs(counts / n - pmf).sum(axis=1), 0.99))
 
 
 def summary_json(sample: SteadyStateSample, report: ComparisonReport | None, path):

@@ -6,7 +6,12 @@ window is dropped, with the default burn-in set by the leak bound of
 """
 from __future__ import annotations
 
+import functools
 import json
+import math
+import multiprocessing
+import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,16 +27,51 @@ _LEAK_TOL = 1e-3
 ARRIVAL_STREAM = 0
 SERVICE_STREAM = 1
 INITIAL_STREAM = 2
+CHECK_STREAM = 3        # draws of a statistical check on the replications' results
 
 
 def rep_stream(seed: int, replication: int, role: int = ARRIVAL_STREAM) -> np.random.Generator:
-    """Counter-based stream for (master seed, replication, role).
+    """Keyed stream for (master seed, replication, role).
 
-    Philox keyed through a spawn key gives bitwise-reproducible, collision
-    free streams regardless of execution order.
+    SFC64 seeded from SeedSequence(seed, spawn_key=(replication, role)): the
+    spawn key makes the streams of different keys independent, and each
+    depends on its key alone, so results are bitwise reproducible whatever
+    the order, process or worker count that runs the replications.
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(replication), int(role)))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
+
+
+_TASK = None        # the fn of the running _map_replications, inherited by forked workers
+
+
+def _run_task(r):
+    return _TASK(r)
+
+
+def _map_replications(fn, reps: int) -> list:
+    """[fn(r) for r in range(reps)], on a fork pool with one worker per usable CPU.
+
+    fn must draw only from the keyed streams of replication r, so the list is
+    the same for any worker count.  Workers inherit fn by fork; only the
+    indices and the results are pickled.  fn runs inline when one worker
+    would run, when the platform cannot fork, and in a daemonic process (a
+    pool worker may not start a pool).  An exception in a worker reaches the
+    caller with its own type.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    workers = min(reps, cpus)
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods() \
+            or multiprocessing.current_process().daemon:
+        return [fn(r) for r in range(reps)]
+    global _TASK
+    _TASK = fn
+    try:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            return pool.map(_run_task, range(reps), math.ceil(reps / (4 * workers)))
+    finally:
+        _TASK = None
 
 
 @dataclass(frozen=True)
@@ -303,9 +343,12 @@ _ENGINES = {"cluster": simulate_cluster, "thinning": simulate_thinning}
 
 
 def simulate_paths(sim: SimConfig) -> list[PointPath]:
-    """All replications; per-replication streams keep results order-independent."""
-    engine = _ENGINES[sim.engine]
-    return [engine(sim, r) for r in range(sim.replications)]
+    """All replications, in replication order, run across the usable CPUs.
+
+    Each replication draws from its own keyed stream, so the paths are
+    bitwise the same for any worker count (see `_map_replications`).
+    """
+    return _map_replications(functools.partial(_ENGINES[sim.engine], sim), sim.replications)
 
 
 @dataclass
@@ -370,17 +413,17 @@ def write_paths_csv(paths, path):
                for d, seq in enumerate(p.times) for t in seq))
 
 
-def read_paths_csv(path, horizon: float) -> list[PointPath]:
-    data = np.genfromtxt(path, delimiter=",", names=True, dtype=float)
-    data = np.atleast_1d(data)
-    reps = sorted(set(int(r) for r in np.atleast_1d(data["replication"])))
-    k = int(data["dimension"].max()) + 1 if data.size else 1
-    out = []
-    for r in reps:
-        sel = data[data["replication"] == r]
-        times = tuple(np.sort(sel["event_time"][sel["dimension"] == d]) for d in range(k))
-        out.append(PointPath(times, horizon, r))
-    return out
+def read_paths_csv(path, horizon: float, replications, dimension: int) -> list[PointPath]:
+    """Paths from a write_paths_csv file.
+
+    The CSV has one row per event, so it cannot show a replication or a class
+    without events; the caller gives the replication ids and the dimension,
+    which the binary format keeps in its header.  A row outside them raises.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)    # no rows: paths without events
+        arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).reshape(-1, 3)
+    return _split_records(arr, horizon, replications, dimension)
 
 
 def write_paths_binary(paths, path):
@@ -414,9 +457,16 @@ def read_paths_binary(path) -> list[PointPath]:
             raise ConfigurationError(
                 f"unsupported point-path binary version {header.get('version')!r}")
         arr = np.frombuffer(fh.read(), dtype="<f8").reshape(header["count"], 3)
-    horizon, k = header["horizon"], header["dimension"]
+    return _split_records(arr, header["horizon"], header["replications"], header["dimension"])
+
+
+def _split_records(arr, horizon, replications, k) -> list[PointPath]:
+    """One PointPath per replication id from (replication, dimension, time) rows."""
+    replications = [int(r) for r in replications]
+    if not (np.isin(arr[:, 0], replications).all() and np.isin(arr[:, 1], np.arange(k)).all()):
+        raise ConfigurationError("event rows outside the given replications or dimension")
     out = []
-    for r in header["replications"]:
+    for r in replications:
         sel = arr[arr[:, 0] == r]
         times = tuple(np.sort(sel[sel[:, 1] == d, 2]) for d in range(k))
         out.append(PointPath(times, horizon, r))

@@ -1,6 +1,17 @@
+import os
+
 import pytest
 
 import hawkesq as hq
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(n) sets the CPU set that the replication pool sees: with 1 the
+    replications run inline, with 2 on two forked workers."""
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    return use
 
 
 @pytest.fixture(scope="session")

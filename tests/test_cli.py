@@ -164,6 +164,18 @@ def test_validate_queue_general_service(tmp_path):
     assert json.loads((outdir / "verdict.json").read_text())["pass"]
 
 
+def test_validate_queue_tv_gate_allows_for_sample_size(tmp_path):
+    # 500 draws of a correct h1 model: the TV from sampling alone is about
+    # 0.1, so a bar fixed at 0.05 failed it whatever the model
+    cfg = _write(tmp_path, "q.json", {"name": "small", "kernel": H1, "mu": 20.0,
+                                      "n_samples": 500, "seed": 4})
+    assert main(["validate-queue", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    verdict = json.loads(
+        (tmp_path / "out" / "validate-queue" / "small" / "verdict.json").read_text())
+    assert verdict["tv_distance"] > 0.05 and verdict["pass"]
+    assert 0 < verdict["n_eff"] <= 500 and verdict["tv_distance"] < 0.05 + verdict["tv_noise"]
+
+
 def test_manifest_rerun_is_bitwise(tmp_path):
     cfg = _write(tmp_path, "sim.json", {
         "name": "first", "kernel": H1, "mu": 10.0, "horizon": 3.0,
@@ -209,6 +221,25 @@ def test_manifest_rerun_is_bitwise_every_command(tmp_path, command, cfg):
         assert text == (second_dir / name).read_bytes(), name
         if name.endswith(".json"):      # one JSON format: indent 2, sorted keys, newline
             assert text.decode() == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("command, cfg, names", [
+    ("simulate", {"kernel": H1, "mu": 10.0, "horizon": 3.0, "reps": 20, "probe_times": [3.0]},
+     {"paths.csv", "moments.json"}),
+    ("validate-queue", {"kernel": H1, "mu": 10.0, "n_samples": 200},
+     {"comparison.json", "verdict.json", "histogram.csv"}),
+], ids=["simulate", "validate-queue"])
+def test_result_files_same_for_any_worker_count(tmp_path, cpus, command, cfg, names):
+    path = _write(tmp_path, "cfg.json", dict(cfg, name="run", seed=7))
+    outputs = []
+    for n in (1, 2):
+        cpus(n)
+        assert main([command, "--config", path, "--out", str(tmp_path / str(n))]) in (0, 1)
+        outdir = tmp_path / str(n) / command / "run"
+        outputs.append({p.name: p.read_bytes() for p in outdir.iterdir()
+                        if p.name != "manifest.json"})
+    assert set(outputs[0]) == names
+    assert outputs[0] == outputs[1]
 
 
 def test_missing_or_null_grid_keeps_solver_defaults(tmp_path):

@@ -5,7 +5,8 @@ import pytest
 
 import hawkesq as hq
 from hawkesq.errors import ConfigurationError
-from hawkesq.simulate import SERVICE_STREAM, var_of_sample_cov
+from hawkesq.queueing import sampling_tv_quantile
+from hawkesq.simulate import CHECK_STREAM, SERVICE_STREAM, var_of_sample_cov
 
 
 # --- service models -----------------------------------------------------------
@@ -128,6 +129,18 @@ def test_steady_state_univariate_equals_k1_matrix(h1):
     assert np.array_equal(a.samples, b.samples)
 
 
+@pytest.mark.parametrize("model", ["h1", "quarter"])
+def test_steady_state_same_for_any_worker_count(h1, quarter_matrix, cpus, model):
+    cfg = hq.HawkesConfig(5.0, h1 if model == "h1" else quarter_matrix)
+    samples = []
+    for n in (1, 2):
+        cpus(n)
+        samples.append(hq.steady_state_sample(cfg, hq.ExponentialService(1.0), 400,
+                                              seed=23).samples)
+    assert samples[0].shape == (25, 16, cfg.dimension)
+    assert np.array_equal(samples[0], samples[1])
+
+
 def test_steady_state_floor_validation(h1):
     cfg = hq.HawkesConfig(5.0, h1)
     with pytest.raises(ConfigurationError):
@@ -186,6 +199,32 @@ def test_compare_identical_pmfs():
     report = hq.compare_distributions(draws, approx)
     assert report.tv_distance < 5e-3
     assert report.max_abs_gap < 1e-3
+
+
+def test_sampling_tv_quantile_is_calibrated():
+    support = np.arange(0, 60)
+    pmf = hq.GaussianQueueApprox(20.0, np.sqrt(26.0)).pmf(support)
+    pmf = pmf / pmf.sum()
+    q = sampling_tv_quantile(pmf, 1000, hq.rep_stream(5, 0, CHECK_STREAM))
+    draws = hq.rep_stream(6, 0, CHECK_STREAM).multinomial(1000, pmf, size=4000)
+    tv = 0.5 * np.abs(draws / 1000 - pmf).sum(axis=1)
+    assert 0.003 < np.mean(tv > q) < 0.025         # nominal 1%; SE 0.16% over 4000 draws
+    # the sampling TV shrinks like n^{-1/2}
+    q4 = sampling_tv_quantile(pmf, 4000, hq.rep_stream(5, 0, CHECK_STREAM))
+    assert q / q4 == pytest.approx(2.0, rel=0.15)
+
+
+def test_tv_gate_rejects_the_wrong_target(h1):
+    # h1, mu = 20, Exp(2) service, 500 draws; the Exp(1) target is the
+    # pre-0.3.0 one, whose TV stays far above tolerance plus sampling allowance
+    sample = hq.steady_state_sample(hq.HawkesConfig(20.0, h1), hq.ExponentialService(2.0),
+                                    500, seed=4)
+    rng = hq.rep_stream(4, 0, CHECK_STREAM)
+    for rate, ok in [(2.0, True), (1.0, False)]:
+        approx = hq.gaussian_queue_approx(20.0, h1, service=hq.ExponentialService(rate))
+        report = hq.compare_distributions(sample.pooled(0), approx)
+        bar = 0.05 + sampling_tv_quantile(report.gaussian, sample.n_samples, rng)
+        assert (report.tv_distance < bar) == ok, (rate, report.tv_distance, bar)
 
 
 def test_compare_poisson_to_gaussian():

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import hawkesq as hq
-from hawkesq.errors import ConfigurationError
+from hawkesq import simulate
+from hawkesq.cli import main
+from hawkesq.errors import ConfigurationError, StabilityError
 
 import oracles
 
@@ -237,7 +239,7 @@ def test_paths_round_trip(tmp_path, h1):
     paths = hq.simulate_paths(sim)
     csv = tmp_path / "paths.csv"
     hq.write_paths_csv(paths, csv)
-    back = hq.read_paths_csv(csv, horizon=3.0)
+    back = hq.read_paths_csv(csv, horizon=3.0, replications=[0, 1, 2], dimension=1)
     for a, b in zip(paths, back):
         assert all(np.allclose(x, y) for x, y in zip(a.times, b.times))
     binp = tmp_path / "paths.bin"
@@ -261,6 +263,25 @@ def test_binary_paths_keep_empty_replications_and_classes(tmp_path):
         assert all(np.array_equal(x, y) for x, y in zip(a.times, b.times))
 
 
+def test_csv_paths_keep_empty_replications_and_classes(tmp_path):
+    empty = np.empty(0)
+    paths = [hq.PointPath((np.array([0.25, 1.5]), empty), 2.0, 0),
+             hq.PointPath((empty, empty), 2.0, 1),
+             hq.PointPath((np.array([0.75]), empty), 2.0, 2)]
+    csv = tmp_path / "paths.csv"
+    hq.write_paths_csv(paths, csv)
+    assert len(csv.read_text().splitlines()) == 1 + 3          # one row per event
+    back = hq.read_paths_csv(csv, 2.0, replications=[0, 1, 2], dimension=2)
+    assert [p.replication for p in back] == [0, 1, 2]
+    for a, b in zip(paths, back):
+        assert b.dimension == 2 and b.horizon == 2.0
+        assert all(np.array_equal(x, y) for x, y in zip(a.times, b.times))
+    with pytest.raises(ConfigurationError):        # rows of replication 2 would be lost
+        hq.read_paths_csv(csv, 2.0, replications=[0, 1], dimension=2)
+    hq.write_paths_csv([], csv)
+    assert hq.read_paths_csv(csv, 2.0, replications=[], dimension=1) == []
+
+
 @pytest.mark.parametrize("version", [1, 3, None])
 def test_binary_paths_reject_unknown_versions(tmp_path, version):
     binp = tmp_path / "paths.bin"
@@ -282,3 +303,30 @@ def test_permuted_replication_order_matches_simulate_paths(h1, engine):
     for r, path in enumerate(paths):
         assert permuted[r].replication == path.replication == r
         assert all(np.array_equal(x, y) for x, y in zip(path.times, permuted[r].times))
+
+
+@pytest.mark.parametrize("engine", ["cluster", "thinning"])
+def test_simulate_paths_same_for_any_worker_count(h1, cpus, engine):
+    sim = hq.SimConfig(_config(h1, 10.0), horizon=2.0, seed=19, engine=engine, replications=9)
+    run = hq.simulate_cluster if engine == "cluster" else hq.simulate_thinning
+    direct = [run(sim, r) for r in range(sim.replications)]
+    for n in (1, 2):
+        cpus(n)
+        paths = hq.simulate_paths(sim)
+        assert [p.replication for p in paths] == list(range(sim.replications))
+        for a, b in zip(direct, paths):
+            assert all(np.array_equal(x, y) for x, y in zip(a.times, b.times))
+
+
+def test_worker_error_keeps_its_type(h1, cpus, monkeypatch, tmp_path):
+    # a cascade cap of 0 generations makes every replication raise in its worker
+    cpus(2)
+    monkeypatch.setattr(simulate, "_GENERATION_CAP", 0)
+    with pytest.raises(StabilityError):
+        hq.simulate_paths(hq.SimConfig(_config(h1, 10.0), horizon=2.0, seed=3, replications=4))
+    kernel = {"type": "sum_exp", "terms": [{"alpha": 0.5, "beta": 1.0}]}
+    for command, extra in [("simulate", {"horizon": 2.0, "reps": 4}),
+                           ("validate-queue", {"n_samples": 100})]:
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps(dict(extra, name="cap", kernel=kernel, mu=10.0, seed=3)))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
