@@ -31,11 +31,11 @@ from .covariance import (asymptotic_offset, asymptotic_slope, laplace_pipeline,
 from .errors import ConfigurationError, HawkesqError, NumericalError
 from .kernels import HawkesConfig, KernelMatrix, SumOfExponentialsKernel, kernel_from_dict
 from .limits import gaussian_queue_approx
-from .queueing import (compare_distributions, sampling_tv_quantile, steady_state_sample,
+from .queueing import (compare_distributions, queue_verdict, steady_state_sample,
                        summary_json)
 from .service import service_from_dict
-from .simulate import (CHECK_STREAM, SimConfig, empirical_moments, rep_stream,
-                       simulate_paths, var_of_sample_cov, write_paths_csv)
+from .simulate import (SimConfig, empirical_moments, simulate_paths,
+                       var_of_sample_cov, write_paths_csv)
 
 _SCHEMA = 1
 
@@ -212,25 +212,11 @@ def cmd_validate_queue(cfg: dict, out: Path) -> int:
     report.write_csv(out / "histogram.csv")
     summary_json(sample, report, out / "comparison.json")
 
-    se_mean = float(sample.se_mean()[0])
-    mean_z = abs(report.mean_gap) / se_mean
-    # The variance and TV gates are a tolerance on the law plus a sampling
-    # allowance: 3 standard errors of the variance, and the 99% sampling TV at
-    # the effective size, whose variance of the mean matches the correlated draws.
-    var_rel = abs(report.var_gap) / approx.sigma**2
-    var_noise = 3.0 * float(sample.se_var()[0]) / approx.sigma**2
-    n_eff = min(sample.n_samples, float(sample.var()[0]) / se_mean**2) if se_mean > 0 \
-        else sample.n_samples
-    tv_noise = sampling_tv_quantile(report.gaussian, n_eff,
-                                    rep_stream(sample.seed, 0, CHECK_STREAM))
-    ok = mean_z < 3.0 \
-        and var_rel < float(cfg.get("var_rel_threshold", 0.05)) + var_noise \
-        and report.tv_distance < float(cfg.get("tv_threshold", 0.05)) + tv_noise
-    write_json(out / "verdict.json", {"mean_z": mean_z, "var_rel_gap": var_rel,
-                                      "var_rel_noise": var_noise,
-                                      "tv_distance": report.tv_distance, "n_eff": n_eff,
-                                      "tv_noise": tv_noise, "pass": bool(ok)})
-    return 0 if ok else 1
+    verdict = queue_verdict(sample, report, approx,
+                            var_rel_threshold=float(cfg.get("var_rel_threshold", 0.05)),
+                            tv_threshold=float(cfg.get("tv_threshold", 0.05)))
+    write_json(out / "verdict.json", verdict)
+    return 0 if verdict["pass"] else 1
 
 
 _COMMANDS = {"simulate": cmd_simulate, "analyze": cmd_analyze,

@@ -226,18 +226,35 @@ def compare_distributions(samples, approx) -> ComparisonReport:
         support=support, empirical=emp, gaussian=gauss, n_samples=samples.size)
 
 
-def sampling_tv_quantile(pmf, n: float, rng: np.random.Generator) -> float:
-    """The 99% quantile of the TV distance between pmf and the empirical pmf
-    of n independent draws from it, from 400 parametric-bootstrap samples.
+def tv_jackknife(sample: SteadyStateSample, report: ComparisonReport) -> float:
+    """TV between the law of the sampled queue and the target pmf of report
+    (made from sample.pooled(0)), bias-corrected by the replication jackknife.
 
-    TV(empirical, target) <= TV(law, target) + TV(empirical, law), so this
-    quantile, taken at the target, is the sampling allowance of a TV check.
+    The plug-in TV of an empirical pmf lies above the TV of its law by a
+    sampling bias of order sqrt(support / n).  R T - (R - 1) mean_r T_(-r),
+    with T_(-r) the plug-in TV without replication r, removes most of it;
+    leaving out whole replications keeps their inner correlation.
     """
-    pmf = np.asarray(pmf, dtype=float)
-    pmf = pmf / pmf.sum()
-    n = max(1, round(n))
-    counts = rng.multinomial(n, pmf, size=400)
-    return float(np.quantile(0.5 * np.abs(counts / n - pmf).sum(axis=1), 0.99))
+    counts = np.stack([np.bincount(rep - report.support[0], minlength=report.support.size)
+                       for rep in sample.samples[:, :, 0]])
+    total = counts.sum(axis=0)
+    loo = (total - counts) / (total.sum() - counts.sum(axis=1))[:, None]
+    tv_loo = 0.5 * np.abs(loo - report.gaussian).sum(axis=1)
+    reps = counts.shape[0]
+    return float(reps * report.tv_distance - (reps - 1) * tv_loo.mean())
+
+
+def queue_verdict(sample: SteadyStateSample, report: ComparisonReport, approx, *,
+                  var_rel_threshold: float = 0.05, tv_threshold: float = 0.05) -> dict:
+    """The gates of validate-queue: the mean within 3 replication standard
+    errors of the target, and the relative variance gap and the jackknife TV
+    (`tv_jackknife`) each below its tolerance."""
+    mean_z = abs(report.mean_gap) / float(sample.se_mean()[0])
+    var_rel = float(abs(report.var_gap) / approx.sigma**2)
+    tv = tv_jackknife(sample, report)
+    ok = mean_z < 3.0 and var_rel < var_rel_threshold and tv < tv_threshold
+    return {"mean_z": mean_z, "var_rel_gap": var_rel, "tv_distance": report.tv_distance,
+            "tv_jackknife": tv, "pass": bool(ok)}
 
 
 def summary_json(sample: SteadyStateSample, report: ComparisonReport | None, path):

@@ -27,7 +27,6 @@ _LEAK_TOL = 1e-3
 ARRIVAL_STREAM = 0
 SERVICE_STREAM = 1
 INITIAL_STREAM = 2
-CHECK_STREAM = 3        # draws of a statistical check on the replications' results
 
 
 def rep_stream(seed: int, replication: int, role: int = ARRIVAL_STREAM) -> np.random.Generator:
@@ -42,22 +41,15 @@ def rep_stream(seed: int, replication: int, role: int = ARRIVAL_STREAM) -> np.ra
     return np.random.Generator(np.random.SFC64(ss))
 
 
-_TASK = None        # the fn of the running _map_replications, inherited by forked workers
-
-
-def _run_task(r):
-    return _TASK(r)
-
-
 def _map_replications(fn, reps: int) -> list:
     """[fn(r) for r in range(reps)], on a fork pool with one worker per usable CPU.
 
     fn must draw only from the keyed streams of replication r, so the list is
-    the same for any worker count.  Workers inherit fn by fork; only the
-    indices and the results are pickled.  fn runs inline when one worker
-    would run, when the platform cannot fork, and in a daemonic process (a
-    pool worker may not start a pool).  An exception in a worker reaches the
-    caller with its own type.
+    the same for any worker count, and it must pickle: it travels with each
+    chunk of indices.  fn runs inline when one worker would run, when the
+    platform cannot fork, and in a daemonic process (a pool worker may not
+    start a pool).  An exception in a worker reaches the caller with its own
+    type.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count() or 1
@@ -65,13 +57,8 @@ def _map_replications(fn, reps: int) -> list:
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods() \
             or multiprocessing.current_process().daemon:
         return [fn(r) for r in range(reps)]
-    global _TASK
-    _TASK = fn
-    try:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            return pool.map(_run_task, range(reps), math.ceil(reps / (4 * workers)))
-    finally:
-        _TASK = None
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        return pool.map(fn, range(reps), math.ceil(reps / (4 * workers)))
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ import pytest
 
 import hawkesq as hq
 from hawkesq.errors import ConfigurationError
-from hawkesq.queueing import sampling_tv_quantile
-from hawkesq.simulate import CHECK_STREAM, SERVICE_STREAM, var_of_sample_cov
+from hawkesq.queueing import queue_verdict, tv_jackknife
+from hawkesq.simulate import SERVICE_STREAM, var_of_sample_cov
 
 
 # --- service models -----------------------------------------------------------
@@ -201,30 +201,58 @@ def test_compare_identical_pmfs():
     assert report.max_abs_gap < 1e-3
 
 
-def test_sampling_tv_quantile_is_calibrated():
-    support = np.arange(0, 60)
-    pmf = hq.GaussianQueueApprox(20.0, np.sqrt(26.0)).pmf(support)
-    pmf = pmf / pmf.sum()
-    q = sampling_tv_quantile(pmf, 1000, hq.rep_stream(5, 0, CHECK_STREAM))
-    draws = hq.rep_stream(6, 0, CHECK_STREAM).multinomial(1000, pmf, size=4000)
-    tv = 0.5 * np.abs(draws / 1000 - pmf).sum(axis=1)
-    assert 0.003 < np.mean(tv > q) < 0.025         # nominal 1%; SE 0.16% over 4000 draws
-    # the sampling TV shrinks like n^{-1/2}
-    q4 = sampling_tv_quantile(pmf, 4000, hq.rep_stream(5, 0, CHECK_STREAM))
-    assert q / q4 == pytest.approx(2.0, rel=0.15)
+class _Target:
+    """A target pmf with the .mean, .sigma, .pmf of GaussianQueueApprox."""
+
+    def __init__(self, mean, var, pmf):
+        self.mean, self.sigma, self.pmf = mean, np.sqrt(var), pmf
+
+
+def test_tv_jackknife_removes_the_sampling_bias():
+    # 25 replications of 160 iid Poisson(20) draws, 40 times over.  The plug-in
+    # TV to the Poisson pmf itself (law TV 0) and to N(20, 20) (law TV 0.028)
+    # is biased up by the sampling.  The jackknife keeps under half of that
+    # bias at law TV 0, where the bias is of order n^{-1/2}, and is centred on
+    # the law's TV away from 0.
+    from scipy import stats
+    targets = [_Target(20.0, 20.0, lambda q: stats.poisson.pmf(q, 20.0)),
+               hq.GaussianQueueApprox(20.0, np.sqrt(20.0))]
+    support = np.arange(200)
+    law_tv = np.array([0.0, 0.5 * np.abs(stats.poisson.pmf(support, 20.0)
+                                         - targets[1].pmf(support)).sum()])
+    rng = hq.rep_stream(31, 0)
+    plug, jack = [], []
+    for _ in range(40):
+        sample = hq.SteadyStateSample(rng.poisson(20.0, size=(25, 160, 1)), 31, 0.0, 1.0)
+        reports = [hq.compare_distributions(sample.pooled(0), t) for t in targets]
+        plug.append([r.tv_distance for r in reports])
+        jack.append([tv_jackknife(sample, r) for r in reports])
+    plug_bias = np.mean(plug, axis=0) - law_tv
+    jack_bias = np.mean(jack, axis=0) - law_tv
+    se = np.std(jack, axis=0, ddof=1) / np.sqrt(len(jack))
+    assert np.all(plug_bias > 0.008)
+    assert np.all(np.abs(jack_bias) < 0.6 * plug_bias)
+    assert abs(jack_bias[1]) < 3 * se[1]
 
 
 def test_tv_gate_rejects_the_wrong_target(h1):
-    # h1, mu = 20, Exp(2) service, 500 draws; the Exp(1) target is the
-    # pre-0.3.0 one, whose TV stays far above tolerance plus sampling allowance
+    # the sample of test_validate_queue_general_service: h1, mu = 20, Exp(2)
+    # service, 4,000 draws, seed 7.  Its law is 0.040 in TV from the Gaussian
+    # target (from the exact cluster pgf of the queue, in a scratch evaluation).
     sample = hq.steady_state_sample(hq.HawkesConfig(20.0, h1), hq.ExponentialService(2.0),
-                                    500, seed=4)
-    rng = hq.rep_stream(4, 0, CHECK_STREAM)
-    for rate, ok in [(2.0, True), (1.0, False)]:
-        approx = hq.gaussian_queue_approx(20.0, h1, service=hq.ExponentialService(rate))
-        report = hq.compare_distributions(sample.pooled(0), approx)
-        bar = 0.05 + sampling_tv_quantile(report.gaussian, sample.n_samples, rng)
-        assert (report.tv_distance < bar) == ok, (rate, report.tv_distance, bar)
+                                    4000, seed=7)
+    right = hq.gaussian_queue_approx(20.0, h1, service=hq.ExponentialService(2.0))
+    # the pre-0.3.0 target: Exp(1) service in place of Exp(2)
+    wrong = hq.gaussian_queue_approx(20.0, h1, service=hq.ExponentialService(1.0))
+    # two bumps N(20 -+ 3.8, 26 - 3.8^2) with the right mean and variance, 0.080
+    # in TV from the law, so only the TV gate can reject them
+    bumps = _Target(20.0, 26.0, lambda q: 0.5 * sum(
+        hq.GaussianQueueApprox(m, np.sqrt(26.0 - 3.8**2)).pmf(q) for m in (16.2, 23.8)))
+    verdicts = [queue_verdict(sample, hq.compare_distributions(sample.pooled(0), t), t)
+                for t in (right, wrong, bumps)]
+    assert [v["pass"] for v in verdicts] == [True, False, False]
+    assert verdicts[2]["mean_z"] < 3.0 and verdicts[2]["var_rel_gap"] < 0.05
+    assert verdicts[2]["tv_jackknife"] > 0.05 > verdicts[0]["tv_jackknife"]
 
 
 def test_compare_poisson_to_gaussian():
