@@ -1,9 +1,10 @@
 """Gaussian limit objects for the heavy-baseline regime.
 
-Covariance evaluators for the count limit G, the general-service queue
-limit X, the exponential-service OU-type limit X_e, their multivariate
-analogues, steady-state summaries, the Gaussian queue pmf, and exact
-finite-dimensional sampling of any of these from its covariance.
+Covariance evaluators for the count limit G and the infinite-server queue
+limit X of k classes, one service law per class (the OU-type X_e and its
+multivariate analogue are its exponential case), steady-state summaries,
+the Gaussian queue pmf, and exact finite-dimensional sampling of any of
+these from its covariance.
 """
 from __future__ import annotations
 
@@ -19,23 +20,24 @@ from .covariance import (_MAX_UNKNOWNS, CovarianceDensity, VarianceFunction, _la
                          variance_function)
 from .errors import ConfigurationError, NumericalError, TruncationError
 from .kernels import Kernel, SumOfExponentialsKernel
-from .service import _SURVIVAL_FLOOR, DeterministicService, ExponentialService, ServiceModel
+from .service import (_SURVIVAL_FLOOR, DeterministicService, ExponentialService, ServiceModel,
+                      _normalize_services)
 from .simulate import rep_stream
 
 _PSD_JITTERS = (0.0, 1e-10, 1e-9, 1e-8)
 _STEADY_TAIL_TOL = 1e-6   # bound on the mass that survival truncation drops
 
 
-def _survival_weights(F: ServiceModel, T: float, dt: float, shift: float = 0.0) -> np.ndarray:
-    """Lattice weights of int_0^T S(shift + tau) g(tau) dtau, S the service survival.
+def _survival_weights(F: ServiceModel, T: float, dt: float) -> np.ndarray:
+    """Lattice weights of int_0^T S(tau) g(tau) dtau, S the service survival.
 
     A deterministic service time v has S = 1 up to v and 0 beyond, so the
-    range is cut at v - shift and integrated with f = 1; sampling the step
-    at the nodes would leave an O(dt) error.
+    range is cut at v and integrated with f = 1; sampling the step at the
+    nodes would leave an O(dt) error.
     """
     if isinstance(F, DeterministicService):
-        return _lattice_weights(min(T, max(F.value - shift, 0.0)), dt, np.ones_like)
-    return _lattice_weights(T, dt, lambda a: F.survival(shift + a))
+        return _lattice_weights(min(T, F.value), dt, np.ones_like)
+    return _lattice_weights(T, dt, F.survival)
 
 
 def _lag_sums(phi: CovarianceDensity, rows, pairs) -> np.ndarray:
@@ -113,27 +115,37 @@ def _check_times(phi: CovarianceDensity, times):
         raise ConfigurationError(f"t = {hi:g} beyond the phi grid [0, {phi.t_max:g}]")
 
 
-def _queue_closed(F0: ServiceModel, F: ServiceModel, q0: float, phi: CovarianceDensity,
-                  s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The terms of cov_X_general outside the lag sum, at pairs s <= t."""
-    theta = [_survival_weights(F, lo, phi.dt, hi - lo).sum() for lo, hi in zip(s, t)]
-    return q0 * F0.cdf(s) * F0.survival(t) + np.array(theta) * phi.a[0]
+def _queue_closed(phi: CovarianceDensity, F0, F, q0, s, t) -> np.ndarray:
+    """The terms 1_{i=j} [q0_i F0_i(s) S0_i(t) + a_i int_{t-s}^t S_i] of
+    Cov(X_i(t), X_j(s)) outside the lag sum, a k x k block per pair s <= t of
+    arrays or scalars; theta is exact through the survival integral of F_i."""
+    diag = np.stack([q * G.cdf(s) * G.survival(t)
+                     + a * (H.survival_integral(t) - H.survival_integral(t - s))
+                     for G, H, q, a in zip(F0, F, q0, phi.a)], axis=-1)
+    return diag[..., None] * np.eye(len(F))
+
+
+def _queue_cov(phi: CovarianceDensity, F0, F, q0, i: int, j: int, s: float, t: float) -> float:
+    """Cov(X_i(t), X_j(s)) of the k-class queue limit, s and t in either order."""
+    if i not in range(phi.k) or j not in range(phi.k):
+        raise ConfigurationError(f"class indices ({i}, {j}) outside 0..{phi.k - 1}")
+    _check_times(phi, [s, t])
+    rows = [(t, i, _survival_weights(F[i], t, phi.dt)), (s, j, _survival_weights(F[j], s, phi.dt))]
+    lag = _lag_sums(phi, rows, [(0, 1) if t >= s else (1, 0)])[0]    # later time's row first
+    return float(_queue_closed(phi, F0, F, q0, min(s, t), max(s, t))[i, j] + lag)
 
 
 def cov_X_general(F0: ServiceModel, F: ServiceModel, q0: float,
                   phi: CovarianceDensity, s: float, t: float) -> float:
-    """Covariance of the general-service queue limit X at (s, t).
+    """Covariance of the general-service queue limit X at (s, t), the k = 1
+    entry of the k-class queue limit (`queue_limit_model`).
 
     For s <= t:  q0 F0(s)(1 - F0(t)) + (1-||h||)^{-1} int_0^s (1-F(t-u)) du
                  + int_0^s int_0^t (1-F(t-u)) (1-F(s-v)) phi(v-u) du dv.
     The Brownian-bridge and theta components are the first two summands.
     """
     phi._univariate("cov_X_general")
-    lo, hi = (s, t) if s <= t else (t, s)
-    _check_times(phi, [lo, hi])
-    # in the ages tau = hi - u and sigma = lo - v the lag u - v is hi - lo + sigma - tau
-    rows = [(hi, 0, _survival_weights(F, hi, phi.dt)), (lo, 0, _survival_weights(F, lo, phi.dt))]
-    return float(_queue_closed(F0, F, q0, phi, [lo], [hi])[0] + _lag_sums(phi, rows, [(0, 1)])[0])
+    return _queue_cov(phi, [F0], [F], [q0], 0, 0, s, t)
 
 
 def var_X_infty(F: ServiceModel, phi: CovarianceDensity, method: str = "auto"):
@@ -280,13 +292,16 @@ def gaussian_queue_pmf(mu: float, kernel: Kernel, i: int) -> float:
     return gaussian_queue_approx(mu, kernel).pmf(float(i))
 
 
-# --- multivariate OU-type limit -----------------------------------------------
+# --- the OU-type limit: the queue limit with exponential service --------------
 
-def _class_rates(phi: CovarianceDensity, r) -> np.ndarray:
+def _exponential_laws(phi: CovarianceDensity, r):
+    """(F0, F, q0) = (Exp(r_i), Exp(r_i), a_i/r_i), the steady-state load, for
+    which the closed terms are (a_i/r_i) (e^{-r_i(t-s)} - e^{-r_i(t+s)})."""
     r = np.asarray(r, dtype=float)
     if r.shape != (phi.k,) or not np.all(r > 0):
         raise ConfigurationError("need one positive service rate per class")
-    return r
+    F = [ExponentialService(ri) for ri in r]
+    return F, F, phi.a / r
 
 
 def cov_multi_ou(phi: CovarianceDensity, r, i: int, j: int,
@@ -298,27 +313,7 @@ def cov_multi_ou(phi: CovarianceDensity, r, i: int, j: int,
 
     with the matrix extension rule for negative lags.
     """
-    r = _class_rates(phi, r)
-    if i not in range(phi.k) or j not in range(phi.k):
-        raise ConfigurationError(f"class indices ({i}, {j}) outside 0..{phi.k - 1}")
-    if t < s:
-        return cov_multi_ou(phi, r, j, i, t, s)
-    _check_times(phi, [s, t])
-    first = _ou_first(phi, r, [s], [t])[0, i, j]
-    rows = [(t, i, _ou_weights(phi, r[i], t)), (s, j, _ou_weights(phi, r[j], s))]
-    return float(first + _lag_sums(phi, rows, [(0, 1)])[0])
-
-
-def _ou_first(phi: CovarianceDensity, r: np.ndarray, s, t) -> np.ndarray:
-    """The lag-free term 1_{i=j} (a_i/r_i) (e^{-r_i(t-s)} - e^{-r_i(t+s)}) of
-    cov_multi_ou(i, j, s <= t), a k x k block per pair."""
-    s, t = np.asarray(s, dtype=float)[:, None], np.asarray(t, dtype=float)[:, None]
-    diag = phi.a / r * (np.exp(-r * (t - s)) - np.exp(-r * (t + s)))
-    return diag[:, :, None] * np.eye(r.size)
-
-
-def _ou_weights(phi: CovarianceDensity, rate: float, t: float) -> np.ndarray:
-    return _lattice_weights(t, phi.dt, lambda a: np.exp(-rate * a))
+    return _queue_cov(phi, *_exponential_laws(phi, r), i, j, s, t)
 
 
 def steady_state_cov_multi(phi: CovarianceDensity, r) -> np.ndarray:
@@ -330,11 +325,11 @@ def steady_state_cov_multi(phi: CovarianceDensity, r) -> np.ndarray:
     weights fall below 1e-12, with the truncation certificate checked
     against 1e-6.  The result is validated to be PSD.
     """
-    r = _class_rates(phi, r)
-    tail = float(np.abs(phi.grid).max()) * 2.0 * _SURVIVAL_FLOOR / r.min() ** 2
+    F = _exponential_laws(phi, r)[1]
+    tail = float(np.abs(phi.grid).max()) * 2.0 * _SURVIVAL_FLOOR / min(G.rate for G in F) ** 2
     if tail > _STEADY_TAIL_TOL:
         raise TruncationError(f"truncation tail bound {tail:.2e} > {_STEADY_TAIL_TOL:g}")
-    out = _steady_cov(phi, [ExponentialService(ri) for ri in r])
+    out = _steady_cov(phi, F)
     eigmin = float(np.linalg.eigvalsh(out).min())
     if eigmin < -1e-8 * max(1.0, float(np.abs(np.diag(out)).max())):
         raise NumericalError(f"steady-state covariance not PSD (min eig {eigmin:.2e})")
@@ -350,10 +345,10 @@ class LimitModel:
     cov(s, t) returns a scalar for a univariate object and a dim x dim
     matrix (entry (i, j) = Cov(Z_i(t), Z_j(s))) for a multivariate one.
     A queue limit's cov(s, t) is its terms without a double integral plus
-    a lag sum of phi.  It gives the first as closed(s, t), one value or block
-    per pair at arrays s <= t, and the second as lag = (phi, weights),
-    weights(t) the per-class lattice weights at time t.  Without them the
-    Gram calls cov once per pair.
+    a lag sum of phi.  It gives the first as closed(s, t), a block per pair
+    at arrays s <= t, and the second as lag = (phi, weights), weights(t) the
+    per-class survival weights at time t.  The count limit gives neither:
+    its Gram calls cov once per pair.
     """
 
     dim: int
@@ -401,40 +396,44 @@ def count_limit_model(phi: CovarianceDensity,
                       lambda s, t: limit_covariance_G(phi, K, s, t))
 
 
-def queue_limit_model(phi: CovarianceDensity, F0: ServiceModel, F: ServiceModel,
-                      q0: float, x0: float = 0.0) -> LimitModel:
+def _queue_model(phi: CovarianceDensity, F0, F, q0, mean, steady) -> LimitModel:
+    """The k-class queue limit of per-class laws F0, F and initial loads q0."""
+    classes = range(phi.k)
     return LimitModel(
-        1,
-        lambda t: x0 * F0.survival(t),
-        lambda s, t: cov_X_general(F0, F, q0, phi, s, t),
-        steady_state_variance=var_X_infty(F, phi),
-        closed=lambda s, t: _queue_closed(F0, F, q0, phi, s, t),
-        lag=(phi, lambda t: [_survival_weights(F, t, phi.dt)]))
+        phi.k, mean,
+        lambda s, t: phi._public(np.array([[_queue_cov(phi, F0, F, q0, i, j, s, t)
+                                            for j in classes] for i in classes])),
+        steady_state_variance=steady,
+        closed=lambda s, t: _queue_closed(phi, F0, F, q0, s, t),
+        lag=(phi, lambda t: [_survival_weights(H, t, phi.dt) for H in F]))
 
 
-def _ou_model(phi: CovarianceDensity, r: np.ndarray, mean, cov, steady) -> LimitModel:
-    return LimitModel(
-        phi.k, mean, cov, steady_state_variance=steady,
-        closed=lambda s, t: _ou_first(phi, r, s, t),
-        lag=(phi, lambda t: [_ou_weights(phi, ri, t) for ri in r]))
+def queue_limit_model(phi: CovarianceDensity, F0, F, q0, x0=0.0) -> LimitModel:
+    """The queue limit of k classes: class i starts with q0_i customers per unit
+    of mu, of residual service F0_i, serves arrivals with F_i, and has mean
+    x0_i S0_i(t).  F0, F, q0 and x0 each take one value per class or one for all."""
+    k = phi.k
+    F0, F = _normalize_services(F0, k), _normalize_services(F, k)
+    q0, x0 = (np.full(k, v, float) if np.ndim(v) == 0 else np.asarray(v, float) for v in (q0, x0))
+    if q0.shape != (k,) or x0.shape != (k,):
+        raise ConfigurationError(f"need one q0 and one x0 per class (k = {k})")
+    mean = (lambda t: x0 * np.array([G.survival(t) for G in F0])) if phi.is_matrix \
+        else (lambda t: x0[0] * F0[0].survival(t))
+    steady = _steady_cov(phi, F) if phi.is_matrix else var_X_infty(F[0], phi)
+    return _queue_model(phi, F0, F, q0, mean, steady)
 
 
 def exp_queue_limit_model(phi: CovarianceDensity, x0: float = 0.0) -> LimitModel:
     phi._univariate("exp_queue_limit_model")
-    steady = None
-    if phi.kernel is not None and isinstance(phi.kernel, Kernel):
-        steady = var_xe_infty(phi.kernel, phi=phi)
-    return _ou_model(phi, np.ones(1), lambda t: mean_Xe(x0, t),
-                     lambda s, t: cov_Xe(phi, s, t), steady)
+    steady = var_xe_infty(phi.kernel, phi=phi) if isinstance(phi.kernel, Kernel) else None
+    return _queue_model(phi, *_exponential_laws(phi, [1.0]), lambda t: mean_Xe(x0, t), steady)
 
 
 def multi_ou_limit_model(phi: CovarianceDensity, r, x0=None) -> LimitModel:
     r = np.asarray(r, dtype=float)
     x0 = np.zeros(phi.k) if x0 is None else np.asarray(x0, dtype=float)
-    return _ou_model(phi, r, lambda t: x0 * np.exp(-r * t),
-                     lambda s, t: np.array([[cov_multi_ou(phi, r, i, j, s, t)
-                                             for j in range(phi.k)] for i in range(phi.k)]),
-                     steady_state_cov_multi(phi, r))
+    return _queue_model(phi, *_exponential_laws(phi, r), lambda t: x0 * np.exp(-r * t),
+                        steady_state_cov_multi(phi, r))
 
 
 def sample_limit_path(model: LimitModel, t_grid, seed: int,

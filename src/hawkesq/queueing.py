@@ -15,7 +15,7 @@ import numpy as np
 from ._io import write_csv, write_json
 from .errors import ConfigurationError
 from .kernels import HawkesConfig
-from .service import ServiceModel
+from .service import _normalize_services
 from .simulate import (_ENGINES, INITIAL_STREAM, SERVICE_STREAM, PointPath, SimConfig,
                        _map_replications, rep_stream)
 
@@ -30,15 +30,6 @@ class QueueTrajectory:
     def __post_init__(self):
         if np.any(self.q < 0):
             raise ConfigurationError("queue lengths must be nonnegative")
-
-
-def _normalize_services(service, k) -> list[ServiceModel]:
-    if isinstance(service, ServiceModel):
-        return [service] * k
-    service = list(service)
-    if len(service) != k:
-        raise ConfigurationError(f"need one service model per class (k = {k})")
-    return service
 
 
 def simulate_queue(arrivals: PointPath, service, q_init, t_grid,

@@ -27,6 +27,16 @@ class ServiceModel:
     def survival(self, x):
         return 1.0 - self.cdf(x)
 
+    def survival_integral(self, x):
+        """I(x) = int_0^x S = E[min(S, x)] at scalar or array x, 0 for x <= 0, a
+        float for a scalar; a law supplies `_survival_integral` at x >= 0."""
+        x = np.asarray(x, dtype=float)
+        out = self._survival_integral(np.maximum(x, 0.0))
+        return out if x.ndim else float(out)
+
+    def _survival_integral(self, x: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
     def inverse_cdf(self, u):
         raise NotImplementedError
 
@@ -57,6 +67,9 @@ class ExponentialService(ServiceModel):
     def _cdf(self, x):
         return np.where(x > 0, -np.expm1(-self.rate * np.maximum(x, 0.0)), 0.0)
 
+    def _survival_integral(self, x):
+        return -np.expm1(-self.rate * x) / self.rate
+
     def inverse_cdf(self, u):
         x = np.array(u, dtype=float)
         np.negative(x, out=x)
@@ -85,6 +98,9 @@ class DeterministicService(ServiceModel):
 
     def _cdf(self, x):
         return np.where(x >= self.value, 1.0, 0.0)
+
+    def _survival_integral(self, x):
+        return np.minimum(x, self.value)
 
     def inverse_cdf(self, u):
         u = np.asarray(u, dtype=float)
@@ -117,6 +133,12 @@ class LogNormalService(ServiceModel):
         with np.errstate(divide="ignore"):
             z = (np.log(np.maximum(x, 1e-300)) - self.m) / self.s
         return np.where(x > 0, ndtr(z), 0.0)
+
+    def _survival_integral(self, x):
+        # E[S; S < x] + x P(S >= x), where E[S; S < x] = E[S] ndtr(z - s)
+        with np.errstate(divide="ignore"):
+            z = (np.log(x) - self.m) / self.s
+        return self.mean() * ndtr(z - self.s) + x * ndtr(-z)
 
     def inverse_cdf(self, u):
         u = np.asarray(u, dtype=float)
@@ -156,6 +178,15 @@ class TabulatedInverseCDFService(ServiceModel):
     def _cdf(self, x):
         return np.interp(x, self.quantiles, self.u_grid, left=0.0, right=1.0)
 
+    def _survival_integral(self, x):
+        # S is linear on each cell [q_c, q_c+1], so I is quadratic there
+        q, S = self.quantiles, 1.0 - self.u_grid
+        nodes = np.concatenate([[0.0], np.cumsum(0.5 * (S[1:] + S[:-1]) * np.diff(q))])
+        c = np.clip(np.searchsorted(q, x, side="right") - 1, 0, q.size - 2)
+        width = q[c + 1] - q[c]
+        d = np.minimum(x - q[c], width)
+        return nodes[c] + d * (S[c] - 0.5 * d * (S[c] - S[c + 1]) / width)
+
     def inverse_cdf(self, u):
         return np.interp(np.asarray(u, dtype=float), self.u_grid, self.quantiles)
 
@@ -167,6 +198,16 @@ class TabulatedInverseCDFService(ServiceModel):
 
     def to_dict(self):
         return {"type": "tabulated_icdf", "quantiles": self.quantiles.tolist()}
+
+
+def _normalize_services(service, k) -> list[ServiceModel]:
+    """One service law per class; a single law serves all k classes."""
+    if isinstance(service, ServiceModel):
+        return [service] * k
+    service = list(service)
+    if len(service) != k:
+        raise ConfigurationError(f"need one service model per class (k = {k})")
+    return service
 
 
 def service_from_dict(data: dict) -> ServiceModel:

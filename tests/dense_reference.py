@@ -73,6 +73,8 @@ def dense_double_sum(phi, hi, lo, fu, fv, i=0, j=0, u0=0.0, v0=0.0):
     ug, wu = grid(u0, hi)
     vg, wv = grid(v0, lo)
     lag = ug[:, None] - vg[None, :]
+    # the two grids round differently; a lag within rounding of 0 is 0 and reads Phi_ij(0)
+    lag[np.abs(lag) < 1e-9 * phi.dt] = 0.0
     fwd, bwd = (phi.values[:, i, j], phi.values[:, j, i]) if phi.is_matrix else (phi.values,) * 2
     G = np.where(lag >= 0, np.interp(np.abs(lag), phi.t, fwd, right=0.0),
                  np.interp(np.abs(lag), phi.t, bwd, right=0.0))

@@ -77,3 +77,5 @@ def test_service_cdf_contract(F, x):
     assert type(F.cdf(x)) is float and type(F.survival(x)) is float
     assert F.cdf(_GRID).shape == _GRID.shape and F.cdf(np.empty(0)).shape == (0,)
     assert F.cdf(-abs(x) - 1e-9) == 0.0
+    assert type(F.survival_integral(x)) is float and F.survival_integral(-abs(x)) == 0.0
+    assert F.survival_integral(_GRID).shape == _GRID.shape

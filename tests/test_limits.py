@@ -125,14 +125,19 @@ def test_cov_x_general_poisson_limit():
     assert v == pytest.approx(1.0, abs=1e-4)   # M/M/inf limit variance = offered load
 
 
-def test_cov_x_general_reduces_to_cov_xe(phi_h1):
-    # exponential unit service with q0 at the offered load is the OU case
+def test_cov_x_general_reduces_to_cov_xe(phi_h1, phi_asymmetric):
+    # exponential service with q0 at the offered load is the OU case
     F = hq.ExponentialService(1.0)
     q0 = 1.0 / (1.0 - phi_h1.norm)
     for s, t in [(1.0, 2.0), (0.5, 3.0), (2.5, 2.5)]:
         a = hq.cov_X_general(F, F, q0, phi_h1, s, t)
         b = hq.cov_Xe(phi_h1, s, t)
-        assert a == pytest.approx(b, abs=5e-4)
+        assert a == pytest.approx(b, rel=1e-14)
+    r = np.array([1.0, 0.7])
+    Fs = [hq.ExponentialService(ri) for ri in r]
+    general = hq.queue_limit_model(phi_asymmetric, Fs, Fs, q0=phi_asymmetric.a / r)
+    ou = hq.multi_ou_limit_model(phi_asymmetric, r).gram(_GRAM_TIMES)
+    assert np.abs(general.gram(_GRAM_TIMES) - ou).max() <= 1e-14 * np.abs(ou).max()
 
 
 # --- X_e ------------------------------------------------------------------------
@@ -156,22 +161,32 @@ def _dense_cov_xe(phi, s, t):
                                     lambda v: np.exp(-(lo - v)))
 
 
+def _dense_queue_cov(phi, F, i, j, s, t):
+    """Cov(X_i(t), X_j(s)) of the queue limit with F0_i = F_i and q0_i = 1: the
+    theta term by adaptive quadrature of the survival, the lag part densely."""
+    if t < s:
+        return _dense_queue_cov(phi, F, j, i, t, s)
+
+    def axis(G, T):
+        # the integrand over arrival times in [u0, T]; a deterministic survival
+        # is 1 on ages [0, v], so integrate 1 over u >= T - v
+        if isinstance(G, hq.DeterministicService):
+            return np.ones_like, max(T - G.value, 0.0)
+        return (lambda u: G.survival(T - u)), 0.0
+
+    (fu, u0), (fv, v0) = axis(F[i], t), axis(F[j], s)
+    out = dense_double_sum(phi, t, s, fu, fv, i, j, u0=u0, v0=v0)
+    if i == j:
+        G = F[i]
+        jump = [G.value] if isinstance(G, hq.DeterministicService) and t - s < G.value < t else None
+        theta, _ = quad(G.survival, t - s, t, points=jump, epsabs=1e-14, epsrel=1e-13)
+        out += G.cdf(s) * G.survival(t) + phi.a[i] * theta
+    return out
+
+
 def _dense_cov_x_general(F, phi, s, t):
     """cov_X_general with F0 = F and q0 = 1."""
-    lo, hi = sorted((s, t))
-    term1 = F.cdf(lo) * F.survival(hi)
-    if isinstance(F, hq.DeterministicService):
-        # survival 1 on ages [0, v]: integrate 1 over u >= hi - v and v' >= lo - v
-        term2 = min(lo, max(F.value - (hi - lo), 0.0)) / (1.0 - phi.norm)
-        one = np.ones_like
-        return term1 + term2 + dense_double_sum(phi, hi, lo, one, one,
-                                                u0=max(hi - F.value, 0.0),
-                                                v0=max(lo - F.value, 0.0))
-    u = np.linspace(0.0, lo, int(round(lo / phi.dt)) + 1)
-    term2 = np.trapezoid(F.survival(hi - u), u) / (1.0 - phi.norm)
-    return (term1 + term2
-            + dense_double_sum(phi, hi, lo, lambda u: F.survival(hi - u),
-                               lambda v: F.survival(lo - v)))
+    return _dense_queue_cov(phi, [F], 0, 0, s, t)
 
 
 def _dense_cov_multi_ou_offdiag(phi, r, i, j, s, t):
@@ -299,6 +314,12 @@ def test_cov_multi_ou_rejects_bad_rates_and_classes(phi_h1, phi_asymmetric):
             hq.cov_multi_ou(phi_asymmetric, [1.0, 2.0], i, j, 1.0, 2.0)
     with pytest.raises(ConfigurationError):
         hq.steady_state_cov_multi(phi_asymmetric, [1.0, 0.0])
+    # per-class laws and loads of the queue limit: one per class, or one for all
+    F = hq.LogNormalService(0.0, 0.5)
+    for F0, Fs, q0, x0 in [(F, [F] * 3, 1.0, 0.0), ([F], F, 1.0, 0.0), (F, F, [1.0] * 3, 0.0),
+                           (F, F, 1.0, [0.0])]:
+        with pytest.raises(ConfigurationError):
+            hq.queue_limit_model(phi_asymmetric, F0, Fs, q0, x0)
 
 
 def test_steady_state_cov_multi_exchangeable(phi_quarter):
@@ -408,13 +429,15 @@ def _pairwise_gram(model, grid):
 _GRAM_TIMES = [3.7, 0.37, 1.234, 3.7, 0.0, 5.678, 2.913, 1.0]
 
 
-def test_gram_matches_pairwise_cov(phi_h1, phi_quarter):
+def test_gram_matches_pairwise_cov(phi_h1, phi_quarter, phi_asymmetric):
     logn, det = hq.LogNormalService(0.0, 0.5), hq.DeterministicService(1.0)
     models = {"exp queue": hq.exp_queue_limit_model(phi_h1),
               "lognormal": hq.queue_limit_model(phi_h1, hq.ExponentialService(2.0), logn, q0=2.0),
               "deterministic": hq.queue_limit_model(phi_h1, hq.DeterministicService(1.5), det,
                                                     q0=2.0),
-              "multi ou": hq.multi_ou_limit_model(phi_quarter, [1.0, 0.7])}
+              "multi ou": hq.multi_ou_limit_model(phi_quarter, [1.0, 0.7]),
+              "k2 general": hq.queue_limit_model(phi_asymmetric, hq.ExponentialService(2.0),
+                                                 [logn, det], q0=[2.0, 1.0])}
     for name, model in models.items():
         got, ref = model.gram(_GRAM_TIMES), _pairwise_gram(model, _GRAM_TIMES)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), name
@@ -433,10 +456,14 @@ def test_gram_matches_dense_reference(phi_h1, phi_asymmetric):
         return out + np.diag(phi_asymmetric.a / r * (np.exp(-np.multiply(r, hi - lo))
                                                     - np.exp(-np.multiply(r, hi + lo))))
 
+    Fs = [F, hq.DeterministicService(1.0)]
     cases = [(hq.exp_queue_limit_model(phi_h1), lambda s, t: _dense_cov_xe(phi_h1, s, t)),
              (hq.queue_limit_model(phi_h1, F, F, q0=1.0),
               lambda s, t: _dense_cov_x_general(F, phi_h1, s, t)),
-             (hq.multi_ou_limit_model(phi_asymmetric, r), ou)]
+             (hq.multi_ou_limit_model(phi_asymmetric, r), ou),
+             (hq.queue_limit_model(phi_asymmetric, Fs, Fs, q0=1.0),
+              lambda s, t: np.array([[_dense_queue_cov(phi_asymmetric, Fs, i, j, s, t)
+                                      for j in range(2)] for i in range(2)]))]
     for model, dense in cases:
         ref = _pairwise_gram(hq.LimitModel(model.dim, model.mean, dense), times)
         got = model.gram(times)

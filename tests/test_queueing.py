@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import hawkesq as hq
 from hawkesq.errors import ConfigurationError
@@ -27,6 +28,23 @@ def test_service_means():
     assert hq.LogNormalService(0.0, 1.0).mean() == pytest.approx(np.exp(0.5))
     tab = hq.TabulatedInverseCDFService(np.linspace(0.0, 2.0, 21))
     assert tab.mean() == pytest.approx(1.0)
+
+
+_TABLE = [0.0, 0.3, 0.5, 1.2, 4.0]
+
+
+@pytest.mark.parametrize("F,kinks", [(hq.ExponentialService(0.7), []),
+                                     (hq.DeterministicService(1.3), [1.3]),
+                                     (hq.LogNormalService(0.2, 0.5), []),
+                                     (hq.TabulatedInverseCDFService(_TABLE), _TABLE)],
+                         ids=["exponential", "deterministic", "lognormal", "tabulated"])
+def test_service_survival_integral_matches_quad(F, kinks):
+    # I(x) = int_0^x S; quad is told where S jumps or has a kink
+    for x in [1e-3, 0.2, 0.5, 1.3, 2.7, 5.0, 12.0]:
+        inside = [k for k in kinks if 0.0 < k < x] or None
+        ref, _ = quad(F.survival, 0.0, x, points=inside, epsabs=1e-14, epsrel=1e-13, limit=200)
+        assert abs(F.survival_integral(x) - ref) <= 1e-12, x
+    assert F.survival_integral(1e6) == pytest.approx(F.mean(), rel=1e-13)
 
 
 def test_service_validation():
@@ -170,6 +188,19 @@ def test_steady_state_non_exponential_service(h1, phi_h1, service):
     mean_z = (sample.mean()[0] - 2.0 * mu * service.mean()) / sample.se_mean()[0]
     var_z = (sample.var()[0] - mu * hq.var_X_infty(service, phi_h1)) / sample.se_var()[0]
     assert abs(mean_z) < 4.0 and abs(var_z) < 4.0
+
+
+def test_steady_state_k_classes_two_service_laws(quarter_matrix, phi_quarter):
+    # the k-class queue limit with a different law per class: mean lambda_i E[S_i]
+    # and covariance mu * steady_state_variance, each within 3 replication SEs
+    mu, services = 100.0, [hq.LogNormalService(0.0, 0.5), hq.DeterministicService(1.0)]
+    config = hq.HawkesConfig(mu, quarter_matrix)
+    sample = hq.steady_state_sample(config, services, 4000, seed=708)
+    model = hq.queue_limit_model(phi_quarter, services, services, q0=0.0)
+    target = mu * model.steady_state_variance
+    mean = config.mean_rate_vector() * [F.mean() for F in services]
+    assert np.all(np.abs(sample.mean() - mean) < 3.0 * sample.se_mean())
+    assert np.all(np.abs(sample.cov() - target) < 3.0 * sample.se_cov())
 
 
 def test_transient_covariance_initial_service(h1, phi_h1):
