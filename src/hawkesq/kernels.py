@@ -49,11 +49,11 @@ class Kernel:
         return self.l1_norm() == 0.0
 
     def laplace(self, omega: float, method: str = "auto") -> float:
-        """One-sided Laplace transform at omega > 0: "auto" and "closed_form"
-        use the family's rule, "quadrature" adaptive quadrature of h."""
+        """One-sided Laplace transform at omega > 0: "auto" uses the family's
+        rule, "quadrature" adaptive quadrature of h."""
         if omega <= 0:
             raise ConfigurationError("laplace transform requires omega > 0")
-        if method not in ("auto", "closed_form", "quadrature"):
+        if method not in ("auto", "quadrature"):
             raise ConfigurationError(f"unknown method {method!r}")
         if method == "quadrature":
             return self._laplace_quadrature(omega)

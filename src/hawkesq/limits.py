@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import next_fast_len
-from scipy.integrate import quad
 
 from .covariance import (_MAX_UNKNOWNS, CovarianceDensity, VarianceFunction, _lattice_weights,
                          laplace_pipeline, limit_covariance_G, solve_phi_grid,
@@ -148,49 +147,45 @@ def cov_X_general(F0: ServiceModel, F: ServiceModel, q0: float,
     return _queue_cov(phi, [F0], [F], [q0], 0, 0, s, t)
 
 
-def var_X_infty(F: ServiceModel, phi: CovarianceDensity, method: str = "auto"):
+def var_X_infty(F: ServiceModel, phi: CovarianceDensity) -> float:
     """Steady-state variance of X: mean-service term plus the survival-weighted
     double integral of the covariance density (infinite-horizon version of
-    the queue-limit variance).
-
-    "grid" is the k = 1 case of `_steady_cov`, in O(n log n) time and O(n)
-    memory for n = cutoff/dt nodes; it raises NumericalError when n exceeds
-    the node cap (heavy service tails at fine dt).  "closed_form" (when phi
-    carries an exact evaluator) uses nested adaptive quadrature of the
-    lag-correlation form.
+    the queue-limit variance), by the rule of `_steady_var`.
     """
     phi._univariate("var_X_infty")
-    mean = F.mean()
-    if not math.isfinite(mean):
+    return _steady_var(phi.kernel, F, phi)
+
+
+def _steady_var(kernel, F: ServiceModel, phi: CovarianceDensity | None = None) -> float:
+    """The one steady-state variance a E[S] + int int S(u) S(v) phi(v-u) du dv.
+
+    Exp(r) service on an exponential mixture is exact: (a + phi~(r)) / r from
+    the Laplace pipeline.  Any other pair is the k = 1 lag sum of
+    `_steady_cov` on phi, solved on the default grid when not given.
+    """
+    if not math.isfinite(F.mean()):
         raise ConfigurationError("service mean must be finite")
-    if method == "auto":
-        method = "closed_form" if phi.closed_form is not None else "grid"
-    if method == "closed_form":
-        if phi.closed_form is None:
-            raise ConfigurationError("phi carries no closed form")
-        U = F.survival_cutoff()
-
-        def lag_corr(w):
-            val, _ = quad(lambda u: F.survival(u) * F.survival(u + w), 0.0, U, limit=200)
-            return val
-
-        val, _ = quad(lambda w: phi.closed_form(w) * lag_corr(w), 0.0, phi.t_max,
-                      limit=200)
-        return mean * phi.a[0] + 2.0 * val
-    if method != "grid":
-        raise ConfigurationError(f"unknown method {method!r}")
+    if isinstance(F, ExponentialService) and isinstance(kernel, SumOfExponentialsKernel):
+        pipeline = laplace_pipeline(kernel)
+        return (pipeline.phi_tilde(F.rate) + 1.0 / (1.0 - pipeline.norm)) / F.rate
+    if phi is None:
+        phi = solve_phi_grid(kernel)
     return float(_steady_cov(phi, [F])[0, 0])
 
 
 def _steady_cov(phi: CovarianceDensity, services) -> np.ndarray:
     """Steady-state covariance 1_{i=j} a_i E[S_i] + int int S_i(u) S_j(v) Phi_ij(v-u)
     du dv of k classes, S_i the survival of service F_i, each axis truncated
-    at the 1e-12 survival cutoff; symmetrized."""
+    at the 1e-12 survival cutoff; symmetrized.  A zero density has no lag
+    term, so heavy service tails on it stay off the node cap."""
     k = len(services)
-    rows = [(0.0, i, _survival_weights(F, F.survival_cutoff(), phi.dt))
-            for i, F in enumerate(services)]
-    lag = _lag_sums(phi, rows, [(i, j) for i in range(k) for j in range(k)]).reshape(k, k)
-    return 0.5 * (lag + lag.T) + np.diag(phi.a * [F.mean() for F in services])
+    out = np.diag(phi.a * [F.mean() for F in services])
+    if phi.grid.any():
+        rows = [(0.0, i, _survival_weights(F, F.survival_cutoff(), phi.dt))
+                for i, F in enumerate(services)]
+        lag = _lag_sums(phi, rows, [(i, j) for i in range(k) for j in range(k)]).reshape(k, k)
+        out += 0.5 * (lag + lag.T)
+    return out
 
 
 def cov_Xe(phi: CovarianceDensity, s: float, t: float) -> float:
@@ -224,29 +219,16 @@ def var_xe_infty_exponential(alpha: float, beta: float) -> float:
 
 def var_xe_infty(kernel: Kernel, phi: CovarianceDensity | None = None,
                  method: str = "auto") -> float:
-    """Var(X_e(inf)) = phi~(1) + 1/(1 - ||h||).
-
-    Prefers the exact Laplace pipeline for exponential mixtures (VAR1 for a
-    single term); otherwise integrates exp(-t) against a solved phi grid.
+    """Var(X_e(inf)) = phi~(1) + 1/(1 - ||h||), the Exp(1) case of `_steady_var`
+    ("auto": exact for exponential mixtures) or, with "grid", its lag sum on
+    phi (solved on the default grid when not given).
     """
-    norm = kernel.l1_norm()
-    if not norm < 1.0:
-        raise ConfigurationError("||h|| >= 1")
+    F = ExponentialService(1.0)
     if method == "auto":
-        method = "pipeline" if isinstance(kernel, SumOfExponentialsKernel) else "grid"
-    if method == "var1":
-        if not isinstance(kernel, SumOfExponentialsKernel) or kernel.alphas.size > 1:
-            raise ConfigurationError("VAR1 closed form needs a single exponential term")
-        if kernel.alphas.size == 0:
-            return 1.0
-        return var_xe_infty_exponential(float(kernel.alphas[0]), float(kernel.betas[0]))
-    if method == "pipeline":
-        return laplace_pipeline(kernel).phi_tilde(1.0) + 1.0 / (1.0 - norm)
-    if method == "grid":
-        if phi is None:
-            phi = solve_phi_grid(kernel)
-        return float(phi.laplace(1.0)) + 1.0 / (1.0 - norm)
-    raise ConfigurationError(f"unknown method {method!r}")
+        return _steady_var(kernel, F, phi)
+    if method != "grid":
+        raise ConfigurationError(f"unknown method {method!r}")
+    return float(_steady_cov(solve_phi_grid(kernel) if phi is None else phi, [F])[0, 0])
 
 
 @dataclass
@@ -269,19 +251,15 @@ class GaussianQueueApprox:
 def gaussian_queue_approx(mu: float, kernel: Kernel, phi: CovarianceDensity | None = None,
                           service: ServiceModel = ExponentialService(1.0)) -> GaussianQueueApprox:
     """Gaussian steady state of the Hawkes/G/infinity queue with service F:
-    mean lambda_bar E[S] = mu E[S]/(1-||h||), variance mu * var_X_infty(F, phi).
-
-    For the default Exp(1) service the variance is mu * Var(X_e(inf)) from
-    `var_xe_infty`, exact for exponential mixtures; other services solve
-    phi on the default grid unless it is given.
+    mean lambda_bar E[S] = mu E[S]/(1-||h||), variance mu times the
+    `_steady_var` of (kernel, F), exact for exponential service on an
+    exponential mixture; other pairs solve phi on the default grid unless it
+    is given.
     """
     if mu <= 0:
         raise ConfigurationError("mu must be positive")
     lam = mu / (1.0 - kernel.l1_norm())
-    if isinstance(service, ExponentialService) and service.rate == 1.0:
-        var = var_xe_infty(kernel, phi=phi)
-    else:
-        var = var_X_infty(service, solve_phi_grid(kernel) if phi is None else phi)
+    var = _steady_var(kernel, service, phi)
     return GaussianQueueApprox(lam * service.mean(), math.sqrt(mu * var))
 
 
@@ -425,7 +403,7 @@ def queue_limit_model(phi: CovarianceDensity, F0, F, q0, x0=0.0) -> LimitModel:
 
 def exp_queue_limit_model(phi: CovarianceDensity, x0: float = 0.0) -> LimitModel:
     phi._univariate("exp_queue_limit_model")
-    steady = var_xe_infty(phi.kernel, phi=phi) if isinstance(phi.kernel, Kernel) else None
+    steady = _steady_var(phi.kernel, ExponentialService(1.0), phi)
     return _queue_model(phi, *_exponential_laws(phi, [1.0]), lambda t: mean_Xe(x0, t), steady)
 
 

@@ -4,9 +4,12 @@
 explicitly and solves it with LAPACK; `dense_double_sum` tabulates the lag
 matrix of a limit covariance's double integral.  Memory grows as the square
 of the grid, so use them at small n only; the library computes the same
-sums matrix-free and is checked against them.
+sums matrix-free and is checked against them.  `nested_quad_steady_var`
+integrates a steady-state variance off the lattice, by nested adaptive
+quadrature of a density's closed form.
 """
 import numpy as np
+from scipy.integrate import quad
 
 
 def _trapz_weights(n, dt):
@@ -79,3 +82,16 @@ def dense_double_sum(phi, hi, lo, fu, fv, i=0, j=0, u0=0.0, v0=0.0):
     G = np.where(lag >= 0, np.interp(np.abs(lag), phi.t, fwd, right=0.0),
                  np.interp(np.abs(lag), phi.t, bwd, right=0.0))
     return np.einsum("a,b,ab->", wu * fu(ug), wv * fv(vg), G)
+
+
+def nested_quad_steady_var(F, phi):
+    """a E[S] + 2 int_0^t_max phi(w) int_0^U S(u) S(u + w) du dw, the lag-correlation
+    form of the steady-state variance, U the 1e-12 survival cutoff of F and
+    phi evaluated by its `closed_form`."""
+    U = F.survival_cutoff()
+
+    def lag_corr(w):
+        return quad(lambda u: F.survival(u) * F.survival(u + w), 0.0, U, limit=200)[0]
+
+    val, _ = quad(lambda w: phi.closed_form(w) * lag_corr(w), 0.0, phi.t_max, limit=200)
+    return F.mean() * phi.a[0] + 2.0 * val

@@ -101,7 +101,7 @@ def test_criterion_1_example2_constants(h2, capsys):
 
 def test_criterion_2_example1_closed_forms(h1, capsys):
     start = time.perf_counter()
-    var1_exact = hq.var_xe_infty(h1, method="var1")
+    var1_exact = hq.var_xe_infty_exponential(0.5, 1.0)
     phi = hq.solve_phi_grid(h1, dt=0.01, t_max=40.0)
     var_grid = hq.var_xe_infty(h1, phi=phi, method="grid")
     slope = hq.asymptotic_slope(h1)

@@ -1,15 +1,17 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import hawkesq as hq
+from hawkesq import limits
 from hawkesq.errors import ConfigurationError, NumericalError
 
 import oracles
-from dense_reference import dense_double_sum
+from dense_reference import dense_double_sum, nested_quad_steady_var
 
 
 # --- var_X_infty / cov_X_general -------------------------------------------------
@@ -18,27 +20,45 @@ def test_var_x_infty_poisson_is_mean_service():
     phi0 = hq.solve_phi_grid(hq.ZERO_KERNEL, dt=0.02, t_max=40.0)
     assert hq.var_X_infty(hq.ExponentialService(2.0), phi0) == pytest.approx(0.5, abs=1e-9)
     assert hq.var_X_infty(hq.DeterministicService(1.0), phi0) == pytest.approx(1.0, abs=1e-9)
-    # The zero density keeps an exact closed form, so heavy service tails whose
-    # survival cutoff / dt exceeds the grid route's node cap still give E[S].
-    assert hq.var_X_infty(hq.LogNormalService(0.0, 2.0), phi0) == pytest.approx(math.exp(2.0))
-    approx = hq.gaussian_queue_approx(20.0, hq.ZERO_KERNEL, service=hq.LogNormalService(0.0, 1.5))
+    # The zero density has no lag term, so heavy service tails whose survival
+    # cutoff / dt exceeds the lattice's node cap still give E[S], with no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        var = hq.var_X_infty(hq.LogNormalService(0.0, 2.0), phi0)
+        approx = hq.gaussian_queue_approx(20.0, hq.ZERO_KERNEL,
+                                          service=hq.LogNormalService(0.0, 1.5))
+    assert var == pytest.approx(math.exp(2.0))
     assert approx.sigma == pytest.approx(math.sqrt(20.0 * math.exp(1.125)))
     limit = hq.phi_exponential_closed_form(0.0, 1.0)
-    assert hq.var_X_infty(hq.DeterministicService(2.0), limit, method="closed_form") == 2.0
+    assert hq.var_X_infty(hq.DeterministicService(2.0), limit) == 2.0
 
 
 def test_var_x_infty_h1_exponential(phi_h1, phi_h1_exact):
-    assert hq.var_X_infty(hq.ExponentialService(1.0), phi_h1, method="grid") == \
+    assert hq.var_X_infty(hq.ExponentialService(1.0), phi_h1) == \
         pytest.approx(3.0, abs=1e-3)
     assert hq.var_X_infty(hq.ExponentialService(1.0), phi_h1_exact) == \
         pytest.approx(3.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("alphas,betas,exact", [([0.5], [1.0], {0.5: 7.0, 2.0: 1.3}),
+                                                ([1.0, -0.5], [1.0, 2.0], {0.5: 25.9, 2.0: 3.4})])
+def test_var_x_infty_exponential_rates(alphas, betas, exact):
+    # (a + phi~(r)) / r is rational for a rational mixture: h1 from its closed form
+    # (a = 2, phi~(r) = 1.5 / (r + 0.5)); the mixed-sign mixture from its Laplace
+    # system in exact rationals (259/10 and 17/5), which the partial fractions of
+    # 1 - h^ confirm.  The lattice lag sum is second order, within 1e-4 at dt = 0.01.
+    phi = hq.solve_phi_grid(hq.SumOfExponentialsKernel(alphas, betas), dt=0.01, t_max=40.0)
+    for r, value in exact.items():
+        F = hq.ExponentialService(r)
+        assert hq.var_X_infty(F, phi) == pytest.approx(value, rel=0.0, abs=1e-12)
+        assert abs(limits._steady_cov(phi, [F])[0, 0] - value) < 1e-4
 
 
 def test_var_x_infty_h1_deterministic(phi_h1):
     # Q(t) with deterministic service v counts arrivals in a window of length v,
     # so the steady-state variance is exactly K(v); 0.555 and 2.3456 are off the lattice.
     for v in (1.0, 0.555, 2.3456):
-        got = hq.var_X_infty(hq.DeterministicService(v), phi_h1, method="grid")
+        got = hq.var_X_infty(hq.DeterministicService(v), phi_h1)
         assert got == pytest.approx(oracles.K1(v), abs=1e-4)
 
 
@@ -56,7 +76,7 @@ def test_var_x_infty_node_cap_checked_before_allocation(phi_h1):
     # survival cutoff 1.3e6: 1.3e8 lattice nodes at dt = 0.01
     def call():
         with pytest.raises(NumericalError):
-            hq.var_X_infty(hq.LogNormalService(0.0, 2.0), phi_h1, method="grid")
+            hq.var_X_infty(hq.LogNormalService(0.0, 2.0), phi_h1)
 
     _, peak = _peak_bytes(call)
     assert peak < 1e6
@@ -65,14 +85,14 @@ def test_var_x_infty_node_cap_checked_before_allocation(phi_h1):
 def test_var_x_infty_heavy_service_grid_matches_closed_form(phi_h1_exact):
     # survival cutoff 1135: 113,512 lattice nodes at dt = 0.01
     F = hq.LogNormalService(0.0, 1.0)
-    grid, peak = _peak_bytes(lambda: hq.var_X_infty(F, phi_h1_exact, method="grid"))
+    grid, peak = _peak_bytes(lambda: hq.var_X_infty(F, phi_h1_exact))
     assert peak < 50e6
-    assert abs(grid - hq.var_X_infty(F, phi_h1_exact, method="closed_form")) < 1e-5
+    assert abs(grid - nested_quad_steady_var(F, phi_h1_exact)) < 1e-5
 
 
 def test_consistency_identity_exponential_service(h1, phi_h1_exact):
     # Corollary-route double integral vs the Laplace-route formula, 1e-6.
-    lhs = hq.var_X_infty(hq.ExponentialService(1.0), phi_h1_exact, method="closed_form")
+    lhs = nested_quad_steady_var(hq.ExponentialService(1.0), phi_h1_exact)
     rhs = hq.var_xe_infty(h1)
     assert abs(lhs - rhs) < 1e-6
 
@@ -226,8 +246,8 @@ def test_mean_xe_decay():
 
 
 def test_var_xe_infty_h1(h1, phi_h1):
-    assert hq.var_xe_infty(h1, method="var1") == pytest.approx(3.0, abs=1e-12)
-    assert hq.var_xe_infty(h1, method="pipeline") == pytest.approx(3.0, abs=5e-4)
+    assert hq.var_xe_infty_exponential(0.5, 1.0) == pytest.approx(3.0, abs=1e-12)
+    assert hq.var_xe_infty(h1) == pytest.approx(3.0, abs=5e-4)
     assert hq.var_xe_infty(h1, phi=phi_h1, method="grid") == pytest.approx(3.0, abs=1e-3)
     assert hq.var_xe_infty(hq.ZERO_KERNEL) == pytest.approx(1.0)
 
@@ -359,6 +379,12 @@ def test_sample_limit_path_h1_count(phi_h1, K_h1):
         target = hq.limit_covariance_G(phi_h1, K_h1, s, t)
         se = (abs(target) + 1.0) * np.sqrt(2.0 / draws.shape[0])
         assert abs(cov[a, b] - target) < 4.0 * se
+
+
+def test_exp_queue_limit_model_steady_state_of_a_matrix_density(h1):
+    # a density built from a 1 x 1 KernelMatrix takes the lattice lag sum
+    phi = hq.solve_multivariate_phi(hq.KernelMatrix([[h1]], [1.0]), dt=0.01, t_max=40.0)
+    assert hq.exp_queue_limit_model(phi).steady_state_variance == pytest.approx(3.0, abs=1e-4)
 
 
 def test_sample_limit_path_determinism(phi_h1):
