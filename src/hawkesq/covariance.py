@@ -111,7 +111,6 @@ class CovarianceDensity(_KClassGrid):
     dt: float
     kernel: object = None            # Kernel or KernelMatrix
     a: np.ndarray | None = None      # branching vector; [1/(1-||h||)] for k = 1
-    closed_form: object = None       # optional exact evaluator phi(t)
     residual: float = 0.0
     _psi: np.ndarray = field(default=None, repr=False)
     _psi2: np.ndarray = field(default=None, repr=False)
@@ -148,11 +147,6 @@ class CovarianceDensity(_KClassGrid):
     def l1(self):
         """Trapezoid integral over [0, t_max] (entrywise for matrices)."""
         return self._public(self._cumulative()[0][-1])
-
-    def laplace(self, omega: float):
-        """Trapezoid transform int_0^tmax exp(-omega t) values(t) dt."""
-        w = _lattice_weights(self.t_max, self.dt, lambda x: np.exp(-omega * x))
-        return self._public(np.einsum("n,nij->ij", w, self.grid))
 
 
 def _default_t_max(kernel) -> float:
@@ -265,7 +259,7 @@ def solve_phi_grid(kernel: Kernel, dt: float = 0.01, t_max: float | None = None)
 
 def phi_exponential_closed_form(alpha: float, beta: float, dt: float = 0.01,
                                 t_max: float | None = None) -> CovarianceDensity:
-    """Exact covariance density for h(t) = alpha*exp(-beta*t), 0 <= alpha < beta:
+    """Exact covariance density for h(t) = alpha*exp(-beta*t), 0 <= alpha < beta, on a grid:
 
         phi(t) = alpha*beta*(2 beta - alpha) / (2 (beta-alpha)^2) * exp(-(beta-alpha) t)
     """
@@ -279,13 +273,8 @@ def phi_exponential_closed_form(alpha: float, beta: float, dt: float = 0.01,
     if t_max is None:
         t_max = max(_default_t_max(kernel), 20.0 / rate)
     t = _resolve_grid(kernel, dt, t_max, tail_tol=np.inf)
-
-    def evaluator(x):
-        x = np.asarray(x, dtype=float)
-        return pref * np.exp(-rate * np.abs(x))
-
-    return CovarianceDensity(t, evaluator(t)[:, None, None], dt, kernel=kernel,
-                             a=np.array([1.0 / (1.0 - alpha / beta)]), closed_form=evaluator)
+    return CovarianceDensity(t, (pref * np.exp(-rate * t))[:, None, None], dt, kernel=kernel,
+                             a=np.array([1.0 / (1.0 - alpha / beta)]))
 
 
 def solve_multivariate_phi(multi: KernelMatrix, dt: float = 0.02,

@@ -1,10 +1,10 @@
 """Gaussian limit objects for the heavy-baseline regime.
 
-Covariance evaluators for the count limit G and the infinite-server queue
-limit X of k classes, one service law per class (the OU-type X_e and its
-multivariate analogue are its exponential case), steady-state summaries,
-the Gaussian queue pmf, and exact finite-dimensional sampling of any of
-these from its covariance.
+Covariance evaluators for the infinite-server queue limit X of k classes,
+one service law per class (the OU-type X_e and its multivariate analogue
+are its exponential case, the count limit G its case of service that never
+ends), steady-state summaries, the Gaussian queue pmf, and exact
+finite-dimensional sampling of any of these from its covariance.
 """
 from __future__ import annotations
 
@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import next_fast_len
 
-from .covariance import (_MAX_UNKNOWNS, CovarianceDensity, VarianceFunction, _lattice_weights,
-                         laplace_pipeline, limit_covariance_G, solve_phi_grid,
-                         variance_function)
+from .covariance import (_MAX_UNKNOWNS, CovarianceDensity, _lattice_weights, laplace_pipeline,
+                         solve_phi_grid)
 from .errors import ConfigurationError, NumericalError, TruncationError
 from .kernels import Kernel, SumOfExponentialsKernel
 from .service import (_SURVIVAL_FLOOR, DeterministicService, ExponentialService, ServiceModel,
@@ -54,8 +53,14 @@ def _lag_sums(phi: CovarianceDensity, rows, pairs) -> np.ndarray:
     is (1 - f) R(n0) + f R(n0 + 1) with R(n) = sum_u x[u] H[n - u] and
     H[m] = sum_v y[v] Q[m + v].  H is one rFFT correlation per earlier row and
     later class, formed one at a time; each pair then costs two dot products.
-    The cell (-dt, 0) interpolates from Phi_ji(0), not Phi_ij(0): a last term
-    f (Phi_ji(0) - Phi_ij(0)) sum_u x[u] y[u - n0 - 1] restores it.
+    Phi jumps by Phi_ji(0) - Phi_ij(0) on the line of lag 0.  The cell
+    (-dt, 0) interpolates from Phi_ji(0), not Phi_ij(0): a term
+    f (Phi_ji(0) - Phi_ij(0)) sum_u x[u] y[u - n0 - 1] restores it.  The
+    lattice line of lag f dt stands for the lags within dt/2 of its own, a
+    share 1/2 - f of which lies across the jump: a term
+    (1/2 - f) (Phi_ji(0) - Phi_ij(0)) sum_u x[u] y[u - n0] makes the sum
+    second order there (on the lattice, f = 0, the line reads the mean of
+    the two sides), so the (i, j) and (j, i) sums at equal times agree.
     """
     p, q = np.asarray(pairs, dtype=int).reshape(-1, 2).T
     t = np.array([row[0] for row in rows], dtype=float)
@@ -100,38 +105,10 @@ def _lag_sums(phi: CovarianceDensity, rows, pairs) -> np.ndarray:
         x = rows[pn][2]
         at = size - 1 + lo - nn                        # H[nn - u] is at at + u
         out[n] = (1.0 - fn) * (x @ H[at:at + x.size]) + fn * (x @ H[at - 1:at - 1 + x.size])
-        if fn and jump:
-            xs = x[nn + 1:nn + 1 + y.size]
-            out[n] += fn * jump * (xs @ y[:xs.size])
+        if jump:
+            xs, xs1 = x[nn:nn + y.size], x[nn + 1:nn + 1 + y.size]
+            out[n] += jump * ((0.5 - fn) * (xs @ y[:xs.size]) + fn * (xs1 @ y[:xs1.size]))
     return out
-
-
-def _check_times(phi: CovarianceDensity, times):
-    if np.min(times, initial=0.0) < 0:
-        raise ConfigurationError("times must be nonnegative")
-    hi = np.max(times, initial=0.0)
-    if hi > phi.t_max:
-        raise ConfigurationError(f"t = {hi:g} beyond the phi grid [0, {phi.t_max:g}]")
-
-
-def _queue_closed(phi: CovarianceDensity, F0, F, q0, s, t) -> np.ndarray:
-    """The terms 1_{i=j} [q0_i F0_i(s) S0_i(t) + a_i int_{t-s}^t S_i] of
-    Cov(X_i(t), X_j(s)) outside the lag sum, a k x k block per pair s <= t of
-    arrays or scalars; theta is exact through the survival integral of F_i."""
-    diag = np.stack([q * G.cdf(s) * G.survival(t)
-                     + a * (H.survival_integral(t) - H.survival_integral(t - s))
-                     for G, H, q, a in zip(F0, F, q0, phi.a)], axis=-1)
-    return diag[..., None] * np.eye(len(F))
-
-
-def _queue_cov(phi: CovarianceDensity, F0, F, q0, i: int, j: int, s: float, t: float) -> float:
-    """Cov(X_i(t), X_j(s)) of the k-class queue limit, s and t in either order."""
-    if i not in range(phi.k) or j not in range(phi.k):
-        raise ConfigurationError(f"class indices ({i}, {j}) outside 0..{phi.k - 1}")
-    _check_times(phi, [s, t])
-    rows = [(t, i, _survival_weights(F[i], t, phi.dt)), (s, j, _survival_weights(F[j], s, phi.dt))]
-    lag = _lag_sums(phi, rows, [(0, 1) if t >= s else (1, 0)])[0]    # later time's row first
-    return float(_queue_closed(phi, F0, F, q0, min(s, t), max(s, t))[i, j] + lag)
 
 
 def cov_X_general(F0: ServiceModel, F: ServiceModel, q0: float,
@@ -144,7 +121,7 @@ def cov_X_general(F0: ServiceModel, F: ServiceModel, q0: float,
     The Brownian-bridge and theta components are the first two summands.
     """
     phi._univariate("cov_X_general")
-    return _queue_cov(phi, [F0], [F], [q0], 0, 0, s, t)
+    return float(LimitModel(phi, [F0], [F], np.array([q0]), np.zeros(1))._cov(s, t)[0, 0])
 
 
 def var_X_infty(F: ServiceModel, phi: CovarianceDensity) -> float:
@@ -291,7 +268,10 @@ def cov_multi_ou(phi: CovarianceDensity, r, i: int, j: int,
 
     with the matrix extension rule for negative lags.
     """
-    return _queue_cov(phi, *_exponential_laws(phi, r), i, j, s, t)
+    model = LimitModel(phi, *_exponential_laws(phi, r), np.zeros(phi.k))
+    if i not in range(phi.k) or j not in range(phi.k):
+        raise ConfigurationError(f"class indices ({i}, {j}) outside 0..{phi.k - 1}")
+    return float(model._cov(s, t)[i, j])
 
 
 def steady_state_cov_multi(phi: CovarianceDensity, r) -> np.ndarray:
@@ -318,43 +298,68 @@ def steady_state_cov_multi(phi: CovarianceDensity, r) -> np.ndarray:
 
 @dataclass
 class LimitModel:
-    """Mean and covariance evaluators for one Gaussian limit object.
+    """The Gaussian limit of k classes: the infinite-server queue limit X whose
+    class i starts with q0_i customers per unit of mu, of residual service F0_i,
+    serves arrivals with F_i, and has mean x0_i S0_i(t).  The count limit G is
+    its case of service that never ends (S = 1) and an empty start.
 
-    cov(s, t) returns a scalar for a univariate object and a dim x dim
-    matrix (entry (i, j) = Cov(Z_i(t), Z_j(s))) for a multivariate one.
-    A queue limit's cov(s, t) is its terms without a double integral plus
-    a lag sum of phi.  It gives the first as closed(s, t), a block per pair
-    at arrays s <= t, and the second as lag = (phi, weights), weights(t) the
-    per-class survival weights at time t.  The count limit gives neither:
-    its Gram calls cov once per pair.
+    cov and gram read one block helper, `_blocks`.
     """
 
-    dim: int
-    mean: object
-    cov: object
+    phi: CovarianceDensity
+    F0: list
+    F: list
+    q0: np.ndarray
+    x0: np.ndarray
     steady_state_variance: object = None
-    closed: object = None
-    lag: tuple | None = None
+
+    @property
+    def dim(self) -> int:
+        return self.phi.k
+
+    def _blocks(self, times: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+        """The k x k blocks Cov(X_i(t), X_j(s)) of the pairs (p, q) of `times`,
+        t = t_p >= s = t_q: the closed term 1_{i=j} [q0_i F0_i(s) S0_i(t)
+        + a_i int_{t-s}^t S_i], exact through the survival integral of F_i,
+        plus the lag sum of phi against the survival weights of F_i on [0, t]
+        and of F_j on [0, s], all pairs in one `_lag_sums` call."""
+        phi, d, hi = self.phi, self.dim, np.max(times, initial=0.0)
+        if np.min(times, initial=0.0) < 0:
+            raise ConfigurationError("times must be nonnegative")
+        if hi > phi.t_max:
+            raise ConfigurationError(f"t = {hi:g} beyond the phi grid [0, {phi.t_max:g}]")
+        rows = [(t, c, _survival_weights(G, t, phi.dt))
+                for t in times for c, G in enumerate(self.F)]
+        later, earlier = pairs[:, :1, None], pairs[:, 1:, None]
+        c = np.arange(d)        # row a d + c holds class c at time a
+        row_pairs = np.stack(np.broadcast_arrays(later * d + c[:, None], earlier * d + c), axis=-1)
+        lag = _lag_sums(phi, rows, row_pairs).reshape(-1, d, d)
+        t, s = times[pairs[:, 0]], times[pairs[:, 1]]
+        closed = np.stack([q * G.cdf(s) * G.survival(t)
+                           + a * (H.survival_integral(t) - H.survival_integral(t - s))
+                           for G, H, q, a in zip(self.F0, self.F, self.q0, phi.a)], axis=-1)
+        return closed[..., None] * np.eye(d) + lag
+
+    def _cov(self, s: float, t: float) -> np.ndarray:
+        """The k x k matrix of Cov(X_i(t), X_j(s)), s and t in either order."""
+        later = t >= s
+        block = self._blocks(np.array([t, s], dtype=float), np.array([[0, 1] if later else [1, 0]]))
+        return block[0] if later else block[0].T
+
+    def cov(self, s: float, t: float):
+        """Cov(Z(t), Z(s)): a scalar for a univariate object, else the
+        dim x dim matrix with entry (i, j) = Cov(Z_i(t), Z_j(s))."""
+        return self.phi._public(self._cov(s, t))
 
     def gram(self, t_grid) -> np.ndarray:
         """Covariance of the stacked (Z(t_1), ..., Z(t_m)): block (a, b) is
-        cov(t_b, t_a), block (b, a) its transpose, which cov(t_a, t_b) is.
-        The lag parts of all pairs come from one `_lag_sums` call."""
+        cov(t_b, t_a), block (b, a) its transpose, which cov(t_a, t_b) is."""
         t_grid = np.asarray(t_grid, dtype=float)
         m, d = t_grid.size, self.dim
         a, b = np.triu_indices(m)
         later = t_grid[a] >= t_grid[b]                # equal times keep the grid order
         pairs = np.column_stack([np.where(later, a, b), np.where(later, b, a)])
-        closed = self.closed or (lambda s, t: [self.cov(*pair) for pair in zip(s, t)])
-        blocks = np.reshape(closed(t_grid[pairs[:, 1]], t_grid[pairs[:, 0]]), (-1, d, d))
-        if self.lag is not None:
-            phi, weights = self.lag
-            _check_times(phi, t_grid)
-            rows = [(t, c, w) for t in t_grid for c, w in enumerate(weights(t))]
-            c = np.arange(d)        # row a d + c holds class c at time a
-            row_pairs = np.broadcast_arrays(pairs[:, :1, None] * d + c[:, None],
-                                            pairs[:, 1:, None] * d + c)
-            blocks += _lag_sums(phi, rows, np.stack(row_pairs, axis=-1)).reshape(-1, d, d)
+        blocks = self._blocks(t_grid, pairs)
         out = np.empty((m, d, m, d))
         out[pairs[:, 0], :, pairs[:, 1], :] = blocks
         out[pairs[:, 1], :, pairs[:, 0], :] = np.swapaxes(blocks, 1, 2)
@@ -362,56 +367,40 @@ class LimitModel:
         return 0.5 * (out + out.T)
 
     def mean_vector(self, t_grid) -> np.ndarray:
-        return np.array([np.ravel(self.mean(t)) for t in t_grid], dtype=float).ravel()
+        """The stacked means x0_i S0_i(t) over the grid."""
+        t_grid = np.asarray(t_grid, dtype=float)
+        return (self.x0 * np.column_stack([G.survival(t_grid) for G in self.F0])).ravel()
 
 
-def count_limit_model(phi: CovarianceDensity,
-                      K: VarianceFunction | None = None) -> LimitModel:
-    if K is None:
-        K = variance_function(phi)
-    zero = np.zeros(phi.k) if phi.is_matrix else 0.0
-    return LimitModel(phi.k, lambda t: zero,
-                      lambda s, t: limit_covariance_G(phi, K, s, t))
-
-
-def _queue_model(phi: CovarianceDensity, F0, F, q0, mean, steady) -> LimitModel:
-    """The k-class queue limit of per-class laws F0, F and initial loads q0."""
-    classes = range(phi.k)
-    return LimitModel(
-        phi.k, mean,
-        lambda s, t: phi._public(np.array([[_queue_cov(phi, F0, F, q0, i, j, s, t)
-                                            for j in classes] for i in classes])),
-        steady_state_variance=steady,
-        closed=lambda s, t: _queue_closed(phi, F0, F, q0, s, t),
-        lag=(phi, lambda t: [_survival_weights(H, t, phi.dt) for H in F]))
+def count_limit_model(phi: CovarianceDensity) -> LimitModel:
+    """The count limit G: the queue limit whose service never ends and that
+    starts empty, so Cov(G_i(t), G_j(s)) = 1_{i=j} a_i s
+    + int_0^t int_0^s Phi_ij(u - v) dv du for s <= t."""
+    never, zero = [DeterministicService(math.inf)] * phi.k, np.zeros(phi.k)
+    return LimitModel(phi, never, never, zero, zero)
 
 
 def queue_limit_model(phi: CovarianceDensity, F0, F, q0, x0=0.0) -> LimitModel:
-    """The queue limit of k classes: class i starts with q0_i customers per unit
-    of mu, of residual service F0_i, serves arrivals with F_i, and has mean
-    x0_i S0_i(t).  F0, F, q0 and x0 each take one value per class or one for all."""
+    """The queue limit of k classes with per-class F0, F, q0 and x0 (see
+    `LimitModel`); each takes one value per class or one for all."""
     k = phi.k
     F0, F = _normalize_services(F0, k), _normalize_services(F, k)
     q0, x0 = (np.full(k, v, float) if np.ndim(v) == 0 else np.asarray(v, float) for v in (q0, x0))
     if q0.shape != (k,) or x0.shape != (k,):
         raise ConfigurationError(f"need one q0 and one x0 per class (k = {k})")
-    mean = (lambda t: x0 * np.array([G.survival(t) for G in F0])) if phi.is_matrix \
-        else (lambda t: x0[0] * F0[0].survival(t))
     steady = _steady_cov(phi, F) if phi.is_matrix else var_X_infty(F[0], phi)
-    return _queue_model(phi, F0, F, q0, mean, steady)
+    return LimitModel(phi, F0, F, q0, x0, steady)
 
 
 def exp_queue_limit_model(phi: CovarianceDensity, x0: float = 0.0) -> LimitModel:
     phi._univariate("exp_queue_limit_model")
     steady = _steady_var(phi.kernel, ExponentialService(1.0), phi)
-    return _queue_model(phi, *_exponential_laws(phi, [1.0]), lambda t: mean_Xe(x0, t), steady)
+    return LimitModel(phi, *_exponential_laws(phi, [1.0]), np.array([x0], dtype=float), steady)
 
 
 def multi_ou_limit_model(phi: CovarianceDensity, r, x0=None) -> LimitModel:
-    r = np.asarray(r, dtype=float)
     x0 = np.zeros(phi.k) if x0 is None else np.asarray(x0, dtype=float)
-    return _queue_model(phi, *_exponential_laws(phi, r), lambda t: x0 * np.exp(-r * t),
-                        steady_state_cov_multi(phi, r))
+    return LimitModel(phi, *_exponential_laws(phi, r), x0, steady_state_cov_multi(phi, r))
 
 
 def sample_limit_path(model: LimitModel, t_grid, seed: int,

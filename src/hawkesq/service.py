@@ -25,7 +25,14 @@ class ServiceModel:
         raise NotImplementedError
 
     def survival(self, x):
-        return 1.0 - self.cdf(x)
+        """S = 1 - F at scalar or array x, a float for a scalar; a law whose
+        tail 1 - F would lose relative precision supplies `_survival`."""
+        x = np.asarray(x, dtype=float)
+        out = self._survival(x)
+        return out if x.ndim else float(out)
+
+    def _survival(self, x: np.ndarray) -> np.ndarray:
+        return 1.0 - self._cdf(x)
 
     def survival_integral(self, x):
         """I(x) = int_0^x S = E[min(S, x)] at scalar or array x, 0 for x <= 0, a
@@ -66,6 +73,9 @@ class ExponentialService(ServiceModel):
 
     def _cdf(self, x):
         return np.where(x > 0, -np.expm1(-self.rate * np.maximum(x, 0.0)), 0.0)
+
+    def _survival(self, x):
+        return np.exp(-self.rate * np.maximum(x, 0.0))
 
     def _survival_integral(self, x):
         return -np.expm1(-self.rate * x) / self.rate
@@ -129,10 +139,14 @@ class LogNormalService(ServiceModel):
     def __repr__(self):
         return f"LogNormalService(m={self.m:g}, s={self.s:g})"
 
+    def _z(self, x):
+        return (np.log(np.maximum(x, 1e-300)) - self.m) / self.s
+
     def _cdf(self, x):
-        with np.errstate(divide="ignore"):
-            z = (np.log(np.maximum(x, 1e-300)) - self.m) / self.s
-        return np.where(x > 0, ndtr(z), 0.0)
+        return np.where(x > 0, ndtr(self._z(x)), 0.0)
+
+    def _survival(self, x):
+        return np.where(x > 0, ndtr(-self._z(x)), 1.0)
 
     def _survival_integral(self, x):
         # E[S; S < x] + x P(S >= x), where E[S; S < x] = E[S] ndtr(z - s)

@@ -6,7 +6,7 @@ matrix of a limit covariance's double integral.  Memory grows as the square
 of the grid, so use them at small n only; the library computes the same
 sums matrix-free and is checked against them.  `nested_quad_steady_var`
 integrates a steady-state variance off the lattice, by nested adaptive
-quadrature of a density's closed form.
+quadrature of an exact density.
 """
 import numpy as np
 from scipy.integrate import quad
@@ -65,8 +65,9 @@ def dense_density(entries, a, t, dt):
 
 def dense_double_sum(phi, hi, lo, fu, fv, i=0, j=0, u0=0.0, v0=0.0):
     """sum_a sum_b w_a fu(u_a) w_b fv(v_b) Phi_ij(u_a - v_b) on the trapezoid
-    grids of [u0, hi] and [v0, lo], with Phi_ij(-x) = Phi_ji(x): the dense
-    table G[a, b] = Phi_ij(u_a - v_b) reduced by an einsum."""
+    grids of [u0, hi] and [v0, lo], with Phi_ij(-x) = Phi_ji(x) and the mean
+    of Phi_ij(0) and Phi_ji(0) at lag 0, where Phi jumps: the dense table
+    G[a, b] = Phi_ij(u_a - v_b) reduced by an einsum."""
     def grid(T0, T):
         x = np.linspace(T0, T, max(int(round((T - T0) / phi.dt)), 1) + 1)
         w = np.full(x.size, x[1] - x[0])
@@ -76,22 +77,23 @@ def dense_double_sum(phi, hi, lo, fu, fv, i=0, j=0, u0=0.0, v0=0.0):
     ug, wu = grid(u0, hi)
     vg, wv = grid(v0, lo)
     lag = ug[:, None] - vg[None, :]
-    # the two grids round differently; a lag within rounding of 0 is 0 and reads Phi_ij(0)
+    # the two grids round differently; a lag within rounding of 0 is 0
     lag[np.abs(lag) < 1e-9 * phi.dt] = 0.0
     fwd, bwd = (phi.values[:, i, j], phi.values[:, j, i]) if phi.is_matrix else (phi.values,) * 2
-    G = np.where(lag >= 0, np.interp(np.abs(lag), phi.t, fwd, right=0.0),
+    G = np.where(lag > 0, np.interp(np.abs(lag), phi.t, fwd, right=0.0),
                  np.interp(np.abs(lag), phi.t, bwd, right=0.0))
+    G[lag == 0] = 0.5 * (fwd[0] + bwd[0])
     return np.einsum("a,b,ab->", wu * fu(ug), wv * fv(vg), G)
 
 
-def nested_quad_steady_var(F, phi):
+def nested_quad_steady_var(F, phi, a, t_max):
     """a E[S] + 2 int_0^t_max phi(w) int_0^U S(u) S(u + w) du dw, the lag-correlation
     form of the steady-state variance, U the 1e-12 survival cutoff of F and
-    phi evaluated by its `closed_form`."""
+    phi an exact density, evaluated pointwise."""
     U = F.survival_cutoff()
 
     def lag_corr(w):
         return quad(lambda u: F.survival(u) * F.survival(u + w), 0.0, U, limit=200)[0]
 
-    val, _ = quad(lambda w: phi.closed_form(w) * lag_corr(w), 0.0, phi.t_max, limit=200)
-    return F.mean() * phi.a[0] + 2.0 * val
+    val, _ = quad(lambda w: phi(w) * lag_corr(w), 0.0, t_max, limit=200)
+    return F.mean() * a + 2.0 * val

@@ -87,12 +87,14 @@ def test_var_x_infty_heavy_service_grid_matches_closed_form(phi_h1_exact):
     F = hq.LogNormalService(0.0, 1.0)
     grid, peak = _peak_bytes(lambda: hq.var_X_infty(F, phi_h1_exact))
     assert peak < 50e6
-    assert abs(grid - nested_quad_steady_var(F, phi_h1_exact)) < 1e-5
+    exact = nested_quad_steady_var(F, oracles.phi1, phi_h1_exact.a[0], phi_h1_exact.t_max)
+    assert abs(grid - exact) < 1e-5
 
 
 def test_consistency_identity_exponential_service(h1, phi_h1_exact):
     # Corollary-route double integral vs the Laplace-route formula, 1e-6.
-    lhs = nested_quad_steady_var(hq.ExponentialService(1.0), phi_h1_exact)
+    lhs = nested_quad_steady_var(hq.ExponentialService(1.0), oracles.phi1, phi_h1_exact.a[0],
+                                 phi_h1_exact.t_max)
     rhs = hq.var_xe_infty(h1)
     assert abs(lhs - rhs) < 1e-6
 
@@ -372,7 +374,7 @@ def test_sample_limit_path_brownian():
 
 
 def test_sample_limit_path_h1_count(phi_h1, K_h1):
-    model = hq.count_limit_model(phi_h1, K_h1)
+    model = hq.count_limit_model(phi_h1)
     draws = hq.sample_limit_path(model, [1.0, 2.0], seed=6, n_draws=10_000)
     cov = np.cov(draws.T)
     for (a, s), (b, t) in [((0, 1.0), (0, 1.0)), ((0, 1.0), (1, 2.0)), ((1, 2.0), (1, 2.0))]:
@@ -439,13 +441,14 @@ def test_model_evaluators_symmetric_psd(phi_h1, phi_quarter):
 
 # --- Gram matrices from the batched lag sums ---------------------------------------
 
-def _pairwise_gram(model, grid):
-    """The Gram from one cov(s, t) call per pair: block (a, b) is cov(t_b, t_a)."""
-    d, m = model.dim, len(grid)
+def _pairwise_gram(cov, d, grid):
+    """The Gram of d classes from one cov(s, t) call per pair: block (a, b) is
+    cov(t_b, t_a)."""
+    m = len(grid)
     out = np.empty((m * d, m * d))
     for a in range(m):
         for b in range(a, m):
-            block = np.reshape(model.cov(grid[b], grid[a]), (d, d))
+            block = np.reshape(cov(grid[b], grid[a]), (d, d))
             out[b * d:(b + 1) * d, a * d:(a + 1) * d] = block.T
             out[a * d:(a + 1) * d, b * d:(b + 1) * d] = block
     return 0.5 * (out + out.T)
@@ -465,7 +468,7 @@ def test_gram_matches_pairwise_cov(phi_h1, phi_quarter, phi_asymmetric):
               "k2 general": hq.queue_limit_model(phi_asymmetric, hq.ExponentialService(2.0),
                                                  [logn, det], q0=[2.0, 1.0])}
     for name, model in models.items():
-        got, ref = model.gram(_GRAM_TIMES), _pairwise_gram(model, _GRAM_TIMES)
+        got, ref = model.gram(_GRAM_TIMES), _pairwise_gram(model.cov, model.dim, _GRAM_TIMES)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), name
 
 
@@ -491,24 +494,30 @@ def test_gram_matches_dense_reference(phi_h1, phi_asymmetric):
               lambda s, t: np.array([[_dense_queue_cov(phi_asymmetric, Fs, i, j, s, t)
                                       for j in range(2)] for i in range(2)]))]
     for model, dense in cases:
-        ref = _pairwise_gram(hq.LimitModel(model.dim, model.mean, dense), times)
+        ref = _pairwise_gram(dense, model.dim, times)
         got = model.gram(times)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
 def test_lag_sums_off_lattice_match_direct_double_sum(phi_asymmetric):
     # the direct sum reads phi(x) = Phi(x), Phi(-x) = Phi(x)^T, at every lag of the
-    # lattice weights; off the lattice the lags fall inside cells, (-dt, 0) included
+    # lattice weights; off the lattice the lags fall inside cells, (-dt, 0) included.
+    # The line of lags in [0, dt), at f dt, stands for the lags within dt/2 of its
+    # own, a share 1/2 - f of which lies across the jump Phi_ji(0) - Phi_ij(0) at 0.
     from hawkesq.covariance import _lattice_weights
-    r = [1.0, 0.7]
+    r, dt = [1.0, 0.7], phi_asymmetric.dt
     for s, t in [(0.37, 1.234), (1.234, 2.913), (0.9, 0.9), (0.02, 3.33)]:
-        x = [_lattice_weights(t, phi_asymmetric.dt, lambda a, ri=ri: np.exp(-ri * a)) for ri in r]
-        y = [_lattice_weights(s, phi_asymmetric.dt, lambda a, ri=ri: np.exp(-ri * a)) for ri in r]
+        x = [_lattice_weights(t, dt, lambda a, ri=ri: np.exp(-ri * a)) for ri in r]
+        y = [_lattice_weights(s, dt, lambda a, ri=ri: np.exp(-ri * a)) for ri in r]
+        n0 = math.floor((t - s) / dt)
+        f = (t - s) / dt - n0
         for i in range(2):
             for j in range(2):
                 u, v = np.arange(x[i].size), np.arange(y[j].size)
-                table = phi_asymmetric(t - s + (v[None, :] - u[:, None]) * phi_asymmetric.dt)
-                direct = x[i] @ table[:, :, i, j] @ y[j]
+                table = phi_asymmetric(t - s + (v[None, :] - u[:, None]) * dt)
+                jump = phi_asymmetric.grid[0, j, i] - phi_asymmetric.grid[0, i, j]
+                on_line = u[:, None] - v[None, :] == n0
+                direct = x[i] @ (table[:, :, i, j] + (0.5 - f) * jump * on_line) @ y[j]
                 if i == j:
                     direct += phi_asymmetric.a[i] / r[i] * (np.exp(-r[i] * (t - s))
                                                              - np.exp(-r[i] * (t + s)))
@@ -521,3 +530,63 @@ def test_gram_200_points_is_symmetric_and_factors(phi_h1):
     assert gram.shape == (200, 200)
     assert np.array_equal(gram, gram.T)
     np.linalg.cholesky(gram)
+
+
+# --- the count limit: the queue limit whose service never ends -------------------
+
+def test_count_gram_matches_limit_covariance_g_on_the_lattice(phi_h1, K_h1):
+    # on the lattice the lag sum and the running integrals of K are one trapezoid rule
+    times = [3.7, 0.37, 1.23, 3.7, 0.0, 5.67, 2.91, 1.0]
+    got = hq.count_limit_model(phi_h1).gram(times)
+    ref = _pairwise_gram(lambda s, t: hq.limit_covariance_G(phi_h1, K_h1, s, t), 1, times)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_count_gram_matches_limit_covariance_multi(phi_h1, phi_asymmetric):
+    # off the lattice and across asymmetric classes both routes are second order.
+    # Most of the gap is the oracle's linear interpolation of K between nodes: at
+    # (0.37, 0.37), class 0, dt = 0.05, it is 0.106 dt^2, and the lag sum is 8x
+    # closer to the dt -> 0 value there.
+    for phi in (phi_asymmetric, phi_h1):
+        K = hq.variance_function(phi)
+        got = hq.count_limit_model(phi).gram(_GRAM_TIMES)
+        ref = _pairwise_gram(lambda s, t: hq.limit_covariance_multi(phi, K, s, t), phi.k,
+                             _GRAM_TIMES)
+        assert np.abs(got - ref).max() <= 0.1 * phi.dt ** 2 * np.abs(ref).max()
+
+
+def test_cross_class_lag_sum_is_second_order(phi_asymmetric):
+    # Phi_12(0) != Phi_21(0): one off-lattice cross-class entry gains about a
+    # factor 4 in accuracy per halving of dt, and (i, j) at equal times is (j, i)
+    km, r = phi_asymmetric.kernel, [1.0, 0.7]
+    values = []
+    for dt in (0.05, 0.025, 0.0125):
+        phi = hq.solve_multivariate_phi(km, dt=dt, t_max=40.0)
+        values.append(hq.cov_multi_ou(phi, r, 0, 1, 1.0, 5.0075))
+        for t in (0.9, 2.0, 3.33):
+            assert abs(hq.cov_multi_ou(phi, r, 0, 1, t, t)
+                       - hq.cov_multi_ou(phi, r, 1, 0, t, t)) <= 1e-15
+    ratio = (values[0] - values[1]) / (values[1] - values[2])
+    assert 3.5 < ratio < 4.5
+
+
+def test_count_gram_200_points_k2_factors(phi_asymmetric):
+    # a first-order cross-class lag sum made this Gram indefinite (min eigenvalue -1.43)
+    times = np.linspace(0.1, 20.0, 200)
+    gram = hq.count_limit_model(phi_asymmetric).gram(times)
+    assert gram.shape == (400, 400)
+    np.linalg.cholesky(gram)
+    K = hq.variance_function(phi_asymmetric)
+    ref = _pairwise_gram(lambda s, t: hq.limit_covariance_multi(phi_asymmetric, K, s, t), 2,
+                         times)
+    assert np.abs(gram - ref).max() <= 0.1 * phi_asymmetric.dt ** 2
+
+
+def test_model_means_are_x0_times_initial_survival(phi_h1, phi_quarter):
+    times = np.array([0.0, 0.37, 1.0, 5.678])
+    assert np.array_equal(hq.exp_queue_limit_model(phi_h1, x0=1.7).mean_vector(times),
+                          hq.mean_Xe(1.7, times))
+    r, x0 = np.array([1.0, 0.7]), np.array([2.0, -0.5])
+    assert np.array_equal(hq.multi_ou_limit_model(phi_quarter, r, x0).mean_vector(times),
+                          (x0 * np.exp(-r * times[:, None])).ravel())
+    assert np.array_equal(hq.count_limit_model(phi_quarter).mean_vector(times), np.zeros(8))

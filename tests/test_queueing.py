@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -45,6 +46,20 @@ def test_service_survival_integral_matches_quad(F, kinks):
         ref, _ = quad(F.survival, 0.0, x, points=inside, epsabs=1e-14, epsrel=1e-13, limit=200)
         assert abs(F.survival_integral(x) - ref) <= 1e-12, x
     assert F.survival_integral(1e6) == pytest.approx(F.mean(), rel=1e-13)
+
+
+def test_service_survival_keeps_tail_precision():
+    # 1 - F has only absolute precision in the tail: 1 - cdf(30) of Exp(1) is 1.7e-4 off
+    F = hq.ExponentialService(1.0)
+    for x in (0.5, 27.6, 30.0):
+        assert F.survival(x) == pytest.approx(math.exp(-x), rel=1e-15, abs=0.0)
+    G = hq.LogNormalService(0.2, 0.5)
+    for x in (1.0, 10.0, 60.0):
+        z = (math.log(x) - 0.2) / 0.5
+        assert G.survival(x) == pytest.approx(0.5 * math.erfc(z / math.sqrt(2.0)), rel=1e-13,
+                                              abs=0.0)
+    assert F.survival(-1.0) == 1.0 and G.survival(0.0) == 1.0
+    assert np.array_equal(F.survival(np.array([-1.0, 0.0, 2.0])), [1.0, 1.0, math.exp(-2.0)])
 
 
 def test_service_validation():
