@@ -1,14 +1,12 @@
 """Stationary self-exciting traffic models, their Gaussian limits, and
 infinite-server queues driven by them."""
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 from .covariance import (CovarianceDensity, LaplacePipeline, VarianceFunction,
                          asymptotic_offset, asymptotic_slope, laplace_pipeline,
-                         limit_covariance_G, limit_covariance_multi,
-                         multivariate_variance, phi_exponential_closed_form,
-                         solve_multivariate_phi, solve_phi_grid,
-                         variance_function)
+                         phi_exponential_closed_form, solve_multivariate_phi,
+                         solve_phi_grid, variance_function)
 from .errors import (ConfigurationError, HawkesqError, IntegrabilityError,
                      NumericalError, StabilityError, TruncationError)
 from .kernels import (HawkesConfig, Kernel, KernelMatrix, PowerLawKernel,
@@ -17,10 +15,10 @@ from .kernels import (HawkesConfig, Kernel, KernelMatrix, PowerLawKernel,
                       l1_norm, laplace_transform, spectral_radius)
 from .limits import (GaussianQueueApprox, LimitModel, cov_multi_ou, cov_X_general,
                      cov_Xe, count_limit_model, exp_queue_limit_model,
-                     gaussian_queue_approx, gaussian_queue_pmf, mean_Xe,
-                     multi_ou_limit_model, queue_limit_model, sample_limit_path,
-                     steady_state_cov_multi, var_X_infty, var_xe_infty,
-                     var_xe_infty_exponential)
+                     gaussian_queue_approx, gaussian_queue_pmf, limit_covariance_G,
+                     mean_Xe, multi_ou_limit_model, queue_limit_model,
+                     sample_limit_path, steady_state_cov_multi, var_X_infty,
+                     var_xe_infty, var_xe_infty_exponential)
 from .queueing import (ComparisonReport, QueueTrajectory, SteadyStateSample,
                        compare_distributions, simulate_queue,
                        steady_state_sample)

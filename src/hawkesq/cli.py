@@ -4,7 +4,7 @@ Four subcommands wire the library into reproducible experiments:
 
   simulate        sample paths + empirical moment summary
   analyze         covariance density / variance / limit covariance dumps
-  validate-fclt   empirical scaled-count variance against the analytic K(t)
+  validate-fclt   empirical scaled-count covariances against the count limit G
   validate-queue  steady-state queue histogram against the Gaussian pmf
 
 Every run writes a manifest (resolved config, seed, version) into its
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 import time
@@ -24,13 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._io import write_json
+from ._io import write_csv, write_json
 from .covariance import (asymptotic_offset, asymptotic_slope, laplace_pipeline,
-                         limit_covariance_multi, solve_multivariate_phi, solve_phi_grid,
-                         variance_function, write_covariance_csv)
+                         solve_multivariate_phi, solve_phi_grid, variance_function)
 from .errors import ConfigurationError, HawkesqError, NumericalError
 from .kernels import HawkesConfig, KernelMatrix, SumOfExponentialsKernel, kernel_from_dict
-from .limits import gaussian_queue_approx
+from .limits import count_limit_model, gaussian_queue_approx
 from .queueing import (compare_distributions, queue_verdict, steady_state_sample,
                        summary_json)
 from .service import service_from_dict
@@ -129,12 +129,16 @@ def _solve_phi(kernel, grid: dict):
 def cmd_analyze(cfg: dict, out: Path) -> int:
     kernel = kernel_from_dict(_require(cfg, "kernel"))
     phi = _solve_phi(kernel, cfg.get("grid") or {})
-    K = variance_function(phi)
     phi.write_csv(out / "phi.csv")
-    K.write_csv(out / "K.csv")
+    variance_function(phi).write_csv(out / "K.csv")
     if isinstance(kernel, KernelMatrix):
         return 0
-    write_covariance_csv(phi, K, cfg.get("probe_times", [1.0, 2.0, 5.0]), out / "covG.csv")
+    # the upper triangle of the count Gram: Cov(G(s), G(t)) for s <= t, row by row
+    times = sorted(float(x) for x in cfg.get("probe_times", [1.0, 2.0, 5.0]))
+    a, b = np.triu_indices(len(times))
+    gram = count_limit_model(phi).gram(times)
+    write_csv(out / "covG.csv", ["s", "t", "cov"],
+              zip(np.take(times, a), np.take(times, b), gram[a, b]))
     asym = {"slope": asymptotic_slope(kernel)}
     try:
         asym["offset"] = asymptotic_offset(kernel)
@@ -144,6 +148,13 @@ def cmd_analyze(cfg: dict, out: Path) -> int:
     if isinstance(kernel, SumOfExponentialsKernel):
         laplace_pipeline(kernel).write_json(out / "laplace.json")
     return 0
+
+
+def _z(gap: float, se: float) -> float:
+    """gap / se; with no sample spread, 0 for no gap and inf (a failed check) otherwise."""
+    if se > 0:
+        return gap / se
+    return 0.0 if gap == 0 else math.inf
 
 
 def cmd_validate_fclt(cfg: dict, out: Path) -> int:
@@ -159,37 +170,34 @@ def cmd_validate_fclt(cfg: dict, out: Path) -> int:
     rates = config.mean_rate_vector()
     scaled = (counts - np.asarray(probe)[None, :, None] * rates[None, None, :]) / np.sqrt(mu)
     phi = _solve_phi(config.kernel, cfg.get("grid") or {})
-    K = variance_function(phi)
+    # target[b, i, a, j] = Cov(G_i(t_b), G_j(t_a)): equal times for a = b, else cross-time
+    target = count_limit_model(phi).gram(probe).reshape(len(probe), k, len(probe), k)
 
     moments = empirical_moments(paths, probe)
     checks = []
     for a, t in enumerate(probe):
-        Kt = np.reshape(K.at(t), (k, k))
         for d in range(k):
-            target = float(Kt[d, d])
+            want = float(target[a, d, a, d])
             emp = float(scaled[:, a, d].var(ddof=1))
             se = float(moments.se_var[a, d]) / mu
-            z = (emp - target) / se if se > 0 else 0.0
-            checks.append({"t": t, "dim": d, "empirical": emp, "analytic": target,
-                           "z": z})
+            checks.append({"t": t, "dim": d, "empirical": emp, "analytic": want,
+                           "z": _z(emp - want, se)})
         for i in range(k):
             for j in range(i + 1, k):
-                c = float(np.cov(scaled[:, a, i], scaled[:, a, j])[0, 1])
-                target = float(Kt[i, j])
-                se = float(np.sqrt(var_of_sample_cov(scaled[:, a, i], scaled[:, a, j])))
+                x, y = scaled[:, a, i], scaled[:, a, j]
+                c, want = float(np.cov(x, y)[0, 1]), float(target[a, i, a, j])
+                se = float(np.sqrt(var_of_sample_cov(x, y)))
                 checks.append({"t": t, "dims": [i, j], "empirical": c,
-                               "analytic": target, "z": (c - target) / se})
-    # Cov(G_i(t_b), G_j(t_a)) for every probe pair a < b and every class pair
+                               "analytic": want, "z": _z(c - want, se)})
     cross_time = []
     for a, s in enumerate(probe):
         for b, t in enumerate(probe[a + 1:], a + 1):
-            target = limit_covariance_multi(phi, K, s, t)
             for i, j in np.ndindex(k, k):
                 x, y = scaled[:, b, i], scaled[:, a, j]
-                c, want = float(np.cov(x, y)[0, 1]), float(target[i, j])
+                c, want = float(np.cov(x, y)[0, 1]), float(target[b, i, a, j])
                 se = float(np.sqrt(var_of_sample_cov(x, y)))
                 cross_time.append({"s": s, "t": t, "dims": [i, j], "empirical": c,
-                                   "analytic": want, "z": (c - want) / se})
+                                   "analytic": want, "z": _z(c - want, se)})
     worst = max(abs(c["z"]) for c in checks + cross_time)
     report = {"mu": mu, "reps": reps, "checks": checks, "cross_time_checks": cross_time,
               "max_abs_z": worst, "pass": bool(worst < 3.0)}

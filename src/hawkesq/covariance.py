@@ -1,4 +1,4 @@
-"""Second-order theory: covariance density, variance function, limit covariances.
+"""Second-order theory: covariance density, variance function, spectral asymptotics.
 
 The covariance density phi of the unit-baseline stationary process solves
 
@@ -6,8 +6,8 @@ The covariance density phi of the unit-baseline stationary process solves
 
 with the even extension phi(-t) = phi(t).  The k-variate analogue replaces
 h(t)/(1-||h||) by h(t) diag(a) and the even extension by Phi(-t) = Phi(t)^T.
-Everything downstream (variance function, limit-process covariances, spectral
-asymptotics) is driven by the solved grid.
+Everything downstream (variance function, the limit covariances of
+`limits`, spectral asymptotics) is driven by the solved grid.
 """
 from __future__ import annotations
 
@@ -301,13 +301,11 @@ class VarianceFunction(_KClassGrid):
 
     _label = "K"
 
-    def _at(self, x):
+    def at(self, x):
+        """K at scalar or array x in [0, t_max], by linear interpolation."""
         if np.any(np.asarray(x) < 0) or np.any(np.asarray(x) > self.t[-1] + 1e-12):
             raise ConfigurationError(f"time {x} outside the solved grid [0, {self.t[-1]:g}]")
-        return _interp(self.t, self.grid, x)
-
-    def at(self, x):
-        return self._public(self._at(x))
+        return self._public(_interp(self.t, self.grid, x))
 
 
 def variance_function(phi: CovarianceDensity) -> VarianceFunction:
@@ -316,36 +314,6 @@ def variance_function(phi: CovarianceDensity) -> VarianceFunction:
     _, psi2 = phi._cumulative()
     values = phi.t[:, None, None] * np.diag(phi.a) + psi2 + np.swapaxes(psi2, 1, 2)
     return VarianceFunction(phi.t, values, phi.dt, kernel=phi.kernel)
-
-
-def multivariate_variance(phi: CovarianceDensity, t: float) -> np.ndarray:
-    """The k x k variance matrix at time t."""
-    return variance_function(phi)._at(t)
-
-
-def _strip_integral(phi: CovarianceDensity, s: float, t: float):
-    """int_s^t int_0^s Phi(u - v) dv du for 0 <= s <= t, via the running
-    integrals (algebraically identical to the shared-grid iterated trapezoid)."""
-    _, psi2 = phi._cumulative()
-    p2_t, p2_s, p2_gap = _interp(phi.t, psi2, np.array([t, s, t - s]))
-    return p2_t - p2_s - p2_gap
-
-
-def limit_covariance_multi(phi: CovarianceDensity, K: VarianceFunction,
-                           s: float, t: float) -> np.ndarray:
-    """The k x k matrix Cov(G_i(t), G_j(s)); for s > t the transpose of (t, s)."""
-    if s > t:
-        return limit_covariance_multi(phi, K, t, s).T
-    if s < 0 or t > phi.t_max:
-        raise ConfigurationError(f"({s}, {t}) outside the solved grid")
-    return _strip_integral(phi, s, t) + K._at(s)
-
-
-def limit_covariance_G(phi: CovarianceDensity, K: VarianceFunction,
-                       s: float, t: float):
-    """Cov(G(t), G(s)) = strip integral + K(min(s, t)): a float for a density
-    built from a Kernel (symmetric in (s, t)), else limit_covariance_multi."""
-    return phi._public(limit_covariance_multi(phi, K, s, t))
 
 
 def asymptotic_slope(kernel: Kernel) -> float:
@@ -450,12 +418,3 @@ def laplace_pipeline(kernel: SumOfExponentialsKernel) -> LaplacePipeline:
     x = np.linalg.solve(system, R)
     residual = float(np.max(np.abs(system @ x - R)))
     return LaplacePipeline(R, M, x, kernel, norm, residual, condition)
-
-
-def write_covariance_csv(phi: CovarianceDensity, K: VarianceFunction,
-                         times, path):
-    """Triangular dump of Cov(G(s), G(t)) over the given probe times."""
-    times = sorted(float(x) for x in times)
-    rows = [(s, t, limit_covariance_G(phi, K, s, t))
-            for i, s in enumerate(times) for t in times[i:]]
-    write_csv(path, ["s", "t", "cov"], rows)

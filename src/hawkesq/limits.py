@@ -380,6 +380,13 @@ def count_limit_model(phi: CovarianceDensity) -> LimitModel:
     return LimitModel(phi, never, never, zero, zero)
 
 
+def limit_covariance_G(phi: CovarianceDensity, K, s: float, t: float):
+    """Cov(G(t), G(s)) = `count_limit_model(phi).cov(s, t)`: a float for a
+    density built from a Kernel, else the k x k matrix with entry (i, j) =
+    Cov(G_i(t), G_j(s)).  K is not read; the argument keeps the signature."""
+    return count_limit_model(phi).cov(s, t)
+
+
 def queue_limit_model(phi: CovarianceDensity, F0, F, q0, x0=0.0) -> LimitModel:
     """The queue limit of k classes with per-class F0, F, q0 and x0 (see
     `LimitModel`); each takes one value per class or one for all."""

@@ -6,10 +6,12 @@ matrix of a limit covariance's double integral.  Memory grows as the square
 of the grid, so use them at small n only; the library computes the same
 sums matrix-free and is checked against them.  `nested_quad_steady_var`
 integrates a steady-state variance off the lattice, by nested adaptive
-quadrature of an exact density.
+quadrature of an exact density.  `running_integral_cov` is the count-limit
+covariance from the running integrals of phi, independent of the lag sums
+that the library uses.
 """
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import cumulative_trapezoid, quad
 
 
 def _trapz_weights(n, dt):
@@ -97,3 +99,28 @@ def nested_quad_steady_var(F, phi, a, t_max):
 
     val, _ = quad(lambda w: phi(w) * lag_corr(w), 0.0, t_max, limit=200)
     return F.mean() * a + 2.0 * val
+
+
+def running_integral_cov(phi):
+    """cov(s, t), the k x k matrix Cov(G_i(t), G_j(s)) of the count limit:
+
+        Psi2(t) - Psi2(s) - Psi2(t - s) + K(s),   s <= t,
+
+    the transpose of cov(t, s) for s > t, with Psi2 the second running
+    trapezoid integral of the grid, K(s) = diag(a) s + Psi2(s) + Psi2(s)^T,
+    and Psi2 and K read between grid nodes by linear interpolation."""
+    n, k = phi.grid.shape[:2]
+    psi2 = cumulative_trapezoid(cumulative_trapezoid(phi.grid, dx=phi.dt, axis=0, initial=0),
+                                dx=phi.dt, axis=0, initial=0)
+
+    def at(x):
+        cols = psi2.reshape(n, -1).T
+        return np.array([np.interp(x, phi.t, col) for col in cols]).reshape(k, k)
+
+    def cov(s, t):
+        if s > t:
+            return cov(t, s).T
+        p2s = at(s)
+        return at(t) - p2s - at(t - s) + np.diag(phi.a) * s + p2s + p2s.T
+
+    return cov

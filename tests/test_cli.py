@@ -1,11 +1,13 @@
 import json
+import math
 
 import pytest
 
 import hawkesq as hq
-from hawkesq.cli import main
+from hawkesq.cli import _z, main
 
 import oracles
+from dense_reference import running_integral_cov
 
 H1 = {"type": "sum_exp", "terms": [{"alpha": 0.5, "beta": 1.0}]}
 H2 = {"type": "sum_exp", "terms": [{"alpha": 0.1, "beta": 0.25},
@@ -57,6 +59,15 @@ def test_analyze_command_h2(tmp_path):
     assert asym["offset"] == pytest.approx(-40.2, abs=5e-2)
     for name in ("phi.csv", "K.csv", "covG.csv"):
         assert (outdir / name).exists()
+    # the upper triangle of the count Gram over the sorted default probes 1, 2, 5
+    rows = (outdir / "covG.csv").read_text().splitlines()
+    assert rows[0] == "s,t,cov"
+    cells = [tuple(map(float, row.split(","))) for row in rows[1:]]
+    assert [(s, t) for s, t, _ in cells] == [(1, 1), (1, 2), (1, 5), (2, 2), (2, 5), (5, 5)]
+    phi = hq.solve_phi_grid(hq.kernel_from_dict(H2), dt=0.02, t_max=80.0)
+    cov = running_integral_cov(phi)
+    for s, t, value in cells:
+        assert value == pytest.approx(cov(s, t)[0, 0], rel=1e-12)
 
 
 def test_analyze_zero_kernel(tmp_path):
@@ -126,7 +137,7 @@ def test_validate_fclt_cross_time_orientation(tmp_path):
         (tmp_path / "out" / "validate-fclt" / "asym" / "report.json").read_text())
     assert code == 0 and report["pass"]
     phi = hq.solve_multivariate_phi(hq.kernel_from_dict(kernel), dt=0.05, t_max=40.0)
-    target = hq.limit_covariance_multi(phi, hq.variance_function(phi), 1.0, 3.0)
+    target = hq.count_limit_model(phi).cov(1.0, 3.0)
     assert abs(target[0, 1] - target[1, 0]) > 0.1
     cross = report["cross_time_checks"]
     assert [c["dims"] for c in cross] == [[0, 0], [0, 1], [1, 0], [1, 1]]
@@ -134,6 +145,32 @@ def test_validate_fclt_cross_time_orientation(tmp_path):
         i, j = c["dims"]
         assert (c["s"], c["t"]) == (1.0, 3.0)
         assert c["analytic"] == pytest.approx(target[i, j], rel=1e-12)
+
+
+QUARTER = {"type": "sum_exp", "terms": [{"alpha": 0.25, "beta": 1.0}]}
+
+
+@pytest.mark.parametrize("kernel", [
+    H1, {"type": "matrix", "p": [1.0, 1.0], "entries": [[QUARTER, QUARTER], [QUARTER, QUARTER]]},
+], ids=["h1", "quarter"])
+def test_validate_fclt_probe_at_zero(tmp_path, kernel):
+    # G(0) = 0 on both sides: a check with no sample spread and no gap has z = 0
+    cfg = _write(tmp_path, "z.json", {
+        "name": "zero", "kernel": kernel, "mu": 10.0, "reps": 200,
+        "probe_times": [0.0, 1.0], "seed": 3, "grid": {"dt": 0.05, "t_max": 40.0}})
+    code = main(["validate-fclt", "--config", cfg, "--out", str(tmp_path / "out")])
+    report = json.loads(
+        (tmp_path / "out" / "validate-fclt" / "zero" / "report.json").read_text())
+    assert code == 0 and report["pass"]
+    at_zero = ([c for c in report["checks"] if c["t"] == 0.0]
+               + [c for c in report["cross_time_checks"] if c["s"] == 0.0])
+    assert len(at_zero) == (1 + 1 if kernel is H1 else 3 + 4)
+    assert all(c["z"] == 0.0 and c["empirical"] == c["analytic"] == 0.0 for c in at_zero)
+
+
+def test_validate_fclt_z_rule():
+    assert _z(1.0, 4.0) == 0.25 and _z(0.0, 0.0) == 0.0
+    assert _z(1e-300, 0.0) == _z(-1.0, 0.0) == math.inf
 
 
 def test_validate_queue_poisson(tmp_path):

@@ -7,7 +7,7 @@ import hawkesq as hq
 from hawkesq.errors import ConfigurationError, NumericalError
 
 import oracles
-from dense_reference import dense_density
+from dense_reference import dense_density, running_integral_cov
 
 
 def test_zero_kernel_gives_zero_density():
@@ -199,17 +199,13 @@ def test_multivariate_exchangeable_symmetry(phi_quarter):
 def test_multivariate_variance_and_covariance(phi_quarter, phi_h1):
     K = hq.variance_function(phi_quarter)
     assert np.all(K.at(0.0) == 0.0)
-    assert hq.multivariate_variance(phi_quarter, 3.0) == pytest.approx(K.at(3.0))
-    got = hq.limit_covariance_multi(phi_quarter, K, 2.0, 2.0)
+    got = hq.limit_covariance_G(phi_quarter, K, 2.0, 2.0)
     assert got == pytest.approx(K.at(2.0), abs=1e-12)
-    # k = 1 reduction agrees with the scalar path
+    # k = 1 reduction agrees with the running integrals of the scalar density
     km = hq.KernelMatrix([[hq.SumOfExponentialsKernel([0.5], [1.0])]], [1.0])
     multi = hq.solve_multivariate_phi(km, dt=0.01, t_max=40.0)
-    Km = hq.variance_function(multi)
-    K1 = hq.variance_function(phi_h1)
-    scalar = hq.limit_covariance_G(phi_h1, K1, 1.0, 2.0)
-    assert hq.limit_covariance_multi(multi, Km, 1.0, 2.0)[0, 0] == pytest.approx(
-        scalar, abs=1e-8)
+    scalar = running_integral_cov(phi_h1)(1.0, 2.0)[0, 0]
+    assert hq.count_limit_model(multi).cov(1.0, 2.0)[0, 0] == pytest.approx(scalar, abs=1e-8)
 
 
 _E = hq.SumOfExponentialsKernel
@@ -284,9 +280,9 @@ def test_residual_reported(phi_h1, phi_h2, phi_quarter):
 
 
 def test_csv_emitters(tmp_path, phi_h1, K_h1):
+    # the covG.csv dump of `analyze` is checked in test_cli
     phi_h1.write_csv(tmp_path / "phi.csv")
     K_h1.write_csv(tmp_path / "K.csv")
-    hq.covariance.write_covariance_csv(phi_h1, K_h1, [1.0, 2.0], tmp_path / "cov.csv")
-    header = (tmp_path / "cov.csv").read_text().splitlines()
-    assert header[0] == "s,t,cov"
-    assert len(header) == 4  # (1,1), (1,2), (2,2)
+    for name, label in (("phi.csv", "phi"), ("K.csv", "K")):
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[0] == f"t,{label}" and len(lines) == phi_h1.t.size + 1

@@ -11,7 +11,7 @@ from hawkesq import limits
 from hawkesq.errors import ConfigurationError, NumericalError
 
 import oracles
-from dense_reference import dense_double_sum, nested_quad_steady_var
+from dense_reference import dense_double_sum, nested_quad_steady_var, running_integral_cov
 
 
 # --- var_X_infty / cov_X_general -------------------------------------------------
@@ -534,11 +534,11 @@ def test_gram_200_points_is_symmetric_and_factors(phi_h1):
 
 # --- the count limit: the queue limit whose service never ends -------------------
 
-def test_count_gram_matches_limit_covariance_g_on_the_lattice(phi_h1, K_h1):
+def test_count_gram_matches_limit_covariance_g_on_the_lattice(phi_h1):
     # on the lattice the lag sum and the running integrals of K are one trapezoid rule
     times = [3.7, 0.37, 1.23, 3.7, 0.0, 5.67, 2.91, 1.0]
     got = hq.count_limit_model(phi_h1).gram(times)
-    ref = _pairwise_gram(lambda s, t: hq.limit_covariance_G(phi_h1, K_h1, s, t), 1, times)
+    ref = _pairwise_gram(running_integral_cov(phi_h1), 1, times)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -548,10 +548,8 @@ def test_count_gram_matches_limit_covariance_multi(phi_h1, phi_asymmetric):
     # (0.37, 0.37), class 0, dt = 0.05, it is 0.106 dt^2, and the lag sum is 8x
     # closer to the dt -> 0 value there.
     for phi in (phi_asymmetric, phi_h1):
-        K = hq.variance_function(phi)
         got = hq.count_limit_model(phi).gram(_GRAM_TIMES)
-        ref = _pairwise_gram(lambda s, t: hq.limit_covariance_multi(phi, K, s, t), phi.k,
-                             _GRAM_TIMES)
+        ref = _pairwise_gram(running_integral_cov(phi), phi.k, _GRAM_TIMES)
         assert np.abs(got - ref).max() <= 0.1 * phi.dt ** 2 * np.abs(ref).max()
 
 
@@ -576,9 +574,7 @@ def test_count_gram_200_points_k2_factors(phi_asymmetric):
     gram = hq.count_limit_model(phi_asymmetric).gram(times)
     assert gram.shape == (400, 400)
     np.linalg.cholesky(gram)
-    K = hq.variance_function(phi_asymmetric)
-    ref = _pairwise_gram(lambda s, t: hq.limit_covariance_multi(phi_asymmetric, K, s, t), 2,
-                         times)
+    ref = _pairwise_gram(running_integral_cov(phi_asymmetric), 2, times)
     assert np.abs(gram - ref).max() <= 0.1 * phi_asymmetric.dt ** 2
 
 
