@@ -11,12 +11,11 @@ Everything downstream (variance function, the limit covariances of
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from ._io import write_csv, write_json
 from .errors import ConfigurationError, NumericalError
@@ -29,6 +28,71 @@ _GMRES_RTOL = 1e-10       # above the rounding floor, which reaches ~5e-11 at ||
 _GMRES_RESTART = 40
 _GMRES_MAXITER = 10       # restart cycles; the preconditioned solve needs one
 _OFFSET_NODES = 4001      # log-spaced frequencies of the spectral offset integral
+
+
+@functools.lru_cache(maxsize=256)
+def _next_fast_len(n: int) -> int:
+    """Smallest 5-smooth length 2^a 3^b 5^c >= n, as scipy.fft.next_fast_len(n, real=True)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:                      # 3^b 5^c times the least power of 2 reaching n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _gmres(matvec, b: np.ndarray) -> np.ndarray:
+    """Restarted GMRES (Saad & Schultz 1986) for A x = b from x0 = 0.
+
+    Each cycle builds a Krylov basis of at most _GMRES_RESTART vectors by
+    Arnoldi with modified Gram-Schmidt; Givens rotations reduce the Hessenberg
+    least-squares problem and carry its residual, which ends the cycle once it
+    reaches _GMRES_RTOL ||b||.  Convergence is decided by the true residual
+    ||b - A x||, recomputed at each restart; after _GMRES_MAXITER cycles
+    without it the solve raises NumericalError.
+    """
+    m = _GMRES_RESTART
+    target = _GMRES_RTOL * np.linalg.norm(b)
+    x, r = np.zeros_like(b), b
+    beta = np.linalg.norm(r)
+    for _ in range(_GMRES_MAXITER):
+        if beta <= target:
+            return x
+        V = np.empty((m + 1, b.size))
+        H = np.zeros((m + 1, m))
+        cs, sn, g = np.zeros(m), np.zeros(m), np.zeros(m + 1)
+        V[0], g[0] = r / beta, beta
+        for j in range(m):
+            w = matvec(V[j])
+            w_norm = np.linalg.norm(w)
+            for i in range(j + 1):
+                H[i, j] = V[i] @ w
+                w -= H[i, j] * V[i]
+            H[j + 1, j] = np.linalg.norm(w)
+            breakdown = H[j + 1, j] <= np.finfo(float).eps * w_norm    # the basis holds x
+            if breakdown:
+                H[j + 1, j] = 0.0
+            else:
+                V[j + 1] = w / H[j + 1, j]
+            for i in range(j):
+                H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
+                                        cs[i] * H[i + 1, j] - sn[i] * H[i, j])
+            d = math.hypot(H[j, j], H[j + 1, j])
+            cs[j], sn[j] = H[j, j] / d, H[j + 1, j] / d
+            H[j, j], g[j], g[j + 1] = d, cs[j] * g[j], -sn[j] * g[j]
+            if abs(g[j + 1]) <= target or breakdown:
+                break
+        y = np.linalg.solve(np.triu(H[:j + 1, :j + 1]), g[:j + 1])
+        x = x + y @ V[:j + 1]
+        r = b - matvec(x)
+        beta = np.linalg.norm(r)
+    if beta <= target:
+        return x
+    raise NumericalError(f"GMRES did not converge: residual {beta:.2e} > {target:.2e} "
+                         f"after {_GMRES_MAXITER} restart cycles")
 
 
 def _lattice_weights(T: float, dt: float, f) -> np.ndarray:
@@ -197,7 +261,7 @@ def _solve_density(entries, a, t, dt):
     grid and the sup-norm residual.
     """
     n, k = len(t), len(entries)
-    size = next_fast_len(2 * n - 1, real=True)     # lags up to 2n - 2 do not wrap
+    size = _next_fast_len(2 * n - 1)               # lags up to 2n - 2 do not wrap
 
     def spectrum(f):
         return np.fft.rfft(f, size, axis=0)
@@ -226,12 +290,7 @@ def _solve_density(entries, a, t, dt):
         return (phi - apply(phi)).ravel()
 
     b = h0 * np.asarray(a, dtype=float)
-    op = LinearOperator((b.size, b.size), matvec=system, dtype=float)
-    y, info = gmres(op, b.ravel(), rtol=_GMRES_RTOL, atol=0.0, restart=_GMRES_RESTART,
-                    maxiter=_GMRES_MAXITER)
-    if info != 0:
-        raise NumericalError(f"GMRES did not converge (info = {info})")
-    phi = precondition(y)
+    phi = precondition(_gmres(system, b.ravel()))
     residual = float(np.max(np.abs(phi - (apply(phi) + b))))
     if not residual <= _RESIDUAL_TOL:
         raise NumericalError(f"integral-equation residual {residual:.2e} > {_RESIDUAL_TOL:g}")

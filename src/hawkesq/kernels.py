@@ -11,7 +11,6 @@ import json
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigurationError, IntegrabilityError, NumericalError
 
@@ -115,6 +114,8 @@ class Kernel:
         raise NotImplementedError
 
     def _laplace_quadrature(self, omega: float) -> float:
+        from scipy.integrate import quad     # deferred: it adds ~0.2 s to the package import
+
         # beyond -log(1e-16)/omega the factor e^{-omega t} drops at most 1e-16 ||h||;
         # a heavy tail's cutoff lies so far out that quad would miss the mass near 0
         end = min(self.majorant_cutoff(), -math.log(1e-16) / omega)
@@ -263,6 +264,8 @@ class PowerLawKernel(Kernel):
         return self.amplitude / (self.scale * (self.exponent - 1.0))
 
     def _fourier(self, omegas):
+        from scipy.integrate import quad     # deferred: it adds ~0.2 s to the package import
+
         self._require(1.0, "Fourier transform")
         cutoff = self.majorant_cutoff()
         out = np.empty(omegas.shape, dtype=complex)

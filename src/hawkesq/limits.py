@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
-from .covariance import (_MAX_UNKNOWNS, CovarianceDensity, _lattice_weights, laplace_pipeline,
-                         solve_phi_grid)
+from .covariance import (_MAX_UNKNOWNS, CovarianceDensity, _lattice_weights, _next_fast_len,
+                         laplace_pipeline, solve_phi_grid)
 from .errors import ConfigurationError, NumericalError, TruncationError
 from .kernels import Kernel, SumOfExponentialsKernel
 from .service import (_SURVIVAL_FLOOR, DeterministicService, ExponentialService, ServiceModel,
@@ -72,7 +71,7 @@ def _lag_sums(phi: CovarianceDensity, rows, pairs) -> np.ndarray:
     # every index n - u of H and every lag n + v - u of a pair lies in [lo, hi],
     # so an FFT of hi - lo + 1 points does not wrap
     lo, hi = int(np.min(n0 - nodes[p] + 1, initial=0)), int(np.max(n0 + nodes[q], initial=0))
-    size = next_fast_len(hi - lo + 1, real=True)
+    size = _next_fast_len(hi - lo + 1)
     if size > _MAX_UNKNOWNS:
         raise NumericalError(f"lag sums need an FFT of {size} points, over the cap {_MAX_UNKNOWNS}")
     top = phi.t.size - 1

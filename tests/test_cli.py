@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -277,3 +281,22 @@ def test_missing_or_null_grid_keeps_solver_defaults(tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
     lines = outputs[0].decode().splitlines()     # solve_phi_grid: dt = 0.01, t_max = 40
     assert len(lines) == 4002 and lines[2].startswith("0.01,")
+
+
+_DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.fft", "scipy.sparse")
+
+
+def test_import_loads_no_deferred_scipy_module():
+    # A fresh interpreter: pytest's own filterwarnings setting imports scipy.integrate here.
+    code = f"""
+import math, sys
+import hawkesq, hawkesq.cli
+loaded = [m for m in {_DEFERRED!r} if m in sys.modules]
+assert not loaded, loaded
+value = hawkesq.PowerLawKernel(1.0, 3.5, 1.0).laplace(0.8)
+assert "scipy.integrate" in sys.modules and math.isfinite(value), value
+"""
+    src = str(Path(hq.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert run.returncode == 0, run.stderr

@@ -2,8 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 import hawkesq as hq
+from hawkesq import covariance
 from hawkesq.errors import ConfigurationError, NumericalError
 
 import oracles
@@ -213,6 +215,9 @@ _DENSE_CASES = {
     "h1": (_E([0.5], [1.0]), dict(dt=0.1, t_max=40.0)),
     "h2": (_E([0.1, 0.4], [0.25, 4.0]), dict(dt=0.1, t_max=80.0)),
     "near-critical": (_E([0.99], [1.0]), dict(dt=0.1)),
+    # near the rounding floor that _GMRES_RTOL sits above; at dt = 0.1 the trapezoid
+    # sum of h is 1.0007, a supercritical discrete system
+    "critical-0.9999": (_E([0.9999], [1.0]), dict(dt=0.02)),
     "power-law": (hq.PowerLawKernel(1.0, 5.0, 2.0), dict(dt=0.1)),
     "tabulated": (hq.TabulatedKernel(0.05, 0.6 * np.arange(801) * 0.05
                                      * np.exp(-np.arange(801) * 0.05)),
@@ -250,6 +255,20 @@ def test_matches_dense_reference(case):
     ref = dense_density(km.entries, km.branching_vector(), phi.t, phi.dt)
     got = phi.values.reshape(ref.shape)
     assert np.abs(got - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+
+
+def test_unconverged_solve_raises(monkeypatch):
+    monkeypatch.setattr(covariance, "_GMRES_MAXITER", 1)
+    monkeypatch.setattr(covariance, "_GMRES_RESTART", 2)
+    # an exponential kernel converges in one step (its history part has rank one)
+    with pytest.raises(NumericalError, match="GMRES did not converge"):
+        hq.solve_phi_grid(hq.PowerLawKernel(1.0, 5.0, 2.0), dt=0.1)
+
+
+def test_fft_length_matches_scipy():
+    cap = 2 * covariance._MAX_UNKNOWNS
+    for n in [*range(1, 2**17 + 1), *range(cap - 40, cap + 41)]:
+        assert covariance._next_fast_len(n) == next_fast_len(n, real=True), n
 
 
 _HEAVY = hq.PowerLawKernel(1.0, 1.5, 0.2)     # tail mass ~ t^-1/2: no horizon reaches 1e-8
