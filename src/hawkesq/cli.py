@@ -199,8 +199,12 @@ def cmd_validate_fclt(cfg: dict, out: Path) -> int:
                 cross_time.append({"s": s, "t": t, "dims": [i, j], "empirical": c,
                                    "analytic": want, "z": _z(c - want, se)})
     worst = max(abs(c["z"]) for c in checks + cross_time)
+    # the chance that at least one of n independent checks passes 3 SE by chance
+    n_checks = len(checks) + len(cross_time)
+    false_alarm = 1.0 - (1.0 - math.erfc(3.0 / math.sqrt(2.0))) ** n_checks
     report = {"mu": mu, "reps": reps, "checks": checks, "cross_time_checks": cross_time,
-              "max_abs_z": worst, "pass": bool(worst < 3.0)}
+              "max_abs_z": worst, "pass": bool(worst < 3.0),
+              "family_false_alarm_rate": false_alarm}
     write_json(out / "report.json", report)
     return 0 if report["pass"] else 1
 

@@ -257,8 +257,11 @@ def _solve_density(entries, a, t, dt):
     h_il on [0, t_max] with Phi_lj; both are applied by FFT, so the operator
     is never stored.  GMRES solves the system, right-preconditioned by the
     circulant inverse of I minus the Volterra part; without it the restarted
-    iteration stalls on long grids near criticality.  Returns the (n, k, k)
-    grid and the sup-norm residual.
+    iteration stalls on long grids near criticality.  The discrete system
+    is stable only when the spectral radius of the trapezoid sums
+    sum_m w_m h(t_m) is below 1; a coarse dt can break that for a kernel
+    whose ||h|| is just below 1, so the solve checks it first and raises
+    NumericalError.  Returns the (n, k, k) grid and the sup-norm residual.
     """
     n, k = len(t), len(entries)
     size = _next_fast_len(2 * n - 1)               # lags up to 2n - 2 do not wrap
@@ -271,10 +274,14 @@ def _solve_density(entries, a, t, dt):
 
     h = np.moveaxis([[kern(np.arange(2 * n - 1) * dt) for kern in row] for row in entries], -1, 0)
     h0 = h[:n]
+    w = _lattice_weights(t[-1], dt, np.ones_like)[:, None, None]
+    discrete_norm = float(np.max(np.abs(np.linalg.eigvals((w * h0).sum(axis=0)))))
+    if not discrete_norm < 1.0:
+        raise NumericalError(f"trapezoid norm of the kernel on the grid is {discrete_norm:.6g} "
+                             f">= 1 at dt = {dt:g}; refine dt")
     hist_hat = spectrum(h)
     conv_hat = dt * spectrum(h0)
     inv_hat = np.linalg.inv(np.eye(k) - conv_hat + 0.5 * dt * h0[0])
-    w = _lattice_weights(t[-1], dt, np.ones_like)[:, None, None]
 
     def apply(phi):
         spec = (hist_hat @ spectrum(w * phi).conj().transpose(0, 2, 1)

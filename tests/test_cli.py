@@ -82,6 +82,14 @@ def test_analyze_zero_kernel(tmp_path):
     assert all(line.endswith(",0") for line in phi[1:])
 
 
+def test_supercritical_trapezoid_grid_exits_3(tmp_path, capsys):
+    kernel = {"type": "sum_exp", "terms": [{"alpha": 0.9999, "beta": 1.0}]}
+    cfg = _write(tmp_path, "c.json", {"name": "c", "kernel": kernel, "grid": {"dt": 0.1},
+                                      "seed": 1})
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert "refine dt" in capsys.readouterr().err
+
+
 def test_validate_fclt_poisson(tmp_path):
     cfg = _write(tmp_path, "f.json", {
         "name": "poisson", "kernel": ZERO, "mu": 50.0, "reps": 1500,
@@ -170,6 +178,26 @@ def test_validate_fclt_probe_at_zero(tmp_path, kernel):
                + [c for c in report["cross_time_checks"] if c["s"] == 0.0])
     assert len(at_zero) == (1 + 1 if kernel is H1 else 3 + 4)
     assert all(c["z"] == 0.0 and c["empirical"] == c["analytic"] == 0.0 for c in at_zero)
+
+
+@pytest.mark.parametrize("kernel, n_checks, rate", [
+    (H1, 3 + 3, 0.016),
+    ({"type": "matrix", "p": [1.0, 1.0], "entries": [[QUARTER, QUARTER], [QUARTER, QUARTER]]},
+     9 + 12, 0.055),
+], ids=["h1", "quarter"])
+def test_validate_fclt_family_false_alarm_rate(tmp_path, kernel, n_checks, rate):
+    # three probes: P k (k + 1) / 2 equal-time and P (P - 1) / 2 k^2 cross-time checks
+    cfg = _write(tmp_path, "f.json", {
+        "name": "fam", "kernel": kernel, "mu": 10.0, "reps": 100,
+        "probe_times": [1.0, 2.0, 5.0], "seed": 3, "grid": {"dt": 0.05, "t_max": 40.0}})
+    main(["validate-fclt", "--config", cfg, "--out", str(tmp_path / "out")])
+    report = json.loads(
+        (tmp_path / "out" / "validate-fclt" / "fam" / "report.json").read_text())
+    assert len(report["checks"]) + len(report["cross_time_checks"]) == n_checks
+    single = math.erfc(3.0 / math.sqrt(2.0))          # P(|Z| >= 3) = 0.0027
+    assert report["family_false_alarm_rate"] == pytest.approx(1.0 - (1.0 - single) ** n_checks,
+                                                              rel=1e-12)
+    assert round(report["family_false_alarm_rate"], 3) == rate
 
 
 def test_validate_fclt_z_rule():

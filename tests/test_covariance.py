@@ -265,6 +265,20 @@ def test_unconverged_solve_raises(monkeypatch):
         hq.solve_phi_grid(hq.PowerLawKernel(1.0, 5.0, 2.0), dt=0.1)
 
 
+def test_supercritical_trapezoid_system_raises():
+    # ||h|| = 0.9999, but the trapezoid sum of h at dt 0.1 is 0.9999 * 1.00083 = 1.0007
+    kernel = _E([0.9999], [1.0])
+    with pytest.raises(NumericalError, match=r"trapezoid norm .* 1\.0007\d* >= 1 at dt = 0\.1; "
+                                             r"refine dt"):
+        hq.solve_phi_grid(kernel, dt=0.1)
+    assert hq.solve_phi_grid(kernel, dt=0.02).values.min() >= 0.0
+    # k > 1: the spectral radius of the matrix of trapezoid sums, 2 * 0.49995 * 1.00083
+    half = _E([0.49995], [1.0])
+    with pytest.raises(NumericalError, match=r"trapezoid norm .* 1\.0007\d* >= 1 at dt = 0\.1"):
+        hq.solve_multivariate_phi(hq.KernelMatrix([[half, half], [half, half]], [1.0, 1.0]),
+                                  dt=0.1)
+
+
 def test_fft_length_matches_scipy():
     cap = 2 * covariance._MAX_UNKNOWNS
     for n in [*range(1, 2**17 + 1), *range(cap - 40, cap + 41)]:

@@ -1,4 +1,6 @@
+import ctypes
 import json
+import platform
 
 import numpy as np
 import pytest
@@ -330,3 +332,48 @@ def test_worker_error_keeps_its_type(h1, cpus, monkeypatch, tmp_path):
         cfg = tmp_path / f"{command}.json"
         cfg.write_text(json.dumps(dict(extra, name="cap", kernel=kernel, mu=10.0, seed=3)))
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+
+
+def _faults_after_first_round(_):
+    """Minor faults of eight 2 MiB arrays, filled and freed, over rounds 2 to 10."""
+    import resource
+
+    def round_():
+        arrays = [np.full(1 << 18, 1.0) for _ in range(8)]
+        del arrays
+    round_()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(9):
+        round_()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_pool_workers_reuse_freed_heap(cpus):
+    # glibc's defaults trim the freed 16 MiB round back to the OS, so every
+    # round faults its pages in again: about one fault per 4 KiB page
+    cpus(2)
+    faults = sum(simulate._map_replications(_faults_after_first_round, 2))
+    pages = 2 * 9 * 8 * (2 << 20) // 4096
+    assert faults < pages / 20
+
+
+def test_pool_without_mallopt_matches_inline(h1, cpus, monkeypatch):
+    # a C library without mallopt (musl, macOS): the workers run untuned, and
+    # the inline path never looks at the allocator
+    opened = []
+
+    class NoMallopt:
+        def __init__(self, name):
+            opened.append(name)
+
+    monkeypatch.setattr(ctypes, "CDLL", NoMallopt)
+    sim = hq.SimConfig(_config(h1, 10.0), horizon=2.0, seed=29, replications=6)
+    cpus(1)
+    inline = hq.simulate_paths(sim)
+    assert opened == []
+    cpus(2)
+    pooled = hq.simulate_paths(sim)
+    for a, b in zip(inline, pooled, strict=True):
+        assert a.replication == b.replication
+        assert all(np.array_equal(x, y) for x, y in zip(a.times, b.times, strict=True))
