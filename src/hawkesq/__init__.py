@@ -1,7 +1,7 @@
 """Stationary self-exciting traffic models, their Gaussian limits, and
 infinite-server queues driven by them."""
 
-__version__ = "0.12.1"
+__version__ = "0.13.0"
 
 from .covariance import (CovarianceDensity, LaplacePipeline, VarianceFunction,
                          asymptotic_offset, asymptotic_slope, laplace_pipeline,
@@ -13,12 +13,11 @@ from .kernels import (HawkesConfig, Kernel, KernelMatrix, PowerLawKernel,
                       SumOfExponentialsKernel, TabulatedKernel, ZERO_KERNEL,
                       fourier_transform, kernel_from_dict, kernel_from_json,
                       l1_norm, laplace_transform, spectral_radius)
-from .limits import (GaussianQueueApprox, LimitModel, cov_multi_ou, cov_X_general,
-                     cov_Xe, count_limit_model, exp_queue_limit_model,
-                     gaussian_queue_approx, gaussian_queue_pmf, limit_covariance_G,
-                     mean_Xe, multi_ou_limit_model, queue_limit_model,
-                     sample_limit_path, steady_state_cov_multi, var_X_infty,
-                     var_xe_infty, var_xe_infty_exponential)
+from .limits import (GaussianQueueApprox, LimitModel, count_limit_model,
+                     exp_queue_limit_model, gaussian_queue_approx, limit_covariance_G,
+                     multi_ou_limit_model, queue_limit_model, sample_limit_path,
+                     steady_state_cov_multi, var_X_infty, var_xe_infty,
+                     var_xe_infty_exponential)
 from .queueing import (ComparisonReport, QueueTrajectory, SteadyStateSample,
                        compare_distributions, simulate_queue,
                        steady_state_sample)

@@ -1,15 +1,17 @@
 """Gaussian limit objects for the heavy-baseline regime.
 
-Covariance evaluators for the infinite-server queue limit X of k classes,
-one service law per class (the OU-type X_e and its multivariate analogue
+One model, `LimitModel`, of the infinite-server queue limit X of k classes,
+one service law per class: the OU-type X_e and its multivariate analogue
 are its exponential case, the count limit G its case of service that never
-ends), steady-state summaries, the Gaussian queue pmf, and exact
-finite-dimensional sampling of any of these from its covariance.
+ends.  Its covariance, Gram and mean, one steady-state rule (`_steady`),
+the Gaussian queue approximation, and exact finite-dimensional sampling of
+any model from its covariance.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,8 +19,7 @@ from .covariance import (_MAX_UNKNOWNS, CovarianceDensity, _lattice_weights, _ne
                          laplace_pipeline, solve_phi_grid)
 from .errors import ConfigurationError, NumericalError, TruncationError
 from .kernels import Kernel, SumOfExponentialsKernel
-from .service import (_SURVIVAL_FLOOR, DeterministicService, ExponentialService, ServiceModel,
-                      _normalize_services)
+from .service import DeterministicService, ExponentialService, ServiceModel, _normalize_services
 from .simulate import rep_stream
 
 _PSD_JITTERS = (0.0, 1e-10, 1e-9, 1e-8)
@@ -110,50 +111,42 @@ def _lag_sums(phi: CovarianceDensity, rows, pairs) -> np.ndarray:
     return out
 
 
-def cov_X_general(F0: ServiceModel, F: ServiceModel, q0: float,
-                  phi: CovarianceDensity, s: float, t: float) -> float:
-    """Covariance of the general-service queue limit X at (s, t), the k = 1
-    entry of the k-class queue limit (`queue_limit_model`).
+def _steady(kernel, services, phi: CovarianceDensity | None = None):
+    """The one steady-state covariance of k classes, S_i the survival of F_i:
 
-    For s <= t:  q0 F0(s)(1 - F0(t)) + (1-||h||)^{-1} int_0^s (1-F(t-u)) du
-                 + int_0^s int_0^t (1-F(t-u)) (1-F(s-v)) phi(v-u) du dv.
-    The Brownian-bridge and theta components are the first two summands.
+        1_{i=j} a_i E[S_i] + int_0^inf int_0^inf S_i(u) S_j(v) Phi_ij(v-u) du dv,
+
+    a float at k = 1, else the k x k matrix.  Exp(r) service at k = 1 on an
+    exponential mixture is exact: (a + phi~(r)) / r from the Laplace pipeline.
+    Any other case is the lattice lag sum `_steady_cov` on phi, solved on the
+    default grid when not given.  Its truncation drops at most
+    2 max|Phi| max_i E[S_i] max_i int_{cutoff_i}^inf S_i, checked against 1e-6
+    before the sum; the result is checked to be PSD.
     """
-    phi._univariate("cov_X_general")
-    return float(LimitModel(phi, [F0], [F], np.array([q0]), np.zeros(1))._cov(s, t)[0, 0])
-
-
-def var_X_infty(F: ServiceModel, phi: CovarianceDensity) -> float:
-    """Steady-state variance of X: mean-service term plus the survival-weighted
-    double integral of the covariance density (infinite-horizon version of
-    the queue-limit variance), by the rule of `_steady_var`.
-    """
-    phi._univariate("var_X_infty")
-    return _steady_var(phi.kernel, F, phi)
-
-
-def _steady_var(kernel, F: ServiceModel, phi: CovarianceDensity | None = None) -> float:
-    """The one steady-state variance a E[S] + int int S(u) S(v) phi(v-u) du dv.
-
-    Exp(r) service on an exponential mixture is exact: (a + phi~(r)) / r from
-    the Laplace pipeline.  Any other pair is the k = 1 lag sum of
-    `_steady_cov` on phi, solved on the default grid when not given.
-    """
-    if not math.isfinite(F.mean()):
+    if not all(math.isfinite(F.mean()) for F in services):
         raise ConfigurationError("service mean must be finite")
-    if isinstance(F, ExponentialService) and isinstance(kernel, SumOfExponentialsKernel):
+    F = services[0]
+    if (len(services) == 1 and isinstance(F, ExponentialService)
+            and isinstance(kernel, SumOfExponentialsKernel)):
         pipeline = laplace_pipeline(kernel)
         return (pipeline.phi_tilde(F.rate) + 1.0 / (1.0 - pipeline.norm)) / F.rate
     if phi is None:
         phi = solve_phi_grid(kernel)
-    return float(_steady_cov(phi, [F])[0, 0])
+    tail = (2.0 * float(np.abs(phi.grid).max()) * max(G.mean() for G in services)
+            * max(G.mean() - G.survival_integral(G.survival_cutoff()) for G in services))
+    if tail > _STEADY_TAIL_TOL:
+        raise TruncationError(f"truncation tail bound {tail:.2e} > {_STEADY_TAIL_TOL:g}")
+    out = _steady_cov(phi, services)
+    eigmin = float(np.linalg.eigvalsh(out).min())
+    if eigmin < -1e-8 * max(1.0, float(np.abs(np.diag(out)).max())):
+        raise NumericalError(f"steady-state covariance not PSD (min eig {eigmin:.2e})")
+    return float(out[0, 0]) if len(services) == 1 else out
 
 
 def _steady_cov(phi: CovarianceDensity, services) -> np.ndarray:
-    """Steady-state covariance 1_{i=j} a_i E[S_i] + int int S_i(u) S_j(v) Phi_ij(v-u)
-    du dv of k classes, S_i the survival of service F_i, each axis truncated
-    at the 1e-12 survival cutoff; symmetrized.  A zero density has no lag
-    term, so heavy service tails on it stay off the node cap."""
+    """The lattice steady-state covariance of `_steady`, each axis truncated at
+    the 1e-12 survival cutoff; symmetrized.  A zero density has no lag term,
+    so heavy service tails on it stay off the node cap."""
     k = len(services)
     out = np.diag(phi.a * [F.mean() for F in services])
     if phi.grid.any():
@@ -164,20 +157,13 @@ def _steady_cov(phi: CovarianceDensity, services) -> np.ndarray:
     return out
 
 
-def cov_Xe(phi: CovarianceDensity, s: float, t: float) -> float:
-    """Covariance of the unit-rate OU-type limit X_e at (s, t), the k = 1,
-    r = 1 case of `cov_multi_ou`:
-
-        (e^{-(t-s)} - e^{-(t+s)})/(1-||h||)
-        + int_0^t int_0^s e^{-(t-u)} e^{-(s-v)} phi(u-v) dv du,   s <= t.
+def var_X_infty(F: ServiceModel, phi: CovarianceDensity) -> float:
+    """Steady-state variance of X: mean-service term plus the survival-weighted
+    double integral of the covariance density (infinite-horizon version of
+    the queue-limit variance), by the rule of `_steady`.
     """
-    phi._univariate("cov_Xe")
-    return cov_multi_ou(phi, [1.0], 0, 0, s, t)
-
-
-def mean_Xe(x0: float, t) -> float:
-    """E[X_e(t) | X_e(0) = x0] = x0 exp(-t)."""
-    return x0 * np.exp(-np.asarray(t, dtype=float))
+    phi._univariate("var_X_infty")
+    return _steady(phi.kernel, [F], phi)
 
 
 def var_xe_infty_exponential(alpha: float, beta: float) -> float:
@@ -195,13 +181,13 @@ def var_xe_infty_exponential(alpha: float, beta: float) -> float:
 
 def var_xe_infty(kernel: Kernel, phi: CovarianceDensity | None = None,
                  method: str = "auto") -> float:
-    """Var(X_e(inf)) = phi~(1) + 1/(1 - ||h||), the Exp(1) case of `_steady_var`
+    """Var(X_e(inf)) = phi~(1) + 1/(1 - ||h||), the Exp(1) case of `_steady`
     ("auto": exact for exponential mixtures) or, with "grid", its lag sum on
     phi (solved on the default grid when not given).
     """
     F = ExponentialService(1.0)
     if method == "auto":
-        return _steady_var(kernel, F, phi)
+        return _steady(kernel, [F], phi)
     if method != "grid":
         raise ConfigurationError(f"unknown method {method!r}")
     return float(_steady_cov(solve_phi_grid(kernel) if phi is None else phi, [F])[0, 0])
@@ -227,70 +213,15 @@ class GaussianQueueApprox:
 def gaussian_queue_approx(mu: float, kernel: Kernel, phi: CovarianceDensity | None = None,
                           service: ServiceModel = ExponentialService(1.0)) -> GaussianQueueApprox:
     """Gaussian steady state of the Hawkes/G/infinity queue with service F:
-    mean lambda_bar E[S] = mu E[S]/(1-||h||), variance mu times the
-    `_steady_var` of (kernel, F), exact for exponential service on an
-    exponential mixture; other pairs solve phi on the default grid unless it
-    is given.
+    mean lambda_bar E[S] = mu E[S]/(1-||h||), variance mu times the `_steady`
+    variance of (kernel, F), exact for exponential service on an exponential
+    mixture; other pairs solve phi on the default grid unless it is given.
     """
     if mu <= 0:
         raise ConfigurationError("mu must be positive")
     lam = mu / (1.0 - kernel.l1_norm())
-    var = _steady_var(kernel, service, phi)
+    var = _steady(kernel, [service], phi)
     return GaussianQueueApprox(lam * service.mean(), math.sqrt(mu * var))
-
-
-def gaussian_queue_pmf(mu: float, kernel: Kernel, i: int) -> float:
-    """P(Q = i) under the Gaussian steady-state approximation."""
-    if i < 0 or int(i) != i:
-        raise ConfigurationError("i must be a nonnegative integer")
-    return gaussian_queue_approx(mu, kernel).pmf(float(i))
-
-
-# --- the OU-type limit: the queue limit with exponential service --------------
-
-def _exponential_laws(phi: CovarianceDensity, r):
-    """(F0, F, q0) = (Exp(r_i), Exp(r_i), a_i/r_i), the steady-state load, for
-    which the closed terms are (a_i/r_i) (e^{-r_i(t-s)} - e^{-r_i(t+s)})."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (phi.k,) or not np.all(r > 0):
-        raise ConfigurationError("need one positive service rate per class")
-    F = [ExponentialService(ri) for ri in r]
-    return F, F, phi.a / r
-
-
-def cov_multi_ou(phi: CovarianceDensity, r, i: int, j: int,
-                 s: float, t: float) -> float:
-    """Cov(X_i(t), X_j(s)) for the k-dimensional OU-type queue limit:
-
-        1_{i=j} (a_i/r_i) (e^{-r_i(t-s)} - e^{-r_i(t+s)})
-        + int_0^t int_0^s e^{-r_i(t-u)} e^{-r_j(s-v)} Phi_ij(u-v) dv du,  s <= t,
-
-    with the matrix extension rule for negative lags.
-    """
-    model = LimitModel(phi, *_exponential_laws(phi, r), np.zeros(phi.k))
-    if i not in range(phi.k) or j not in range(phi.k):
-        raise ConfigurationError(f"class indices ({i}, {j}) outside 0..{phi.k - 1}")
-    return float(model._cov(s, t)[i, j])
-
-
-def steady_state_cov_multi(phi: CovarianceDensity, r) -> np.ndarray:
-    """Steady-state covariance matrix of the k-dimensional OU-type limit:
-
-        1_{i=j} a_i/r_i + int_0^inf int_0^inf e^{-r_i u} e^{-r_j v} Phi_ij(v-u) du dv,
-
-    the `_steady_cov` of Exp(r_i) service, truncated where the exponential
-    weights fall below 1e-12, with the truncation certificate checked
-    against 1e-6.  The result is validated to be PSD.
-    """
-    F = _exponential_laws(phi, r)[1]
-    tail = float(np.abs(phi.grid).max()) * 2.0 * _SURVIVAL_FLOOR / min(G.rate for G in F) ** 2
-    if tail > _STEADY_TAIL_TOL:
-        raise TruncationError(f"truncation tail bound {tail:.2e} > {_STEADY_TAIL_TOL:g}")
-    out = _steady_cov(phi, F)
-    eigmin = float(np.linalg.eigvalsh(out).min())
-    if eigmin < -1e-8 * max(1.0, float(np.abs(np.diag(out)).max())):
-        raise NumericalError(f"steady-state covariance not PSD (min eig {eigmin:.2e})")
-    return out
 
 
 # --- assembled limit models and exact Gaussian sampling ------------------------
@@ -310,11 +241,16 @@ class LimitModel:
     F: list
     q0: np.ndarray
     x0: np.ndarray
-    steady_state_variance: object = None
 
     @property
     def dim(self) -> int:
         return self.phi.k
+
+    @cached_property
+    def steady_state_variance(self):
+        """Covariance of X(inf) by the rule of `_steady`, computed on first
+        access: a float at k = 1, else the k x k matrix."""
+        return _steady(self.phi.kernel, self.F, self.phi)
 
     def _blocks(self, times: np.ndarray, pairs: np.ndarray) -> np.ndarray:
         """The k x k blocks Cov(X_i(t), X_j(s)) of the pairs (p, q) of `times`,
@@ -394,19 +330,34 @@ def queue_limit_model(phi: CovarianceDensity, F0, F, q0, x0=0.0) -> LimitModel:
     q0, x0 = (np.full(k, v, float) if np.ndim(v) == 0 else np.asarray(v, float) for v in (q0, x0))
     if q0.shape != (k,) or x0.shape != (k,):
         raise ConfigurationError(f"need one q0 and one x0 per class (k = {k})")
-    steady = _steady_cov(phi, F) if phi.is_matrix else var_X_infty(F[0], phi)
-    return LimitModel(phi, F0, F, q0, x0, steady)
+    return LimitModel(phi, F0, F, q0, x0)
+
+
+def multi_ou_limit_model(phi: CovarianceDensity, r, x0=0.0) -> LimitModel:
+    """The OU-type queue limit: Exp(r_i) service from the steady-state load
+    a_i/r_i, so the closed terms are (a_i/r_i) (e^{-r_i(t-s)} - e^{-r_i(t+s)})
+    and the mean is x0_i e^{-r_i t}."""
+    r = np.asarray(r, dtype=float)
+    if r.shape != (phi.k,) or not np.all(r > 0):
+        raise ConfigurationError("need one positive service rate per class")
+    F = [ExponentialService(ri) for ri in r]
+    return queue_limit_model(phi, F, F, phi.a / r, x0)
 
 
 def exp_queue_limit_model(phi: CovarianceDensity, x0: float = 0.0) -> LimitModel:
+    """The unit-rate OU-type limit X_e, `multi_ou_limit_model` at r = 1."""
     phi._univariate("exp_queue_limit_model")
-    steady = _steady_var(phi.kernel, ExponentialService(1.0), phi)
-    return LimitModel(phi, *_exponential_laws(phi, [1.0]), np.array([x0], dtype=float), steady)
+    return multi_ou_limit_model(phi, [1.0], x0)
 
 
-def multi_ou_limit_model(phi: CovarianceDensity, r, x0=None) -> LimitModel:
-    x0 = np.zeros(phi.k) if x0 is None else np.asarray(x0, dtype=float)
-    return LimitModel(phi, *_exponential_laws(phi, r), x0, steady_state_cov_multi(phi, r))
+def steady_state_cov_multi(phi: CovarianceDensity, r) -> np.ndarray:
+    """Steady-state covariance matrix of the k-dimensional OU-type limit:
+
+        1_{i=j} a_i/r_i + int_0^inf int_0^inf e^{-r_i u} e^{-r_j v} Phi_ij(v-u) du dv,
+
+    the `steady_state_variance` of `multi_ou_limit_model`, always a matrix.
+    """
+    return np.atleast_2d(multi_ou_limit_model(phi, r).steady_state_variance)
 
 
 def sample_limit_path(model: LimitModel, t_grid, seed: int,

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.fft import next_fast_len
 
 import hawkesq as hq
@@ -75,6 +76,53 @@ def test_pipeline_consistency_with_grid(phi_h1, phi_h2, h1, h2, omega):
     for kern, phi in ((h1, phi_h1), (h2, phi_h2)):
         pipe = hq.laplace_pipeline(kern)
         assert _trapezoid_laplace(phi, omega) == pytest.approx(pipe.phi_tilde(omega), abs=1e-3)
+
+
+# --- the spectral identity ----------------------------------------------------------
+
+_OMEGAS = np.array([0.0, 0.3, 1.0, 3.0])
+
+
+def _spectral_gap(kern, dt, t_max):
+    """Largest gap, relative to the largest value, between the trapezoid cosine
+    transform 2 int_0^t_max phi(t) cos(w t) dt of the solved density and
+    phi^(w) = (|1 - h^(w)|^-2 - 1)/(1 - ||h||) at four frequencies."""
+    phi = hq.solve_phi_grid(kern, dt=dt, t_max=t_max)
+    got = 2.0 * np.trapezoid(np.cos(np.outer(_OMEGAS, phi.t)) * phi.values, dx=dt, axis=1)
+    exact = (np.abs(1.0 - kern.fourier(_OMEGAS)) ** -2 - 1.0) / (1.0 - kern.l1_norm())
+    return np.abs(got - exact).max() / np.abs(exact).max()
+
+
+@st.composite
+def stable_mixtures(draw):
+    n = draw(st.integers(1, 3))
+    betas = np.array(draw(st.lists(st.floats(0.5, 5.0), min_size=n, max_size=n)))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    return hq.SumOfExponentialsKernel(draw(st.floats(0.05, 0.8)) * weights / weights.sum() * betas,
+                                      betas)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(stable_mixtures())
+def test_phi_spectral_identity_random_mixtures(kern):
+    # a positive mixture's phi decays at least at min beta (1 - ||h||) >= 0.1, so
+    # it is below e^-30 of phi(0) beyond t_max = 300; the gap is second order in dt
+    coarse, fine = _spectral_gap(kern, 0.02, 300.0), _spectral_gap(kern, 0.01, 300.0)
+    assert fine < 2e-3
+    assert 3.5 < coarse / fine < 4.5
+
+
+@pytest.mark.parametrize("kern,t_max,steps", [
+    # H(80) = 1.16e-8 exceeds the grid's 1e-8 tail tolerance, so t_max = 100
+    (hq.PowerLawKernel(1.0, 5.0, 2.0), 100.0, (0.02, 0.01)),
+    (hq.SumOfExponentialsKernel([1.0, -0.5], [1.0, 2.0]), 80.0, (0.02, 0.01, 0.005))],
+    ids=["power-law", "mixed-sign"])
+def test_phi_spectral_identity_fixed_kernels(kern, t_max, steps):
+    # relative gaps: power law 1.24e-3 and 3.1e-4; mixture 2.7e-5, 6.7e-6 and 1.7e-6
+    gaps = [_spectral_gap(kern, dt, t_max) for dt in steps]
+    assert gaps[0] < 2e-3
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 3.5 < coarse / fine < 4.5
 
 
 def test_phi_tilde_positive(h1, h2):

@@ -8,13 +8,13 @@ from scipy.integrate import quad
 
 import hawkesq as hq
 from hawkesq import limits
-from hawkesq.errors import ConfigurationError, NumericalError
+from hawkesq.errors import ConfigurationError, NumericalError, TruncationError
 
 import oracles
 from dense_reference import dense_double_sum, nested_quad_steady_var, running_integral_cov
 
 
-# --- var_X_infty / cov_X_general -------------------------------------------------
+# --- var_X_infty and the general-service queue limit ------------------------------
 
 def test_var_x_infty_poisson_is_mean_service():
     phi0 = hq.solve_phi_grid(hq.ZERO_KERNEL, dt=0.02, t_max=40.0)
@@ -47,10 +47,16 @@ def test_var_x_infty_exponential_rates(alphas, betas, exact):
     # (a = 2, phi~(r) = 1.5 / (r + 0.5)); the mixed-sign mixture from its Laplace
     # system in exact rationals (259/10 and 17/5), which the partial fractions of
     # 1 - h^ confirm.  The lattice lag sum is second order, within 1e-4 at dt = 0.01.
+    # Every model reads the one steady-state rule, so the OU-type limit and
+    # steady_state_cov_multi are exact too; at k = 1 the model's value is a float.
     phi = hq.solve_phi_grid(hq.SumOfExponentialsKernel(alphas, betas), dt=0.01, t_max=40.0)
     for r, value in exact.items():
         F = hq.ExponentialService(r)
-        assert hq.var_X_infty(F, phi) == pytest.approx(value, rel=0.0, abs=1e-12)
+        steady = hq.multi_ou_limit_model(phi, [r]).steady_state_variance
+        assert type(steady) is float
+        for got in (hq.var_X_infty(F, phi), steady, hq.steady_state_cov_multi(phi, [r])[0, 0],
+                    hq.queue_limit_model(phi, F, F, 0.0).steady_state_variance):
+            assert got == pytest.approx(value, rel=0.0, abs=1e-12)
         assert abs(limits._steady_cov(phi, [F])[0, 0] - value) < 1e-4
 
 
@@ -73,13 +79,25 @@ def _peak_bytes(fn):
 
 
 def test_var_x_infty_node_cap_checked_before_allocation(phi_h1):
-    # survival cutoff 1.3e6: 1.3e8 lattice nodes at dt = 0.01
+    # survival cutoff 1.3e6: 1.3e8 lattice nodes at dt = 0.01; the truncation
+    # certificate, a NumericalError too, refuses it before the node cap does
     def call():
         with pytest.raises(NumericalError):
             hq.var_X_infty(hq.LogNormalService(0.0, 2.0), phi_h1)
 
     _, peak = _peak_bytes(call)
     assert peak < 1e6
+
+
+def test_truncation_certificate_checked_before_the_lag_sum(phi_h1, phi_quarter):
+    # the dropped tail 2 max|Phi| max E[S_i] max int_{cutoff_i}^inf S_i must stay
+    # under 1e-6: for Exp(r) it is 2 max|Phi| 1e-12 / min r^2 (max|Phi| = 0.75 on
+    # phi_quarter); LogNormal(0, 3) keeps 1.0e-3 of its mean beyond its cutoff
+    assert issubclass(TruncationError, NumericalError)
+    with pytest.raises(TruncationError, match="1.50e-04"):
+        hq.steady_state_cov_multi(phi_quarter, [1e-4, 1.0])
+    with pytest.raises(TruncationError, match="2.70e-01"):
+        hq.var_X_infty(hq.LogNormalService(0.0, 3.0), phi_h1)
 
 
 def test_var_x_infty_heavy_service_grid_matches_closed_form(phi_h1_exact):
@@ -125,25 +143,25 @@ def test_cov_x_general_deterministic_second_order(phi_h1):
     for v, s, t in [(1.0, 0.37, 2.913), (1.0, 0.8, 1.3), (0.555, 1.234, 1.5),
                     (2.3456, 1.0, 3.0), (1.0, 2.5, 2.5)]:
         F = hq.DeterministicService(v)
-        got = hq.cov_X_general(F, F, 2.0, phi_h1, s, t)
+        got = hq.queue_limit_model(phi_h1, F, F, 2.0).cov(s, t)
         assert got == pytest.approx(_cov_x_general_deterministic_h1(v, 2.0, s, t), abs=1e-4)
 
 
 def test_cov_x_general_basics(phi_h1):
     F = hq.ExponentialService(1.0)
-    assert hq.cov_X_general(F, F, 0.0, phi_h1, 0.0, 5.0) == 0.0
+    model = hq.queue_limit_model(phi_h1, F, F, 0.0)
+    assert model.cov(0.0, 5.0) == 0.0
     # q0 = 0 kills the bridge term: s = t variance matches eq. components
-    v = hq.cov_X_general(F, F, 0.0, phi_h1, 3.0, 3.0)
-    assert v > 0
+    assert model.cov(3.0, 3.0) > 0
     with pytest.raises(ConfigurationError):
-        hq.cov_X_general(F, F, 1.0, phi_h1, 1.0, 1000.0)
+        hq.queue_limit_model(phi_h1, F, F, 1.0).cov(1.0, 1000.0)
 
 
 def test_cov_x_general_poisson_limit():
     phi0 = hq.solve_phi_grid(hq.ZERO_KERNEL, dt=0.02, t_max=40.0)
     F = hq.ExponentialService(1.0)
     t = 30.0
-    v = hq.cov_X_general(F, F, 1.0, phi0, t, t)
+    v = hq.queue_limit_model(phi0, F, F, 1.0).cov(t, t)
     assert v == pytest.approx(1.0, abs=1e-4)   # M/M/inf limit variance = offered load
 
 
@@ -152,8 +170,8 @@ def test_cov_x_general_reduces_to_cov_xe(phi_h1, phi_asymmetric):
     F = hq.ExponentialService(1.0)
     q0 = 1.0 / (1.0 - phi_h1.norm)
     for s, t in [(1.0, 2.0), (0.5, 3.0), (2.5, 2.5)]:
-        a = hq.cov_X_general(F, F, q0, phi_h1, s, t)
-        b = hq.cov_Xe(phi_h1, s, t)
+        a = hq.queue_limit_model(phi_h1, F, F, q0).cov(s, t)
+        b = hq.exp_queue_limit_model(phi_h1).cov(s, t)
         assert a == pytest.approx(b, rel=1e-14)
     r = np.array([1.0, 0.7])
     Fs = [hq.ExponentialService(ri) for ri in r]
@@ -166,14 +184,16 @@ def test_cov_x_general_reduces_to_cov_xe(phi_h1, phi_asymmetric):
 
 def test_cov_xe_poisson_and_zero_start(phi_h1):
     phi0 = hq.solve_phi_grid(hq.ZERO_KERNEL, dt=0.02, t_max=40.0)
-    assert hq.cov_Xe(phi0, 4.0, 4.0) == pytest.approx(1.0 - np.exp(-8.0), abs=1e-12)
-    assert hq.cov_Xe(phi_h1, 0.0, 5.0) == 0.0
+    assert hq.exp_queue_limit_model(phi0).cov(4.0, 4.0) == \
+        pytest.approx(1.0 - np.exp(-8.0), abs=1e-12)
+    assert hq.exp_queue_limit_model(phi_h1).cov(0.0, 5.0) == 0.0
 
 
 def test_cov_xe_matches_explicit_display(phi_h1):
     # the last two pairs lie off the dt = 0.01 lattice
+    model = hq.exp_queue_limit_model(phi_h1)
     for s, t in [(1.0, 2.0), (0.5, 1.5), (2.0, 2.0), (0.37, 2.913), (1.234, 5.678)]:
-        assert hq.cov_Xe(phi_h1, s, t) == pytest.approx(oracles.cov_xe1(s, t), abs=1e-4)
+        assert model.cov(s, t) == pytest.approx(oracles.cov_xe1(s, t), abs=1e-4)
 
 
 def _dense_cov_xe(phi, s, t):
@@ -207,7 +227,7 @@ def _dense_queue_cov(phi, F, i, j, s, t):
 
 
 def _dense_cov_x_general(F, phi, s, t):
-    """cov_X_general with F0 = F and q0 = 1."""
+    """The k = 1 queue limit with F0 = F and q0 = 1."""
     return _dense_queue_cov(phi, [F], 0, 0, s, t)
 
 
@@ -221,14 +241,16 @@ def _dense_cov_multi_ou_offdiag(phi, r, i, j, s, t):
 _SERVICES = {"lognormal": hq.LogNormalService(0.0, 0.5),
              "exponential": hq.ExponentialService(1.0),
              "deterministic": hq.DeterministicService(1.0)}
+# keyed by covariance form: X_e, the k = 1 queue limit, the k = 2 OU-type entry (i, j)
 _LAG_CASES = {
-    "cov_Xe": lambda phi, pm, s, t: (hq.cov_Xe(phi, s, t), _dense_cov_xe(phi, s, t)),
+    "cov_Xe": lambda phi, pm, s, t: (hq.exp_queue_limit_model(phi).cov(s, t),
+                                     _dense_cov_xe(phi, s, t)),
     **{f"cov_X_general-{name}": (
-        lambda phi, pm, s, t, F=F: (hq.cov_X_general(F, F, 1.0, phi, s, t),
+        lambda phi, pm, s, t, F=F: (hq.queue_limit_model(phi, F, F, 1.0).cov(s, t),
                                     _dense_cov_x_general(F, phi, s, t)))
        for name, F in _SERVICES.items()},
     **{f"cov_multi_ou-{i}{j}": (
-        lambda phi, pm, s, t, i=i, j=j: (hq.cov_multi_ou(pm, [1.0, 2.0], i, j, s, t),
+        lambda phi, pm, s, t, i=i, j=j: (hq.multi_ou_limit_model(pm, [1.0, 2.0]).cov(s, t)[i, j],
                                          _dense_cov_multi_ou_offdiag(pm, [1.0, 2.0], i, j, s, t)))
        for i, j in [(0, 1), (1, 0)]},
 }
@@ -240,11 +262,6 @@ def test_lag_quadrature_matches_dense_reference(case, phi_h1, phi_asymmetric):
     for s, t in [(1.0, 3.0), (2.5, 2.5), (4.0, 0.5)]:
         got, ref = _LAG_CASES[case](phi_h1, phi_asymmetric, s, t)
         assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
-
-
-def test_mean_xe_decay():
-    assert hq.mean_Xe(2.0, 0.0) == 2.0
-    assert hq.mean_Xe(2.0, 3.0) == pytest.approx(2.0 * np.exp(-3.0))
 
 
 def test_var_xe_infty_h1(h1, phi_h1):
@@ -290,8 +307,7 @@ def test_gaussian_queue_pair_h1(h1):
     approx = hq.gaussian_queue_approx(100.0, h1)
     assert approx.mean == pytest.approx(200.0)
     assert approx.sigma == pytest.approx(np.sqrt(300.0), abs=1e-9)
-    assert hq.gaussian_queue_pmf(100.0, h1, 200) == pytest.approx(
-        1.0 / np.sqrt(2 * np.pi * 300.0))
+    assert approx.pmf(200) == pytest.approx(1.0 / np.sqrt(2 * np.pi * 300.0))
 
 
 def test_gaussian_queue_pair_h2(h2):
@@ -303,37 +319,33 @@ def test_gaussian_pmf_symmetry(h1):
     approx = hq.gaussian_queue_approx(100.0, h1)   # integer mean 200
     for x in (1, 5, 17):
         assert approx.pmf(200 + x) == pytest.approx(approx.pmf(200 - x))
-    with pytest.raises(ConfigurationError):
-        hq.gaussian_queue_pmf(100.0, h1, -1)
 
 
 # --- multivariate OU -----------------------------------------------------------
 
 def test_cov_multi_ou_decoupled(h1):
     km = hq.KernelMatrix([[h1, hq.ZERO_KERNEL], [hq.ZERO_KERNEL, h1]], [1.0, 1.0])
-    phi = hq.solve_multivariate_phi(km, dt=0.05, t_max=40.0)
-    assert abs(hq.cov_multi_ou(phi, [1.0, 1.0], 0, 1, 1.0, 2.0)) < 1e-8
-    assert hq.cov_multi_ou(phi, [1.0, 1.0], 0, 0, 0.0, 2.0) == 0.0
+    model = hq.multi_ou_limit_model(hq.solve_multivariate_phi(km, dt=0.05, t_max=40.0),
+                                    [1.0, 1.0])
+    assert abs(model.cov(1.0, 2.0)[0, 1]) < 1e-8
+    assert model.cov(0.0, 2.0)[0, 0] == 0.0
 
 
 def test_cov_multi_ou_k1_matches_cov_xe(phi_h1, h1):
     km = hq.KernelMatrix([[h1]], [1.0])
-    phi = hq.solve_multivariate_phi(km, dt=0.01, t_max=40.0)
+    model = hq.multi_ou_limit_model(hq.solve_multivariate_phi(km, dt=0.01, t_max=40.0), [1.0])
     for s, t in [(1.0, 2.0), (3.0, 0.5)]:
-        assert hq.cov_multi_ou(phi, [1.0], 0, 0, s, t) == pytest.approx(
-            hq.cov_Xe(phi_h1, s, t), abs=1e-6)
+        assert model.cov(s, t)[0, 0] == pytest.approx(
+            hq.exp_queue_limit_model(phi_h1).cov(s, t), abs=1e-6)
 
 
 def test_cov_multi_ou_rejects_bad_rates_and_classes(phi_h1, phi_asymmetric):
-    # a zero, negative or missing rate and an out-of-range class index are
-    # configuration errors, not nan, a silent value or an IndexError
+    # a zero, negative, nan or missing rate is a configuration error, not nan
+    # or a silent value
     for phi, r in [(phi_h1, [0.0]), (phi_h1, [-1.0]), (phi_h1, [1.0, 1.0]),
                    (phi_asymmetric, [1.0]), (phi_asymmetric, [1.0, np.nan])]:
         with pytest.raises(ConfigurationError):
-            hq.cov_multi_ou(phi, r, 0, 0, 1.0, 2.0)
-    for i, j in [(2, 0), (0, 2), (-1, 0)]:
-        with pytest.raises(ConfigurationError):
-            hq.cov_multi_ou(phi_asymmetric, [1.0, 2.0], i, j, 1.0, 2.0)
+            hq.multi_ou_limit_model(phi, r)
     with pytest.raises(ConfigurationError):
         hq.steady_state_cov_multi(phi_asymmetric, [1.0, 0.0])
     # per-class laws and loads of the queue limit: one per class, or one for all
@@ -389,6 +401,16 @@ def test_exp_queue_limit_model_steady_state_of_a_matrix_density(h1):
     assert hq.exp_queue_limit_model(phi).steady_state_variance == pytest.approx(3.0, abs=1e-4)
 
 
+def test_queue_limit_of_service_that_never_ends(phi_h1):
+    # the steady state is computed on first access, so a model without one builds;
+    # with no initial load it is the count limit
+    never = hq.DeterministicService(math.inf)
+    model = hq.queue_limit_model(phi_h1, hq.ExponentialService(1.0), never, 0.0)
+    assert np.array_equal(model.gram(_GRAM_TIMES), hq.count_limit_model(phi_h1).gram(_GRAM_TIMES))
+    with pytest.raises(ConfigurationError, match="service mean must be finite"):
+        model.steady_state_variance
+
+
 def test_sample_limit_path_determinism(phi_h1):
     model = hq.exp_queue_limit_model(phi_h1, x0=1.0)
     a = hq.sample_limit_path(model, [0.5, 1.0, 2.0], seed=9, n_draws=3)
@@ -401,7 +423,7 @@ def test_sample_limit_path_multivariate(phi_quarter):
     draws = hq.sample_limit_path(model, [1.0, 3.0], seed=2, n_draws=8000)
     assert draws.shape == (8000, 2, 2)
     c = np.cov(draws[:, 1, 0], draws[:, 1, 1])[0, 1]
-    target = hq.cov_multi_ou(phi_quarter, [1.0, 1.0], 0, 1, 3.0, 3.0)
+    target = model.cov(3.0, 3.0)[0, 1]
     assert abs(c - target) < 0.1
 
 
@@ -418,7 +440,7 @@ def test_queue_general_model_deterministic_service_sampling(phi_h1):
     se_mean = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
     assert np.all(np.abs(draws.mean(axis=0) - mean) < 4.0 * se_mean)
     for a, b in [(0, 0), (0, 1), (1, 1)]:
-        target = hq.cov_X_general(F0, F, q0, phi_h1, times[a], times[b])
+        target = model.cov(times[a], times[b])
         sample = np.cov(draws[:, a], draws[:, b])[0, 1]
         se = np.sqrt(hq.simulate.var_of_sample_cov(draws[:, a], draws[:, b]))
         assert abs(sample - target) < 4.0 * se
@@ -521,7 +543,7 @@ def test_lag_sums_off_lattice_match_direct_double_sum(phi_asymmetric):
                 if i == j:
                     direct += phi_asymmetric.a[i] / r[i] * (np.exp(-r[i] * (t - s))
                                                              - np.exp(-r[i] * (t + s)))
-                got = hq.cov_multi_ou(phi_asymmetric, r, i, j, s, t)
+                got = hq.multi_ou_limit_model(phi_asymmetric, r).cov(s, t)[i, j]
                 assert abs(got - direct) <= 1e-13 * abs(direct), (s, t, i, j)
 
 
@@ -559,11 +581,11 @@ def test_cross_class_lag_sum_is_second_order(phi_asymmetric):
     km, r = phi_asymmetric.kernel, [1.0, 0.7]
     values = []
     for dt in (0.05, 0.025, 0.0125):
-        phi = hq.solve_multivariate_phi(km, dt=dt, t_max=40.0)
-        values.append(hq.cov_multi_ou(phi, r, 0, 1, 1.0, 5.0075))
+        model = hq.multi_ou_limit_model(hq.solve_multivariate_phi(km, dt=dt, t_max=40.0), r)
+        values.append(model.cov(1.0, 5.0075)[0, 1])
         for t in (0.9, 2.0, 3.33):
-            assert abs(hq.cov_multi_ou(phi, r, 0, 1, t, t)
-                       - hq.cov_multi_ou(phi, r, 1, 0, t, t)) <= 1e-15
+            equal = model.cov(t, t)
+            assert abs(equal[0, 1] - equal[1, 0]) <= 1e-15
     ratio = (values[0] - values[1]) / (values[1] - values[2])
     assert 3.5 < ratio < 4.5
 
@@ -581,7 +603,7 @@ def test_count_gram_200_points_k2_factors(phi_asymmetric):
 def test_model_means_are_x0_times_initial_survival(phi_h1, phi_quarter):
     times = np.array([0.0, 0.37, 1.0, 5.678])
     assert np.array_equal(hq.exp_queue_limit_model(phi_h1, x0=1.7).mean_vector(times),
-                          hq.mean_Xe(1.7, times))
+                          1.7 * np.exp(-times))
     r, x0 = np.array([1.0, 0.7]), np.array([2.0, -0.5])
     assert np.array_equal(hq.multi_ou_limit_model(phi_quarter, r, x0).mean_vector(times),
                           (x0 * np.exp(-r * times[:, None])).ravel())

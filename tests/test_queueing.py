@@ -220,10 +220,11 @@ def test_steady_state_k_classes_two_service_laws(quarter_matrix, phi_quarter):
 
 def test_transient_covariance_initial_service(h1, phi_h1):
     # A fixed initial count mu q0 whose customers leave independently under F0
-    # contributes mu q0 F0(s) S0(t), the first term of cov_X_general.
+    # contributes mu q0 F0(s) S0(t), the first term of the queue limit's covariance.
     mu, q0, probes = 50.0, 3.0, [0.5, 1.0, 2.0]
     F, F0 = hq.LogNormalService(0.0, 0.5), hq.ExponentialService(2.0)
     sim = hq.SimConfig(hq.HawkesConfig(mu, h1), max(probes), seed=4242, replications=3000)
+    model = hq.queue_limit_model(phi_h1, F0, F, q0)
     q = np.array([hq.simulate_queue(p, F, [int(mu * q0)], probes,
                                     hq.rep_stream(4242, p.replication, SERVICE_STREAM),
                                     initial_service=F0).q[:, 0]
@@ -231,7 +232,7 @@ def test_transient_covariance_initial_service(h1, phi_h1):
     for a, b in itertools.combinations_with_replacement(range(len(probes)), 2):
         emp = float(np.cov(q[:, a], q[:, b])[0, 1])
         se = np.sqrt(var_of_sample_cov(q[:, a], q[:, b]))
-        want = mu * hq.cov_X_general(F0, F, q0, phi_h1, probes[a], probes[b])
+        want = mu * model.cov(probes[a], probes[b])
         assert abs(emp - want) < 4.0 * se, (probes[a], probes[b], emp, want, se)
 
 
