@@ -1,7 +1,7 @@
 """Stationary self-exciting traffic models, their Gaussian limits, and
 infinite-server queues driven by them."""
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .covariance import (CovarianceDensity, LaplacePipeline, VarianceFunction,
                          asymptotic_offset, asymptotic_slope, laplace_pipeline,
@@ -25,6 +25,6 @@ from .service import (DeterministicService, ExponentialService,
                       LogNormalService, ServiceModel,
                       TabulatedInverseCDFService, service_from_dict)
 from .simulate import (MomentSummary, PointPath, SimConfig, default_burn_in,
-                       empirical_moments, read_paths_binary, read_paths_csv,
-                       rep_stream, simulate_cluster, simulate_paths,
-                       simulate_thinning, write_paths_binary, write_paths_csv)
+                       empirical_moments, read_paths_csv, rep_stream,
+                       simulate_cluster, simulate_paths, simulate_thinning,
+                       write_paths_csv)

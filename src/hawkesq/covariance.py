@@ -25,8 +25,7 @@ _TAIL_TOL = 1e-8          # required kernel tail mass at the truncation horizon
 _RESIDUAL_TOL = 1e-6      # sup-norm residual of the discretized equation
 _MAX_UNKNOWNS = 1_000_000  # k^2 (n + 1) grid values; ~200 bytes of working memory each
 _GMRES_RTOL = 1e-10       # above the rounding floor, which reaches ~5e-11 at ||h|| = 0.9999
-_GMRES_RESTART = 40
-_GMRES_MAXITER = 10       # restart cycles; the preconditioned solve needs one
+_GMRES_BASIS = 40         # Krylov vectors; the preconditioned solve needs under ten
 _OFFSET_NODES = 4001      # log-spaced frequencies of the spectral offset integral
 
 
@@ -45,54 +44,41 @@ def _next_fast_len(n: int) -> int:
 
 
 def _gmres(matvec, b: np.ndarray) -> np.ndarray:
-    """Restarted GMRES (Saad & Schultz 1986) for A x = b from x0 = 0.
+    """GMRES (Saad & Schultz 1986) for A x = b from x0 = 0, in one cycle.
 
-    Each cycle builds a Krylov basis of at most _GMRES_RESTART vectors by
-    Arnoldi with modified Gram-Schmidt; Givens rotations reduce the Hessenberg
-    least-squares problem and carry its residual, which ends the cycle once it
-    reaches _GMRES_RTOL ||b||.  Convergence is decided by the true residual
-    ||b - A x||, recomputed at each restart; after _GMRES_MAXITER cycles
+    Arnoldi with modified Gram-Schmidt builds a Krylov basis of at most
+    _GMRES_BASIS vectors.  After each vector the small Hessenberg least-squares
+    problem is solved afresh; the basis stops growing once its residual reaches
+    _GMRES_RTOL ||b||.  Convergence is decided by the true residual ||b - A x||;
     without it the solve raises NumericalError.
     """
-    m = _GMRES_RESTART
-    target = _GMRES_RTOL * np.linalg.norm(b)
-    x, r = np.zeros_like(b), b
-    beta = np.linalg.norm(r)
-    for _ in range(_GMRES_MAXITER):
-        if beta <= target:
-            return x
-        V = np.empty((m + 1, b.size))
-        H = np.zeros((m + 1, m))
-        cs, sn, g = np.zeros(m), np.zeros(m), np.zeros(m + 1)
-        V[0], g[0] = r / beta, beta
-        for j in range(m):
-            w = matvec(V[j])
-            w_norm = np.linalg.norm(w)
-            for i in range(j + 1):
-                H[i, j] = V[i] @ w
-                w -= H[i, j] * V[i]
-            H[j + 1, j] = np.linalg.norm(w)
-            breakdown = H[j + 1, j] <= np.finfo(float).eps * w_norm    # the basis holds x
-            if breakdown:
-                H[j + 1, j] = 0.0
-            else:
-                V[j + 1] = w / H[j + 1, j]
-            for i in range(j):
-                H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
-                                        cs[i] * H[i + 1, j] - sn[i] * H[i, j])
-            d = math.hypot(H[j, j], H[j + 1, j])
-            cs[j], sn[j] = H[j, j] / d, H[j + 1, j] / d
-            H[j, j], g[j], g[j + 1] = d, cs[j] * g[j], -sn[j] * g[j]
-            if abs(g[j + 1]) <= target or breakdown:
-                break
-        y = np.linalg.solve(np.triu(H[:j + 1, :j + 1]), g[:j + 1])
-        x = x + y @ V[:j + 1]
-        r = b - matvec(x)
-        beta = np.linalg.norm(r)
-    if beta <= target:
+    beta = np.linalg.norm(b)
+    if beta == 0.0:
+        return np.zeros_like(b)
+    target = _GMRES_RTOL * beta
+    m = _GMRES_BASIS
+    V, H, g = np.empty((m + 1, b.size)), np.zeros((m + 1, m)), np.zeros(m + 1)
+    V[0], g[0] = b / beta, beta
+    for j in range(m):
+        w = matvec(V[j])
+        w_norm = np.linalg.norm(w)
+        for i in range(j + 1):
+            H[i, j] = V[i] @ w
+            w -= H[i, j] * V[i]
+        H[j + 1, j] = np.linalg.norm(w)
+        breakdown = H[j + 1, j] <= np.finfo(float).eps * w_norm    # the basis holds x
+        if not breakdown:
+            V[j + 1] = w / H[j + 1, j]
+        Hj, gj = H[:j + 2, :j + 1], g[:j + 2]
+        y = np.linalg.lstsq(Hj, gj)[0]
+        if breakdown or np.linalg.norm(gj - Hj @ y) <= target:
+            break
+    x = y @ V[:j + 1]
+    residual = np.linalg.norm(b - matvec(x))
+    if residual <= target:
         return x
-    raise NumericalError(f"GMRES did not converge: residual {beta:.2e} > {target:.2e} "
-                         f"after {_GMRES_MAXITER} restart cycles")
+    raise NumericalError(f"GMRES did not converge: residual {residual:.2e} > {target:.2e} "
+                         f"with {m} Krylov vectors")
 
 
 def _lattice_weights(T: float, dt: float, f) -> np.ndarray:

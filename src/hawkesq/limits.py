@@ -116,8 +116,8 @@ def _steady(kernel, services, phi: CovarianceDensity | None = None):
 
         1_{i=j} a_i E[S_i] + int_0^inf int_0^inf S_i(u) S_j(v) Phi_ij(v-u) du dv,
 
-    a float at k = 1, else the k x k matrix.  Exp(r) service at k = 1 on an
-    exponential mixture is exact: (a + phi~(r)) / r from the Laplace pipeline.
+    always the k x k matrix.  Exp(r) service at k = 1 on an exponential
+    mixture is exact: (a + phi~(r)) / r from the Laplace pipeline.
     Any other case is the lattice lag sum `_steady_cov` on phi, solved on the
     default grid when not given.  Its truncation drops at most
     2 max|Phi| max_i E[S_i] max_i int_{cutoff_i}^inf S_i, checked against 1e-6
@@ -129,7 +129,7 @@ def _steady(kernel, services, phi: CovarianceDensity | None = None):
     if (len(services) == 1 and isinstance(F, ExponentialService)
             and isinstance(kernel, SumOfExponentialsKernel)):
         pipeline = laplace_pipeline(kernel)
-        return (pipeline.phi_tilde(F.rate) + 1.0 / (1.0 - pipeline.norm)) / F.rate
+        return np.full((1, 1), (pipeline.phi_tilde(F.rate) + 1.0 / (1.0 - pipeline.norm)) / F.rate)
     if phi is None:
         phi = solve_phi_grid(kernel)
     tail = (2.0 * float(np.abs(phi.grid).max()) * max(G.mean() for G in services)
@@ -140,7 +140,7 @@ def _steady(kernel, services, phi: CovarianceDensity | None = None):
     eigmin = float(np.linalg.eigvalsh(out).min())
     if eigmin < -1e-8 * max(1.0, float(np.abs(np.diag(out)).max())):
         raise NumericalError(f"steady-state covariance not PSD (min eig {eigmin:.2e})")
-    return float(out[0, 0]) if len(services) == 1 else out
+    return out
 
 
 def _steady_cov(phi: CovarianceDensity, services) -> np.ndarray:
@@ -163,7 +163,7 @@ def var_X_infty(F: ServiceModel, phi: CovarianceDensity) -> float:
     the queue-limit variance), by the rule of `_steady`.
     """
     phi._univariate("var_X_infty")
-    return _steady(phi.kernel, [F], phi)
+    return float(_steady(phi.kernel, [F], phi)[0, 0])
 
 
 def var_xe_infty_exponential(alpha: float, beta: float) -> float:
@@ -187,7 +187,7 @@ def var_xe_infty(kernel: Kernel, phi: CovarianceDensity | None = None,
     """
     F = ExponentialService(1.0)
     if method == "auto":
-        return _steady(kernel, [F], phi)
+        return float(_steady(kernel, [F], phi)[0, 0])
     if method != "grid":
         raise ConfigurationError(f"unknown method {method!r}")
     return float(_steady_cov(solve_phi_grid(kernel) if phi is None else phi, [F])[0, 0])
@@ -220,7 +220,7 @@ def gaussian_queue_approx(mu: float, kernel: Kernel, phi: CovarianceDensity | No
     if mu <= 0:
         raise ConfigurationError("mu must be positive")
     lam = mu / (1.0 - kernel.l1_norm())
-    var = _steady(kernel, [service], phi)
+    var = float(_steady(kernel, [service], phi)[0, 0])
     return GaussianQueueApprox(lam * service.mean(), math.sqrt(mu * var))
 
 
@@ -249,8 +249,10 @@ class LimitModel:
     @cached_property
     def steady_state_variance(self):
         """Covariance of X(inf) by the rule of `_steady`, computed on first
-        access: a float at k = 1, else the k x k matrix."""
-        return _steady(self.phi.kernel, self.F, self.phi)
+        access, in the view of `cov`: a float for a model built from a Kernel,
+        else the k x k matrix."""
+        steady = self.phi._public(_steady(self.phi.kernel, self.F, self.phi))
+        return steady if self.phi.is_matrix else float(steady)
 
     def _blocks(self, times: np.ndarray, pairs: np.ndarray) -> np.ndarray:
         """The k x k blocks Cov(X_i(t), X_j(s)) of the pairs (p, q) of `times`,
@@ -355,16 +357,17 @@ def steady_state_cov_multi(phi: CovarianceDensity, r) -> np.ndarray:
 
         1_{i=j} a_i/r_i + int_0^inf int_0^inf e^{-r_i u} e^{-r_j v} Phi_ij(v-u) du dv,
 
-    the `steady_state_variance` of `multi_ou_limit_model`, always a matrix.
+    by the rule of `_steady` for the services of `multi_ou_limit_model`.
     """
-    return np.atleast_2d(multi_ou_limit_model(phi, r).steady_state_variance)
+    return _steady(phi.kernel, multi_ou_limit_model(phi, r).F, phi)
 
 
 def sample_limit_path(model: LimitModel, t_grid, seed: int,
                       n_draws: int = 1) -> np.ndarray:
     """Exact Gaussian draws of the limit process on a time grid.
 
-    Returns (n_draws, len(t_grid)) or (n_draws, len(t_grid), k).  The Gram
+    Returns (n_draws, len(t_grid)) for a model built from a Kernel, else
+    (n_draws, len(t_grid), k), as `cov` keeps the class axis.  The Gram
     matrix is factorized after symmetrization, escalating a diagonal jitter
     tenfold from 1e-10 to at most 1e-8 before failing.
     """
@@ -382,4 +385,4 @@ def sample_limit_path(model: LimitModel, t_grid, seed: int,
     rng = rep_stream(seed, 0)
     z = rng.standard_normal((n_draws, gram.shape[0]))
     draws = model.mean_vector(t_grid)[None, :] + z @ L.T
-    return draws.reshape(n_draws, t_grid.size, -1) if model.dim > 1 else draws
+    return draws.reshape(n_draws, t_grid.size, -1) if model.phi.is_matrix else draws

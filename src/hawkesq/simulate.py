@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import json
 import math
 import multiprocessing
 import os
@@ -426,10 +425,6 @@ def var_of_sample_cov(x: np.ndarray, y: np.ndarray) -> float:
 
 # --- serialization -------------------------------------------------------------
 
-_BINARY_MAGIC = "hawkesq-pointpath-f64le"
-_BINARY_VERSION = 2
-
-
 def write_paths_csv(paths, path):
     """Columns (replication, dimension, event_time), dimensions 0-based."""
     write_csv(path, ["replication", "dimension", "event_time"],
@@ -441,57 +436,19 @@ def read_paths_csv(path, horizon: float, replications, dimension: int) -> list[P
     """Paths from a write_paths_csv file.
 
     The CSV has one row per event, so it cannot show a replication or a class
-    without events; the caller gives the replication ids and the dimension,
-    which the binary format keeps in its header.  A row outside them raises.
+    without events; the caller gives the replication ids and the dimension.
+    A row outside them raises.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)    # no rows: paths without events
         arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).reshape(-1, 3)
-    return _split_records(arr, horizon, replications, dimension)
-
-
-def write_paths_binary(paths, path):
-    """One JSON header line, then (replication, dimension, time) float64
-    triples, little-endian.
-
-    The header carries the dimension and every replication id, so paths
-    without events, or classes without events, read back intact.
-    """
-    paths = list(paths)
-    k = paths[0].dimension if paths else 1
-    if any(p.dimension != k for p in paths):
-        raise ConfigurationError("all paths must have the same dimension")
-    records = [(float(p.replication), float(d), float(t))
-               for p in paths for d, seq in enumerate(p.times) for t in seq]
-    arr = np.asarray(records, dtype="<f8").reshape(-1, 3)
-    header = {"format": _BINARY_MAGIC, "version": _BINARY_VERSION, "count": arr.shape[0],
-              "horizon": paths[0].horizon if paths else 0.0, "dimension": k,
-              "replications": [int(p.replication) for p in paths]}
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-        fh.write(arr.tobytes())
-
-
-def read_paths_binary(path) -> list[PointPath]:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        if header.get("format") != _BINARY_MAGIC:
-            raise ConfigurationError("not a point-path binary file")
-        if header.get("version") != _BINARY_VERSION:
-            raise ConfigurationError(
-                f"unsupported point-path binary version {header.get('version')!r}")
-        arr = np.frombuffer(fh.read(), dtype="<f8").reshape(header["count"], 3)
-    return _split_records(arr, header["horizon"], header["replications"], header["dimension"])
-
-
-def _split_records(arr, horizon, replications, k) -> list[PointPath]:
-    """One PointPath per replication id from (replication, dimension, time) rows."""
     replications = [int(r) for r in replications]
-    if not (np.isin(arr[:, 0], replications).all() and np.isin(arr[:, 1], np.arange(k)).all()):
+    if not (np.isin(arr[:, 0], replications).all()
+            and np.isin(arr[:, 1], np.arange(dimension)).all()):
         raise ConfigurationError("event rows outside the given replications or dimension")
     out = []
     for r in replications:
         sel = arr[arr[:, 0] == r]
-        times = tuple(np.sort(sel[sel[:, 1] == d, 2]) for d in range(k))
+        times = tuple(np.sort(sel[sel[:, 1] == d, 2]) for d in range(dimension))
         out.append(PointPath(times, horizon, r))
     return out

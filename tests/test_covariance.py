@@ -306,8 +306,7 @@ def test_matches_dense_reference(case):
 
 
 def test_unconverged_solve_raises(monkeypatch):
-    monkeypatch.setattr(covariance, "_GMRES_MAXITER", 1)
-    monkeypatch.setattr(covariance, "_GMRES_RESTART", 2)
+    monkeypatch.setattr(covariance, "_GMRES_BASIS", 2)
     # an exponential kernel converges in one step (its history part has rank one)
     with pytest.raises(NumericalError, match="GMRES did not converge"):
         hq.solve_phi_grid(hq.PowerLawKernel(1.0, 5.0, 2.0), dt=0.1)

@@ -48,7 +48,7 @@ def test_var_x_infty_exponential_rates(alphas, betas, exact):
     # system in exact rationals (259/10 and 17/5), which the partial fractions of
     # 1 - h^ confirm.  The lattice lag sum is second order, within 1e-4 at dt = 0.01.
     # Every model reads the one steady-state rule, so the OU-type limit and
-    # steady_state_cov_multi are exact too; at k = 1 the model's value is a float.
+    # steady_state_cov_multi are exact too; a kernel-built model's value is a float.
     phi = hq.solve_phi_grid(hq.SumOfExponentialsKernel(alphas, betas), dt=0.01, t_max=40.0)
     for r, value in exact.items():
         F = hq.ExponentialService(r)
@@ -399,6 +399,24 @@ def test_exp_queue_limit_model_steady_state_of_a_matrix_density(h1):
     # a density built from a 1 x 1 KernelMatrix takes the lattice lag sum
     phi = hq.solve_multivariate_phi(hq.KernelMatrix([[h1]], [1.0]), dt=0.01, t_max=40.0)
     assert hq.exp_queue_limit_model(phi).steady_state_variance == pytest.approx(3.0, abs=1e-4)
+
+
+def test_one_class_matrix_models_keep_the_class_axis(h1, phi_h1):
+    # a density built from a 1 x 1 KernelMatrix shows every value as a matrix, the
+    # one built from the Kernel as a scalar: cov, phi, K, steady state and draws alike
+    phi_m = hq.solve_multivariate_phi(hq.KernelMatrix([[h1]], [1.0]), dt=0.01, t_max=40.0)
+    F, times = hq.DeterministicService(1.5), [1.0, 2.0]
+    assert phi_m(0.5).shape == hq.variance_function(phi_m).at(1.0).shape == (1, 1)
+    assert np.shape(hq.limit_covariance_G(phi_m, None, 1.0, 2.0)) == (1, 1)
+    for build in (hq.count_limit_model, lambda phi: hq.multi_ou_limit_model(phi, [1.0]),
+                  lambda phi: hq.queue_limit_model(phi, F, F, 1.0)):
+        matrix, scalar = build(phi_m), build(phi_h1)
+        assert np.shape(matrix.cov(1.0, 2.0)) == (1, 1) and np.ndim(scalar.cov(1.0, 2.0)) == 0
+        assert hq.sample_limit_path(matrix, times, seed=3).shape == (1, 2, 1)
+        assert hq.sample_limit_path(scalar, times, seed=3).shape == (1, 2)
+        if build is not hq.count_limit_model:            # G has no steady state
+            assert matrix.steady_state_variance.shape == (1, 1)
+            assert type(scalar.steady_state_variance) is float
 
 
 def test_queue_limit_of_service_that_never_ends(phi_h1):

@@ -242,26 +242,7 @@ def test_paths_round_trip(tmp_path, h1):
     csv = tmp_path / "paths.csv"
     hq.write_paths_csv(paths, csv)
     back = hq.read_paths_csv(csv, horizon=3.0, replications=[0, 1, 2], dimension=1)
-    for a, b in zip(paths, back):
-        assert all(np.allclose(x, y) for x, y in zip(a.times, b.times))
-    binp = tmp_path / "paths.bin"
-    hq.write_paths_binary(paths, binp)
-    back = hq.read_paths_binary(binp)
-    for a, b in zip(paths, back):
-        assert all(np.array_equal(x, y) for x, y in zip(a.times, b.times))
-
-
-def test_binary_paths_keep_empty_replications_and_classes(tmp_path):
-    empty = np.empty(0)
-    paths = [hq.PointPath((np.array([0.25, 1.5]), empty), 2.0, 0),
-             hq.PointPath((empty, empty), 2.0, 1),
-             hq.PointPath((np.array([0.75]), empty), 2.0, 4)]
-    binp = tmp_path / "paths.bin"
-    hq.write_paths_binary(paths, binp)
-    back = hq.read_paths_binary(binp)
-    assert [p.replication for p in back] == [0, 1, 4]
-    for a, b in zip(paths, back):
-        assert b.dimension == 2 and b.horizon == 2.0
+    for a, b in zip(paths, back):                 # %.17g reads back the same float64
         assert all(np.array_equal(x, y) for x, y in zip(a.times, b.times))
 
 
@@ -282,18 +263,6 @@ def test_csv_paths_keep_empty_replications_and_classes(tmp_path):
         hq.read_paths_csv(csv, 2.0, replications=[0, 1], dimension=2)
     hq.write_paths_csv([], csv)
     assert hq.read_paths_csv(csv, 2.0, replications=[], dimension=1) == []
-
-
-@pytest.mark.parametrize("version", [1, 3, None])
-def test_binary_paths_reject_unknown_versions(tmp_path, version):
-    binp = tmp_path / "paths.bin"
-    hq.write_paths_binary([hq.PointPath((np.array([0.5]),), 1.0, 0)], binp)
-    header, _, body = binp.read_bytes().partition(b"\n")
-    fields = json.loads(header)
-    fields["version"] = version
-    binp.write_bytes(json.dumps(fields).encode() + b"\n" + body)
-    with pytest.raises(ConfigurationError):
-        hq.read_paths_binary(binp)
 
 
 @pytest.mark.parametrize("engine", ["cluster", "thinning"])
