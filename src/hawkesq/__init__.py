@@ -1,7 +1,7 @@
 """Stationary self-exciting traffic models, their Gaussian limits, and
 infinite-server queues driven by them."""
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 from .covariance import (CovarianceDensity, LaplacePipeline, VarianceFunction,
                          asymptotic_offset, asymptotic_slope, laplace_pipeline,

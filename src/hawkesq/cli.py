@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from ._io import write_csv, write_json
 from .covariance import (asymptotic_offset, asymptotic_slope, laplace_pipeline,
-                         solve_multivariate_phi, solve_phi_grid, variance_function)
+                         solve_phi_grid, variance_function)
 from .errors import ConfigurationError, HawkesqError, NumericalError
 from .kernels import HawkesConfig, KernelMatrix, SumOfExponentialsKernel, kernel_from_dict
 from .limits import count_limit_model, gaussian_queue_approx
@@ -86,9 +86,8 @@ def _out_dir(base: str, command: str, cfg: dict) -> Path:
     return path
 
 
-def _write_manifest(out: Path, command: str, cfg: dict, args) -> None:
-    manifest = {"command": command, "config": cfg, "seed": cfg["seed"],
-                "version": _version_string(),
+def _write_manifest(out: Path, command: str, cfg: dict, version: str) -> None:
+    manifest = {"command": command, "config": cfg, "seed": cfg["seed"], "version": version,
                 "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                 "argv": sys.argv[1:]}
     write_json(out / "manifest.json", manifest)
@@ -119,16 +118,9 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
     return 0
 
 
-def _solve_phi(kernel, grid: dict):
-    """phi of a kernel or kernel matrix; a missing or null grid value keeps the default."""
-    solve = solve_multivariate_phi if isinstance(kernel, KernelMatrix) else solve_phi_grid
-    return solve(kernel, **{key: float(grid[key]) for key in ("dt", "t_max")
-                            if grid.get(key) is not None})
-
-
 def cmd_analyze(cfg: dict, out: Path) -> int:
-    kernel = kernel_from_dict(_require(cfg, "kernel"))
-    phi = _solve_phi(kernel, cfg.get("grid") or {})
+    kernel, grid = kernel_from_dict(_require(cfg, "kernel")), cfg.get("grid") or {}
+    phi = solve_phi_grid(kernel, grid.get("dt"), grid.get("t_max"))
     phi.write_csv(out / "phi.csv")
     variance_function(phi).write_csv(out / "K.csv")
     if isinstance(kernel, KernelMatrix):
@@ -169,7 +161,8 @@ def cmd_validate_fclt(cfg: dict, out: Path) -> int:
     counts = np.stack([p.counts_at(probe) for p in paths]).astype(float)  # (R, nt, k)
     rates = config.mean_rate_vector()
     scaled = (counts - np.asarray(probe)[None, :, None] * rates[None, None, :]) / np.sqrt(mu)
-    phi = _solve_phi(config.kernel, cfg.get("grid") or {})
+    grid = cfg.get("grid") or {}
+    phi = solve_phi_grid(config.kernel, grid.get("dt"), grid.get("t_max"))
     # target[b, i, a, j] = Cov(G_i(t_b), G_j(t_a)): equal times for a = b, else cross-time
     target = count_limit_model(phi).gram(probe).reshape(len(probe), k, len(probe), k)
 
@@ -211,15 +204,14 @@ def cmd_validate_fclt(cfg: dict, out: Path) -> int:
 
 def cmd_validate_queue(cfg: dict, out: Path) -> int:
     config = _hawkes_config(cfg)
-    if config.is_multivariate:
-        raise ConfigurationError("validate-queue is univariate; see the library API for k > 1")
     service = service_from_dict(cfg.get("service", {"type": "exponential", "rate": 1.0}))
+    # the target first: it refuses a model of k > 1 before the sampling starts
+    approx = gaussian_queue_approx(config.baseline, config.kernel, service=service)
     n_samples = int(cfg.get("n_samples", 10_000))
     sample = steady_state_sample(config, service, n_samples, int(cfg["seed"]),
                                  engine=cfg.get("engine", "cluster"),
                                  burn_in=cfg.get("queue_burn_in"),
                                  spacing=cfg.get("spacing"))
-    approx = gaussian_queue_approx(config.baseline, config.kernel, service=service)
     report = compare_distributions(sample.pooled(0), approx)
     report.write_csv(out / "histogram.csv")
     summary_json(sample, report, out / "comparison.json")
@@ -235,10 +227,10 @@ _COMMANDS = {"simulate": cmd_simulate, "analyze": cmd_analyze,
              "validate-fclt": cmd_validate_fclt, "validate-queue": cmd_validate_queue}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(version: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hawkesq",
                                      description="self-exciting traffic and queue analytics")
-    parser.add_argument("--version", action="version", version=_version_string())
+    parser.add_argument("--version", action="version", version=version)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
@@ -250,12 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    version = _version_string()             # one git describe per run
+    args = build_parser(version).parse_args(argv)
     try:
         cfg = _resolve_common(_load_config(args.config), args)
         out = _out_dir(args.out, args.command, cfg)
         code = _COMMANDS[args.command](cfg, out)
-        _write_manifest(out, args.command, cfg, args)
+        _write_manifest(out, args.command, cfg, version)
         return code
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

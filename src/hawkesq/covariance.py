@@ -19,7 +19,7 @@ import numpy as np
 
 from ._io import write_csv, write_json
 from .errors import ConfigurationError, NumericalError
-from .kernels import Kernel, KernelMatrix, SumOfExponentialsKernel
+from .kernels import Kernel, KernelMatrix, SumOfExponentialsKernel, _as_matrix
 
 _TAIL_TOL = 1e-8          # required kernel tail mass at the truncation horizon
 _RESIDUAL_TOL = 1e-6      # sup-norm residual of the discretized equation
@@ -173,9 +173,8 @@ class CovarianceDensity(_KClassGrid):
 
     @property
     def norm(self) -> float:
-        """||h||_L1 of the driving kernel (or of its 1 x 1 entry); NaN for k > 1."""
-        kern = self.kernel if isinstance(self.kernel, Kernel) else self.kernel.entries[0][0]
-        return kern.l1_norm() if self.k == 1 else float("nan")
+        """||h||_L1 of the entry of a k = 1 model; NaN for k > 1."""
+        return _as_matrix(self.kernel).entries[0][0].l1_norm() if self.k == 1 else float("nan")
 
     def __call__(self, x):
         """Evaluate by linear interpolation, 0 beyond t_max, at scalar or array x;
@@ -292,21 +291,26 @@ def _solve_density(entries, a, t, dt):
     return phi, residual
 
 
-def solve_phi_grid(kernel: Kernel, dt: float = 0.01, t_max: float | None = None) -> CovarianceDensity:
-    """Solve the covariance-density equation on a uniform grid.
+def solve_phi_grid(kernel: Kernel | KernelMatrix, dt: float | None = None,
+                   t_max: float | None = None) -> CovarianceDensity:
+    """Solve the covariance-density equation of a Kernel or KernelMatrix on a
+    uniform grid, for the k x k model of `kernels._as_matrix`.
 
-    The k = 1 case of `solve_multivariate_phi`, with a = 1/(1-||h||); the
-    infinite history integral is truncated at t_max, which must satisfy
-    H(t_max) < 1e-8.  The reported residual is the sup-norm defect of the
-    discretized equation.
+    a is the branching vector, 1/(1-||h||) at k = 1, and the history integral
+    uses the extension Phi(-u) = Phi(u)^T.  The step dt defaults to 0.01 at
+    k = 1 and 0.02 above.  The infinite history integral is truncated at
+    t_max, which must satisfy H(t_max) < 1e-8.  The reported residual is the
+    sup-norm defect of the discretized equation.
     """
-    norm = kernel.l1_norm()
-    if not norm < 1.0:
-        raise ConfigurationError(f"||h||_L1 = {norm:.6g} >= 1")
-    t = _resolve_grid(kernel, dt, t_max)
-    a = np.array([1.0 / (1.0 - norm)])
-    values, residual = _solve_density([[kernel]], a, t, dt)
+    multi = _as_matrix(kernel)
+    dt = float((0.01 if multi.k == 1 else 0.02) if dt is None else dt)
+    a = multi.branching_vector()
+    t = _resolve_grid(multi, dt, t_max, k=multi.k)
+    values, residual = _solve_density(multi.entries, a, t, dt)
     return CovarianceDensity(t, values, dt, kernel=kernel, a=a, residual=residual)
+
+
+solve_multivariate_phi = solve_phi_grid
 
 
 def phi_exponential_closed_form(alpha: float, beta: float, dt: float = 0.01,
@@ -327,19 +331,6 @@ def phi_exponential_closed_form(alpha: float, beta: float, dt: float = 0.01,
     t = _resolve_grid(kernel, dt, t_max, tail_tol=np.inf)
     return CovarianceDensity(t, (pref * np.exp(-rate * t))[:, None, None], dt, kernel=kernel,
                              a=np.array([1.0 / (1.0 - alpha / beta)]))
-
-
-def solve_multivariate_phi(multi: KernelMatrix, dt: float = 0.02,
-                           t_max: float | None = None) -> CovarianceDensity:
-    """Solve the matrix covariance-density equation on a uniform grid.
-
-    The history integral uses the extension Phi(-u) = Phi(u)^T; the grid,
-    solver and checks are those of `solve_phi_grid`.
-    """
-    a = multi.branching_vector()
-    t = _resolve_grid(multi, dt, t_max, k=multi.k)
-    values, residual = _solve_density(multi.entries, a, t, dt)
-    return CovarianceDensity(t, values, dt, kernel=multi, a=a, residual=residual)
 
 
 @dataclass
@@ -368,12 +359,19 @@ def variance_function(phi: CovarianceDensity) -> VarianceFunction:
     return VarianceFunction(phi.t, values, phi.dt, kernel=phi.kernel)
 
 
-def asymptotic_slope(kernel: Kernel) -> float:
-    """lim K(t)/t = 1/(1-||h||)^3."""
+def _stable_norm(kernel: Kernel, what: str) -> float:
+    """||h||_L1 of a Kernel, checked to be below 1."""
+    if not isinstance(kernel, Kernel):
+        raise ConfigurationError(f"{what} needs a Kernel, not a {type(kernel).__name__}")
     norm = kernel.l1_norm()
     if not norm < 1.0:
-        raise ConfigurationError("slope defined only for ||h|| < 1")
-    return 1.0 / (1.0 - norm) ** 3
+        raise ConfigurationError(f"{what} defined only for ||h|| < 1")
+    return norm
+
+
+def asymptotic_slope(kernel: Kernel) -> float:
+    """lim K(t)/t = 1/(1-||h||)^3."""
+    return 1.0 / (1.0 - _stable_norm(kernel, "slope")) ** 3
 
 
 def asymptotic_offset(kernel: Kernel) -> float:
@@ -386,9 +384,7 @@ def asymptotic_offset(kernel: Kernel) -> float:
     below reproduces the exponential-kernel closed form exactly).
     Requires a finite second moment; strictly negative unless h is zero.
     """
-    norm = kernel.l1_norm()
-    if not norm < 1.0:
-        raise ConfigurationError("offset defined only for ||h|| < 1")
+    norm = _stable_norm(kernel, "offset")
     if kernel.is_zero:
         return 0.0
     m1 = kernel.first_moment()
@@ -452,9 +448,7 @@ def laplace_pipeline(kernel: SumOfExponentialsKernel) -> LaplacePipeline:
     """
     if not isinstance(kernel, SumOfExponentialsKernel):
         raise ConfigurationError("laplace_pipeline requires a sum-of-exponentials kernel")
-    norm = kernel.l1_norm()
-    if not norm < 1.0:
-        raise ConfigurationError("||h|| >= 1")
+    norm = _stable_norm(kernel, "laplace_pipeline")
     d = kernel.alphas.size
     if d == 0:
         return LaplacePipeline(np.empty(0), np.empty((0, 0)), np.empty(0),

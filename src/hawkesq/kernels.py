@@ -493,14 +493,23 @@ def spectral_radius(matrix) -> float:
     return float(np.abs(np.linalg.eigvals(H)).max())
 
 
+def _as_matrix(kernel) -> KernelMatrix:
+    """The k x k model of a KernelMatrix, or the 1 x 1 model with p = [1] of a
+    Kernel: every value and route reads k, the entries and p from it, so the
+    Python type decides only how a result is shown."""
+    if isinstance(kernel, KernelMatrix):
+        return kernel
+    if not isinstance(kernel, Kernel):
+        raise ConfigurationError("kernel must be a Kernel or KernelMatrix")
+    return KernelMatrix([[kernel]], [1.0])
+
+
 class HawkesConfig:
     """A stationary model: baseline scaling mu plus a kernel (or matrix).
 
-    For univariate input the stationarity bound ||h|| < 1 is enforced; for
-    matrix input the spectral-radius bound is enforced by KernelMatrix.
-    Either way the model is held as a k x k KernelMatrix (1 x 1 with p = [1]
-    for a single kernel).  The mean-rate vector must come out finite and
-    positive.
+    The model is held as a k x k KernelMatrix (1 x 1 with p = [1] for a
+    single kernel), whose spectral radius, ||h|| at k = 1, must be below one.
+    The mean-rate vector must come out finite and positive.
     """
 
     def __init__(self, baseline: float, kernel):
@@ -508,15 +517,7 @@ class HawkesConfig:
             raise ConfigurationError("baseline must be positive and finite")
         self.baseline = float(baseline)
         self.kernel = kernel
-        if isinstance(kernel, Kernel):
-            norm = kernel.l1_norm()
-            if not norm < 1.0:
-                raise ConfigurationError(f"||h||_L1 = {norm:.6g} >= 1: no stationary version")
-            self._matrix = KernelMatrix([[kernel]], [1.0])
-        elif isinstance(kernel, KernelMatrix):
-            self._matrix = kernel
-        else:
-            raise ConfigurationError("kernel must be a Kernel or KernelMatrix")
+        self._matrix = _as_matrix(kernel)
         rates = self.mean_rate_vector()
         if np.any(~np.isfinite(rates)) or np.any(rates <= 0):
             raise ConfigurationError("mean-rate vector must be finite and positive")
@@ -527,7 +528,7 @@ class HawkesConfig:
 
     @property
     def is_multivariate(self) -> bool:
-        return isinstance(self.kernel, KernelMatrix)
+        return self._matrix.k > 1
 
     def kernel_matrix(self) -> KernelMatrix:
         """View the model as k >= 1 dimensional."""
@@ -540,9 +541,9 @@ class HawkesConfig:
         return self.baseline * self.branching_vector()
 
     def mean_rate(self) -> float:
-        """Scalar mean rate; only defined for univariate models."""
+        """Scalar mean rate; only defined for k = 1."""
         if self.is_multivariate:
-            raise ConfigurationError("mean_rate() is univariate; use mean_rate_vector()")
+            raise ConfigurationError("mean_rate() needs k = 1; use mean_rate_vector()")
         return float(self.mean_rate_vector()[0])
 
 

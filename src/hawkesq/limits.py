@@ -18,7 +18,7 @@ import numpy as np
 from .covariance import (_MAX_UNKNOWNS, CovarianceDensity, _lattice_weights, _next_fast_len,
                          laplace_pipeline, solve_phi_grid)
 from .errors import ConfigurationError, NumericalError, TruncationError
-from .kernels import Kernel, SumOfExponentialsKernel
+from .kernels import Kernel, KernelMatrix, SumOfExponentialsKernel, _as_matrix
 from .service import DeterministicService, ExponentialService, ServiceModel, _normalize_services
 from .simulate import rep_stream
 
@@ -116,20 +116,25 @@ def _steady(kernel, services, phi: CovarianceDensity | None = None):
 
         1_{i=j} a_i E[S_i] + int_0^inf int_0^inf S_i(u) S_j(v) Phi_ij(v-u) du dv,
 
-    always the k x k matrix.  Exp(r) service at k = 1 on an exponential
-    mixture is exact: (a + phi~(r)) / r from the Laplace pipeline.
+    always the k x k matrix, for the model of `kernels._as_matrix`.  Exp(r)
+    service at k = 1 on an exponential-mixture entry is exact:
+    (a + p phi~(r)) / r, phi~ the Laplace pipeline's transform at p = 1.
     Any other case is the lattice lag sum `_steady_cov` on phi, solved on the
     default grid when not given.  Its truncation drops at most
     2 max|Phi| max_i E[S_i] max_i int_{cutoff_i}^inf S_i, checked against 1e-6
     before the sum; the result is checked to be PSD.
     """
+    multi = _as_matrix(kernel)
+    if len(services) != multi.k:
+        raise ConfigurationError(f"need one service law per class: {len(services)} "
+                                 f"for k = {multi.k}")
     if not all(math.isfinite(F.mean()) for F in services):
         raise ConfigurationError("service mean must be finite")
-    F = services[0]
-    if (len(services) == 1 and isinstance(F, ExponentialService)
-            and isinstance(kernel, SumOfExponentialsKernel)):
-        pipeline = laplace_pipeline(kernel)
-        return np.full((1, 1), (pipeline.phi_tilde(F.rate) + 1.0 / (1.0 - pipeline.norm)) / F.rate)
+    F, entry = services[0], multi.entries[0][0]
+    if (multi.k == 1 and isinstance(F, ExponentialService)
+            and isinstance(entry, SumOfExponentialsKernel)):
+        phi_tilde = multi.p * laplace_pipeline(entry).phi_tilde(F.rate)
+        return (multi.branching_vector() + phi_tilde)[:, None] / F.rate
     if phi is None:
         phi = solve_phi_grid(kernel)
     tail = (2.0 * float(np.abs(phi.grid).max()) * max(G.mean() for G in services)
@@ -179,9 +184,9 @@ def var_xe_infty_exponential(alpha: float, beta: float) -> float:
             + beta / (beta - alpha))
 
 
-def var_xe_infty(kernel: Kernel, phi: CovarianceDensity | None = None,
+def var_xe_infty(kernel: Kernel | KernelMatrix, phi: CovarianceDensity | None = None,
                  method: str = "auto") -> float:
-    """Var(X_e(inf)) = phi~(1) + 1/(1 - ||h||), the Exp(1) case of `_steady`
+    """Var(X_e(inf)) = a + p phi~(1) of a k = 1 model, the Exp(1) case of `_steady`
     ("auto": exact for exponential mixtures) or, with "grid", its lag sum on
     phi (solved on the default grid when not given).
     """
@@ -210,17 +215,20 @@ class GaussianQueueApprox:
         return {"mean": self.mean, "sigma": self.sigma}
 
 
-def gaussian_queue_approx(mu: float, kernel: Kernel, phi: CovarianceDensity | None = None,
+def gaussian_queue_approx(mu: float, kernel: Kernel | KernelMatrix,
+                          phi: CovarianceDensity | None = None,
                           service: ServiceModel = ExponentialService(1.0)) -> GaussianQueueApprox:
-    """Gaussian steady state of the Hawkes/G/infinity queue with service F:
-    mean lambda_bar E[S] = mu E[S]/(1-||h||), variance mu times the `_steady`
-    variance of (kernel, F), exact for exponential service on an exponential
-    mixture; other pairs solve phi on the default grid unless it is given.
+    """Gaussian steady state of the Hawkes/G/infinity queue of a k = 1 model
+    with service F: mean lambda_bar E[S] = mu p E[S]/(1-||h||), variance mu
+    times the `_steady` variance of (kernel, F), exact for exponential
+    service on an exponential mixture; other pairs solve phi on the default
+    grid unless it is given.
     """
     if mu <= 0:
         raise ConfigurationError("mu must be positive")
-    lam = mu / (1.0 - kernel.l1_norm())
-    var = float(_steady(kernel, [service], phi)[0, 0])
+    multi = _as_matrix(kernel)
+    var = float(_steady(multi, [service], phi)[0, 0])
+    lam = float(mu * multi.p[0] / (1.0 - multi.l1_matrix()[0, 0]))
     return GaussianQueueApprox(lam * service.mean(), math.sqrt(mu * var))
 
 

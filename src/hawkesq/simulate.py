@@ -426,7 +426,10 @@ def var_of_sample_cov(x: np.ndarray, y: np.ndarray) -> float:
 # --- serialization -------------------------------------------------------------
 
 def write_paths_csv(paths, path):
-    """Columns (replication, dimension, event_time), dimensions 0-based."""
+    """Columns (replication, dimension, event_time), dimensions 0-based; the
+    file does not record the dimension, so every path must have the same."""
+    if len({p.dimension for p in paths}) > 1:
+        raise ConfigurationError("paths of mixed dimension")
     write_csv(path, ["replication", "dimension", "event_time"],
               ((p.replication, d, t) for p in paths
                for d, seq in enumerate(p.times) for t in seq))

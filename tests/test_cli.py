@@ -231,6 +231,16 @@ def test_validate_queue_general_service(tmp_path):
     assert comparison["var"][0] - comparison["var_gap"] == pytest.approx(26.0, rel=1e-3)
     assert code == 0
     assert json.loads((outdir / "verdict.json").read_text())["pass"]
+    # the 1 x 1 KernelMatrix is the same model: the same target, sample and files
+    matrix = {"type": "matrix", "p": [1.0], "entries": [[H1]]}
+    cfg = _write(tmp_path, "qm.json", {
+        "name": "exp2", "kernel": matrix, "mu": 20.0,
+        "service": {"type": "exponential", "rate": 2.0},
+        "n_samples": 4000, "seed": 7})
+    assert main(["validate-queue", "--config", cfg, "--out", str(tmp_path / "matrix")]) == 0
+    for name in ("histogram.csv", "comparison.json", "verdict.json"):
+        kernel_file = (outdir / name).read_bytes()
+        assert (tmp_path / "matrix" / "validate-queue" / "exp2" / name).read_bytes() == kernel_file
 
 
 def test_manifest_rerun_is_bitwise(tmp_path):
@@ -309,6 +319,27 @@ def test_missing_or_null_grid_keeps_solver_defaults(tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
     lines = outputs[0].decode().splitlines()     # solve_phi_grid: dt = 0.01, t_max = 40
     assert len(lines) == 4002 and lines[2].startswith("0.01,")
+
+
+def test_git_describe_runs_once_per_command(tmp_path, monkeypatch, capsys):
+    calls = []
+    run = subprocess.run
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counting)
+    cfg = _write(tmp_path, "z.json", {"name": "z", "kernel": ZERO,
+                                      "grid": {"dt": 0.05, "t_max": 40.0}, "seed": 1})
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "analyze" / "z" / "manifest.json").read_text())
+    assert len(calls) == 1 and calls[0][:2] == ["git", "describe"]
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert capsys.readouterr().out.strip() == manifest["version"]
+    assert manifest["version"].startswith(f"hawkesq {hq.__version__}")
+    assert len(calls) == 2
 
 
 _DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.fft", "scipy.sparse")

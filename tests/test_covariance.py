@@ -181,10 +181,14 @@ def test_non_markov_witness(phi_h1, K_h1):
     assert witness == pytest.approx(oracles.H1_WITNESS_123, abs=5e-3)
 
 
-def test_asymptotic_slope(h1, h2):
+def test_asymptotic_slope(h1, h2, quarter_matrix):
     assert hq.asymptotic_slope(hq.ZERO_KERNEL) == 1.0
     assert hq.asymptotic_slope(h1) == pytest.approx(8.0)
     assert hq.asymptotic_slope(h2) == pytest.approx(8.0)
+    for kernel in (hq.KernelMatrix([[h1]], [1.0]), quarter_matrix):
+        for spectral in (hq.asymptotic_slope, hq.asymptotic_offset, hq.laplace_pipeline):
+            with pytest.raises(ConfigurationError):
+                spectral(kernel)
 
 
 def test_slope_consistency_with_grid(K_h1):

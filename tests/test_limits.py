@@ -348,6 +348,10 @@ def test_cov_multi_ou_rejects_bad_rates_and_classes(phi_h1, phi_asymmetric):
             hq.multi_ou_limit_model(phi, r)
     with pytest.raises(ConfigurationError):
         hq.steady_state_cov_multi(phi_asymmetric, [1.0, 0.0])
+    # one queue of a k = 1 model: one service law for two classes is refused
+    for call in (hq.var_xe_infty, lambda kernel: hq.gaussian_queue_approx(1.0, kernel)):
+        with pytest.raises(ConfigurationError, match="one service law per class"):
+            call(phi_asymmetric.kernel)
     # per-class laws and loads of the queue limit: one per class, or one for all
     F = hq.LogNormalService(0.0, 0.5)
     for F0, Fs, q0, x0 in [(F, [F] * 3, 1.0, 0.0), ([F], F, 1.0, 0.0), (F, F, [1.0] * 3, 0.0),
@@ -396,9 +400,55 @@ def test_sample_limit_path_h1_count(phi_h1, K_h1):
 
 
 def test_exp_queue_limit_model_steady_state_of_a_matrix_density(h1):
-    # a density built from a 1 x 1 KernelMatrix takes the lattice lag sum
+    # a 1 x 1 KernelMatrix is the k = 1 model: its exponential-mixture entry takes
+    # the exact Laplace route, as the Kernel does
     phi = hq.solve_multivariate_phi(hq.KernelMatrix([[h1]], [1.0]), dt=0.01, t_max=40.0)
-    assert hq.exp_queue_limit_model(phi).steady_state_variance == pytest.approx(3.0, abs=1e-4)
+    assert hq.exp_queue_limit_model(phi).steady_state_variance == pytest.approx(3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kernel", [
+    hq.SumOfExponentialsKernel([0.5], [1.0]), hq.SumOfExponentialsKernel([0.1, 0.4], [0.25, 4.0]),
+    hq.SumOfExponentialsKernel([0.99], [1.0]), hq.PowerLawKernel(1, 5, 2),
+], ids=["h1", "h2", "near-critical", "power-law"])
+def test_one_model_one_answer(kernel):
+    # the 1 x 1 KernelMatrix and the Kernel are one model: bitwise the same values
+    # at the default grid, each in its own shape
+    matrix = hq.KernelMatrix([[kernel]], [1.0])
+    phis = {}
+    for form in (kernel, matrix):
+        phi = phis[form] = hq.solve_phi_grid(form)
+        again = hq.solve_multivariate_phi(form)
+        assert phi.dt == 0.01 and np.array_equal(phi.grid, again.grid)
+        assert phi.is_matrix is (form is matrix) and phi.values.ndim == (3 if form is matrix else 1)
+    pk, pm = phis[kernel], phis[matrix]
+    assert np.array_equal(pk.t, pm.t) and np.array_equal(pk.grid, pm.grid)
+    assert np.array_equal(pk.a, pm.a) and pk.residual == pm.residual
+
+    def view(value):
+        return value[0, 0] if np.ndim(value) == 2 else value
+
+    for r in (1.0, 2.0):
+        F = hq.ExponentialService(r)
+        assert hq.var_X_infty(F, pk) == hq.var_X_infty(F, pm)
+        assert hq.gaussian_queue_approx(20.0, kernel, service=F) == \
+            hq.gaussian_queue_approx(20.0, matrix, service=F)
+        ou_k, ou_m = (hq.multi_ou_limit_model(p, [r]).steady_state_variance for p in (pk, pm))
+        assert type(ou_k) is float and np.shape(ou_m) == (1, 1) and ou_k == view(ou_m)
+        assert np.array_equal(hq.steady_state_cov_multi(pk, [r]),
+                              hq.steady_state_cov_multi(pm, [r]))
+    assert hq.var_xe_infty(kernel) == hq.var_xe_infty(matrix)
+    assert hq.exp_queue_limit_model(pk).steady_state_variance == \
+        view(hq.exp_queue_limit_model(pm).steady_state_variance)
+    config = hq.HawkesConfig(10.0, matrix)
+    assert not config.is_multivariate
+    assert config.mean_rate() == hq.HawkesConfig(10.0, kernel).mean_rate()
+
+
+def test_gaussian_queue_approx_scales_with_the_baseline_shape(h1):
+    doubled = hq.gaussian_queue_approx(20.0, hq.KernelMatrix([[h1]], [2.0]))
+    plain = hq.gaussian_queue_approx(40.0, h1)
+    assert doubled.mean == pytest.approx(plain.mean, rel=1e-12)
+    assert doubled.sigma == pytest.approx(plain.sigma, rel=1e-12)
 
 
 def test_one_class_matrix_models_keep_the_class_axis(h1, phi_h1):

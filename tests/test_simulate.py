@@ -263,6 +263,10 @@ def test_csv_paths_keep_empty_replications_and_classes(tmp_path):
         hq.read_paths_csv(csv, 2.0, replications=[0, 1], dimension=2)
     hq.write_paths_csv([], csv)
     assert hq.read_paths_csv(csv, 2.0, replications=[], dimension=1) == []
+    # the file does not record the dimension: paths of two dimensions are refused
+    with pytest.raises(ConfigurationError, match="mixed dimension"):
+        hq.write_paths_csv([hq.PointPath((empty,), 2.0, 0), paths[1]], tmp_path / "mixed.csv")
+    assert not (tmp_path / "mixed.csv").exists()
 
 
 @pytest.mark.parametrize("engine", ["cluster", "thinning"])
