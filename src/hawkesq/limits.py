@@ -124,10 +124,7 @@ def _steady(kernel, services, phi: CovarianceDensity | None = None):
     2 max|Phi| max_i E[S_i] max_i int_{cutoff_i}^inf S_i, checked against 1e-6
     before the sum; the result is checked to be PSD.
     """
-    multi = _as_matrix(kernel)
-    if len(services) != multi.k:
-        raise ConfigurationError(f"need one service law per class: {len(services)} "
-                                 f"for k = {multi.k}")
+    multi = _check_classes(kernel, services)
     if not all(math.isfinite(F.mean()) for F in services):
         raise ConfigurationError("service mean must be finite")
     F, entry = services[0], multi.entries[0][0]
@@ -146,6 +143,15 @@ def _steady(kernel, services, phi: CovarianceDensity | None = None):
     if eigmin < -1e-8 * max(1.0, float(np.abs(np.diag(out)).max())):
         raise NumericalError(f"steady-state covariance not PSD (min eig {eigmin:.2e})")
     return out
+
+
+def _check_classes(kernel, services) -> KernelMatrix:
+    """The model of `kernels._as_matrix`, once there is one service law per class."""
+    multi = _as_matrix(kernel)
+    if len(services) != multi.k:
+        raise ConfigurationError(f"need one service law per class: {len(services)} "
+                                 f"for k = {multi.k}")
+    return multi
 
 
 def _steady_cov(phi: CovarianceDensity, services) -> np.ndarray:
@@ -195,6 +201,7 @@ def var_xe_infty(kernel: Kernel | KernelMatrix, phi: CovarianceDensity | None = 
         return float(_steady(kernel, [F], phi)[0, 0])
     if method != "grid":
         raise ConfigurationError(f"unknown method {method!r}")
+    _check_classes(kernel, [F])
     return float(_steady_cov(solve_phi_grid(kernel) if phi is None else phi, [F])[0, 0])
 
 

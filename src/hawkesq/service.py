@@ -4,7 +4,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import ConfigurationError
 
@@ -135,6 +134,9 @@ class LogNormalService(ServiceModel):
             raise ConfigurationError("shape parameter s must be positive")
         self.m = float(m)
         self.s = float(s)
+        # deferred to the first lognormal law: scipy.special adds ~0.2 s to the package import
+        from scipy.special import ndtr, ndtri
+        self._ndtr, self._ndtri = ndtr, ndtri
 
     def __repr__(self):
         return f"LogNormalService(m={self.m:g}, s={self.s:g})"
@@ -143,26 +145,26 @@ class LogNormalService(ServiceModel):
         return (np.log(np.maximum(x, 1e-300)) - self.m) / self.s
 
     def _cdf(self, x):
-        return np.where(x > 0, ndtr(self._z(x)), 0.0)
+        return np.where(x > 0, self._ndtr(self._z(x)), 0.0)
 
     def _survival(self, x):
-        return np.where(x > 0, ndtr(-self._z(x)), 1.0)
+        return np.where(x > 0, self._ndtr(-self._z(x)), 1.0)
 
     def _survival_integral(self, x):
         # E[S; S < x] + x P(S >= x), where E[S; S < x] = E[S] ndtr(z - s)
         with np.errstate(divide="ignore"):
             z = (np.log(x) - self.m) / self.s
-        return self.mean() * ndtr(z - self.s) + x * ndtr(-z)
+        return self.mean() * self._ndtr(z - self.s) + x * self._ndtr(-z)
 
     def inverse_cdf(self, u):
         u = np.asarray(u, dtype=float)
-        return np.exp(self.m + self.s * ndtri(u))
+        return np.exp(self.m + self.s * self._ndtri(u))
 
     def mean(self):
         return math.exp(self.m + 0.5 * self.s**2)
 
     def survival_cutoff(self):
-        return math.exp(self.m + self.s * ndtri(1.0 - _SURVIVAL_FLOOR))
+        return math.exp(self.m + self.s * self._ndtri(1.0 - _SURVIVAL_FLOOR))
 
     def to_dict(self):
         return {"type": "lognormal", "m": self.m, "s": self.s}

@@ -342,7 +342,14 @@ def test_git_describe_runs_once_per_command(tmp_path, monkeypatch, capsys):
     assert len(calls) == 2
 
 
-_DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.fft", "scipy.sparse")
+_DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.fft", "scipy.sparse", "scipy.special")
+
+
+def _fresh_interpreter(code, *args):
+    src = str(Path(hq.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def test_import_loads_no_deferred_scipy_module():
@@ -354,8 +361,26 @@ loaded = [m for m in {_DEFERRED!r} if m in sys.modules]
 assert not loaded, loaded
 value = hawkesq.PowerLawKernel(1.0, 3.5, 1.0).laplace(0.8)
 assert "scipy.integrate" in sys.modules and math.isfinite(value), value
+hawkesq.LogNormalService(0.0, 0.5)
+assert "scipy.special" in sys.modules
 """
-    src = str(Path(hq.__file__).resolve().parents[1])
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
-    assert run.returncode == 0, run.stderr
+    _fresh_interpreter(code)
+
+
+def test_exponential_service_runs_load_no_scipy(tmp_path):
+    queue = _write(tmp_path, "q.json", {"name": "h2", "kernel": H2, "mu": 10.0,
+                                        "service": {"type": "exponential", "rate": 1.0},
+                                        "n_samples": 2000, "seed": 3})
+    sim = _write(tmp_path, "sim.json", {"name": "h2", "kernel": H2, "mu": 10.0, "horizon": 5.0,
+                                        "reps": 50, "seed": 3, "probe_times": [5.0]})
+    code = """
+import sys
+from hawkesq.cli import main
+queue, sim, out = sys.argv[1:]
+# exit 1 is a failed verdict: the run still sampled, compared and wrote its files
+assert main(["validate-queue", "--config", queue, "--out", out]) in (0, 1)
+assert main(["simulate", "--config", sim, "--out", out]) == 0
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, loaded
+"""
+    _fresh_interpreter(code, queue, sim, str(tmp_path / "out"))

@@ -271,6 +271,13 @@ def test_var_xe_infty_h1(h1, phi_h1):
     assert hq.var_xe_infty(hq.ZERO_KERNEL) == pytest.approx(1.0)
 
 
+def test_var_xe_infty_refuses_k2_on_every_route(quarter_matrix, phi_quarter):
+    # one Exp(1) law for two classes: "grid" once returned class 0's value, 2.50031
+    for method, phi in [("auto", None), ("grid", None), ("grid", phi_quarter)]:
+        with pytest.raises(ConfigurationError, match="one service law per class"):
+            hq.var_xe_infty(quarter_matrix, phi=phi, method=method)
+
+
 def test_var_xe_infty_h2(h2, phi_h2):
     # Exact value 88/35 from the rational Laplace system (see oracles.py for
     # why this differs from the 2.5246 printed in the source example).

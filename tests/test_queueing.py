@@ -1,9 +1,11 @@
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr, ndtri
 
 import hawkesq as hq
 from hawkesq.errors import ConfigurationError
@@ -60,6 +62,24 @@ def test_service_survival_keeps_tail_precision():
                                               abs=0.0)
     assert F.survival(-1.0) == 1.0 and G.survival(0.0) == 1.0
     assert np.array_equal(F.survival(np.array([-1.0, 0.0, 2.0])), [1.0, 1.0, math.exp(-2.0)])
+
+
+def test_lognormal_service_is_the_scipy_normal_law():
+    # the deferred ufuncs give the closed forms bitwise, also after a pickle round trip
+    m, s = 0.2, 0.5
+    x = np.array([0.0, 1e-3, 0.4, 1.0, 2.5, 10.0, 60.0])
+    u = np.linspace(0.0, 1.0, 11)
+    with np.errstate(divide="ignore"):
+        z = (np.log(np.maximum(x, 1e-300)) - m) / s
+        zi = (np.log(x) - m) / s
+    mean = math.exp(m + 0.5 * s**2)
+    for F in (hq.LogNormalService(m, s), pickle.loads(pickle.dumps(hq.LogNormalService(m, s)))):
+        assert np.array_equal(F.cdf(x), np.where(x > 0, ndtr(z), 0.0))
+        assert np.array_equal(F.survival(x), np.where(x > 0, ndtr(-z), 1.0))
+        assert np.array_equal(F.survival_integral(x), mean * ndtr(zi - s) + x * ndtr(-zi))
+        assert np.array_equal(F.inverse_cdf(u), np.exp(m + s * ndtri(u)))
+        assert F.survival_cutoff() == math.exp(m + s * ndtri(1.0 - 1e-12))
+        assert (F.m, F.s) == (m, s)
 
 
 def test_service_validation():
