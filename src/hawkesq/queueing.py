@@ -89,31 +89,31 @@ class SteadyStateSample:
     def mean(self) -> np.ndarray:
         return self.samples.mean(axis=(0, 1))
 
-    def var(self) -> np.ndarray:
-        flat = self.samples.reshape(-1, self.k)
-        return flat.var(axis=0, ddof=1)
-
     def cov(self) -> np.ndarray:
         flat = self.samples.reshape(-1, self.k).astype(float)
         return np.cov(flat.T).reshape(self.k, self.k)
+
+    def var(self) -> np.ndarray:
+        return np.diag(self.cov())
 
     def se_mean(self) -> np.ndarray:
         # Replications are independent; spaced samples within one are not.
         rep_means = self.samples.mean(axis=1)
         return rep_means.std(axis=0, ddof=1) / math.sqrt(self.samples.shape[0])
 
-    def _jackknife(self, stat):
-        reps = self.samples.shape[0]
-        full = np.arange(reps)
-        values = np.array([stat(self.samples[full != r]) for r in range(reps)])
-        return np.sqrt((reps - 1) / reps * ((values - values.mean(axis=0)) ** 2).sum(axis=0))
+    def se_cov(self) -> np.ndarray:
+        """Replication jackknife SE of cov(): leaving replication r out leaves
+        the total centred sums minus r's own, so no covariance is recomputed."""
+        reps, per_rep = self.samples.shape[:2]
+        centered = self.samples - self.mean()
+        sums = centered.sum(axis=1)                                      # (reps, k)
+        cross = np.einsum("rpi,rpj->rij", centered, centered)            # (reps, k, k)
+        rest, n = sums.sum(axis=0) - sums, (reps - 1) * per_rep
+        loo = (cross.sum(axis=0) - cross - rest[:, :, None] * rest[:, None, :] / n) / (n - 1)
+        return np.sqrt((reps - 1) / reps * ((loo - loo.mean(axis=0)) ** 2).sum(axis=0))
 
     def se_var(self) -> np.ndarray:
-        return self._jackknife(lambda s: s.reshape(-1, self.k).var(axis=0, ddof=1))
-
-    def se_cov(self) -> np.ndarray:
-        return self._jackknife(
-            lambda s: np.cov(s.reshape(-1, self.k).astype(float).T).reshape(self.k, self.k))
+        return np.diag(self.se_cov())
 
 
 def _queue_replication(sim: SimConfig, services, offered, t_grid, r: int) -> np.ndarray:
@@ -140,8 +140,9 @@ def steady_state_sample(config: HawkesConfig, service, n_samples: int, seed: int
     per worker; each draws from its own keyed streams, so the samples are
     bitwise the same for any worker count (see `simulate._map_replications`).
     """
-    if n_samples < 1:
-        raise ConfigurationError("need a positive sample count")
+    if n_samples < 3:
+        # with two, the jackknife leaves one draw, which has no sample covariance
+        raise ConfigurationError("need at least three samples")
     k = config.dimension
     services = _normalize_services(service, k)
     means = np.array([s.mean() for s in services])

@@ -374,6 +374,25 @@ def simulate_paths(sim: SimConfig) -> list[PointPath]:
     return _map_replications(functools.partial(_ENGINES[sim.engine], sim), sim.replications)
 
 
+def sample_cov(x) -> tuple[np.ndarray, np.ndarray]:
+    """Sample covariance c (ddof 1) over the last axis of x, rows iid on axis 0
+    and middle axes batched, and the SE of each entry: the root of the exact
+    finite-sample variance (m22_ij - c_ij^2) / n + (c_ii c_jj + c_ij^2) / (n (n - 1)),
+    m22_ij the mean of (x_i - xbar_i)^2 (x_j - xbar_j)^2, clamped at 0.  At
+    i = j it is the kurtosis-corrected SE of a sample variance."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    if n < 2:
+        raise ConfigurationError("need at least two rows for a sample covariance")
+    centered = x - x.mean(axis=0)
+    cov = np.einsum("r...i,r...j->...ij", centered, centered) / (n - 1)
+    m22 = np.einsum("r...i,r...j->...ij", centered**2, centered**2) / n
+    var = np.diagonal(cov, axis1=-2, axis2=-1)
+    var_of_cov = ((m22 - cov**2) / n
+                  + (var[..., :, None] * var[..., None, :] + cov**2) / (n * (n - 1)))
+    return cov, np.sqrt(np.maximum(var_of_cov, 0.0))
+
+
 @dataclass
 class MomentSummary:
     """Unbiased sample moments of counts N(t) over replications."""
@@ -381,10 +400,20 @@ class MomentSummary:
     t_grid: np.ndarray
     n: int
     mean: np.ndarray          # (nt, k)
-    se_mean: np.ndarray
-    var: np.ndarray           # (nt, k), ddof=1
-    se_var: np.ndarray        # kurtosis-corrected
-    cov: np.ndarray           # (nt, k, k)
+    cov: np.ndarray           # (nt, k, k), ddof=1
+    se_cov: np.ndarray        # (nt, k, k), see sample_cov
+
+    @property
+    def var(self) -> np.ndarray:
+        return np.diagonal(self.cov, axis1=1, axis2=2)
+
+    @property
+    def se_var(self) -> np.ndarray:
+        return np.diagonal(self.se_cov, axis1=1, axis2=2)
+
+    @property
+    def se_mean(self) -> np.ndarray:
+        return np.sqrt(self.var / self.n)
 
     def to_dict(self):
         return {"t_grid": self.t_grid.tolist(), "replications": self.n,
@@ -397,30 +426,10 @@ class MomentSummary:
 
 
 def empirical_moments(paths, t_grid) -> MomentSummary:
-    paths = list(paths)
-    if len(paths) < 2:
-        raise ConfigurationError("need at least two paths for sample moments")
     t_grid = np.asarray(t_grid, dtype=float)
-    counts = np.stack([p.counts_at(t_grid) for p in paths]).astype(float)  # (R, nt, k)
-    n = counts.shape[0]
-    mean = counts.mean(axis=0)
-    var = counts.var(axis=0, ddof=1)
-    se_mean = np.sqrt(var / n)
-    centered = counts - mean
-    m4 = (centered**4).mean(axis=0)
-    var_of_var = (m4 - (n - 3) / (n - 1) * var**2) / n
-    se_var = np.sqrt(np.maximum(var_of_var, 0.0))
-    cov = np.einsum("rti,rtj->tij", centered, centered) / (n - 1)
-    return MomentSummary(t_grid, n, mean, se_mean, var, se_var, cov)
-
-
-def var_of_sample_cov(x: np.ndarray, y: np.ndarray) -> float:
-    """Delta-method variance of the sample covariance of paired data."""
-    xc = x - x.mean()
-    yc = y - y.mean()
-    c = float((xc * yc).sum() / (len(x) - 1))
-    m22 = float((xc**2 * yc**2).mean())
-    return (m22 - c * c) / len(x)
+    counts = np.array([p.counts_at(t_grid) for p in paths], dtype=float)  # (R, nt, k)
+    cov, se_cov = sample_cov(counts)
+    return MomentSummary(t_grid, counts.shape[0], counts.mean(axis=0), cov, se_cov)
 
 
 # --- serialization -------------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 from scipy.integrate import quad
 
 import hawkesq as hq
-from hawkesq.simulate import var_of_sample_cov
+from hawkesq.simulate import sample_cov
 
 import oracles
 
@@ -31,14 +31,6 @@ def _emit(capsys, n, ok, detail=""):
 def _check(results, name, ok, detail):
     results.append((name, bool(ok), detail))
     return ok
-
-
-def _se_var(x):
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    v = x.var(ddof=1)
-    m4 = ((x - x.mean()) ** 4).mean()
-    return float(np.sqrt(max(m4 - (n - 3) / (n - 1) * v**2, 0.0) / n))
 
 
 def _spectral_var_xe_h2():
@@ -181,17 +173,15 @@ def test_criterion_5_fclt_desk_scale(h1, capsys):
     lam = cfg.mean_rate()
     scaled = (counts - lam * np.asarray(probe)[None, :]) / np.sqrt(mu)
 
+    cov, se = sample_cov(scaled)
     checks = []
     for a, t in enumerate(probe):
-        v = scaled[:, a].var(ddof=1)
-        se = _se_var(scaled[:, a])
-        _check(checks, f"var@{t:g}", abs(v - oracles.K1(t)) < 3 * se,
-               f"{v:.3f} vs K = {oracles.K1(t):.3f} (se {se:.3f})")
-    c = float(np.cov(scaled[:, 0], scaled[:, 1])[0, 1])
-    target = oracles.covG1(1.0, 2.0)
-    se = float(np.sqrt(var_of_sample_cov(scaled[:, 0], scaled[:, 1])))
-    _check(checks, "cov(1,2)", abs(c - target) < 3 * se,
-           f"{c:.3f} vs {target:.3f} (se {se:.3f})")
+        v = cov[a, a]
+        _check(checks, f"var@{t:g}", abs(v - oracles.K1(t)) < 3 * se[a, a],
+               f"{v:.3f} vs K = {oracles.K1(t):.3f} (se {se[a, a]:.3f})")
+    c, target = cov[0, 1], oracles.covG1(1.0, 2.0)
+    _check(checks, "cov(1,2)", abs(c - target) < 3 * se[0, 1],
+           f"{c:.3f} vs {target:.3f} (se {se[0, 1]:.3f})")
 
     ok = all(x[1] for x in checks)
     _emit(capsys, 5, ok, "; ".join(f"{x[0]}:{x[2]}" for x in checks))
@@ -253,9 +243,7 @@ def test_criterion_7_multivariate_suite(h1, quarter_matrix, phi_quarter, capsys)
 
     cfg = hq.HawkesConfig(10.0, km)
     paths = hq.simulate_paths(hq.SimConfig(cfg, 4.0, seed=707, replications=4000))
-    counts = np.stack([p.counts_at([4.0]) for p in paths])[:, 0, :].astype(float)
-    c = float(np.cov(counts[:, 0], counts[:, 1])[0, 1])
-    se = float(np.sqrt(var_of_sample_cov(counts[:, 0], counts[:, 1])))
+    c, se = (m[0, 1] for m in sample_cov(np.stack([p.counts_at([4.0]) for p in paths])[:, 0, :]))
     _check(checks, "decoupled-empirical", abs(c) < 3 * se, f"cross-cov {c:.2f} (se {se:.2f})")
 
     sym = float(np.abs(phi_quarter.values[:, 0, 1] - phi_quarter.values[:, 1, 0]).max())

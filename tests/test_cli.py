@@ -243,6 +243,17 @@ def test_validate_queue_general_service(tmp_path):
         assert (tmp_path / "matrix" / "validate-queue" / "exp2" / name).read_bytes() == kernel_file
 
 
+@pytest.mark.parametrize("command, cfg, result", [
+    ("validate-queue", {"n_samples": 1}, "verdict.json"),
+    ("validate-fclt", {"reps": 1, "grid": {"dt": 0.05, "t_max": 40.0}}, "report.json"),
+], ids=["validate-queue", "validate-fclt"])
+def test_too_few_draws_exit_2(tmp_path, command, cfg, result):
+    # no standard error from one draw: a configuration error, not a failed check
+    path = _write(tmp_path, "few.json", dict(cfg, name="few", kernel=H1, mu=10.0, seed=7))
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out" / command / "few" / result).exists()
+
+
 def test_manifest_rerun_is_bitwise(tmp_path):
     cfg = _write(tmp_path, "sim.json", {
         "name": "first", "kernel": H1, "mu": 10.0, "horizon": 3.0,
@@ -295,7 +306,10 @@ def test_manifest_rerun_is_bitwise_every_command(tmp_path, command, cfg):
      {"paths.csv", "moments.json"}),
     ("validate-queue", {"kernel": H1, "mu": 10.0, "n_samples": 200},
      {"comparison.json", "verdict.json", "histogram.csv"}),
-], ids=["simulate", "validate-queue"])
+    ("validate-fclt", {"kernel": H1, "mu": 10.0, "reps": 100, "probe_times": [1.0, 2.0],
+                       "grid": {"dt": 0.05, "t_max": 40.0}},
+     {"report.json"}),
+], ids=["simulate", "validate-queue", "validate-fclt"])
 def test_result_files_same_for_any_worker_count(tmp_path, cpus, command, cfg, names):
     path = _write(tmp_path, "cfg.json", dict(cfg, name="run", seed=7))
     outputs = []

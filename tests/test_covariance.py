@@ -115,10 +115,12 @@ def test_phi_spectral_identity_random_mixtures(kern):
 @pytest.mark.parametrize("kern,t_max,steps", [
     # H(80) = 1.16e-8 exceeds the grid's 1e-8 tail tolerance, so t_max = 100
     (hq.PowerLawKernel(1.0, 5.0, 2.0), 100.0, (0.02, 0.01)),
-    (hq.SumOfExponentialsKernel([1.0, -0.5], [1.0, 2.0]), 80.0, (0.02, 0.01, 0.005))],
-    ids=["power-law", "mixed-sign"])
+    (hq.SumOfExponentialsKernel([1.0, -0.5], [1.0, 2.0]), 80.0, (0.02, 0.01, 0.005)),
+    (hq.TabulatedKernel(0.5, [0.0, 0.4, 0.3, 0.1, 0.0]), 80.0, (0.02, 0.01, 0.005))],
+    ids=["power-law", "mixed-sign", "table"])
 def test_phi_spectral_identity_fixed_kernels(kern, t_max, steps):
-    # relative gaps: power law 1.24e-3 and 3.1e-4; mixture 2.7e-5, 6.7e-6 and 1.7e-6
+    # relative gaps: power law 1.24e-3 and 3.1e-4; mixture 2.7e-5, 6.7e-6 and 1.7e-6;
+    # table 3.2e-5, 8.0e-6 and 2.0e-6
     gaps = [_spectral_gap(kern, dt, t_max) for dt in steps]
     assert gaps[0] < 2e-3
     for coarse, fine in zip(gaps, gaps[1:]):

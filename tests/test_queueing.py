@@ -10,7 +10,7 @@ from scipy.special import ndtr, ndtri
 import hawkesq as hq
 from hawkesq.errors import ConfigurationError
 from hawkesq.queueing import queue_verdict, tv_jackknife
-from hawkesq.simulate import SERVICE_STREAM, var_of_sample_cov
+from hawkesq.simulate import SERVICE_STREAM, sample_cov
 
 
 # --- service models -----------------------------------------------------------
@@ -207,6 +207,22 @@ def test_steady_state_floor_validation(h1):
                                engine="bogus")
 
 
+def test_se_cov_is_the_replication_jackknife():
+    # the totals-minus-own-sums jackknife against leave-one-out covariances recomputed
+    rng = np.random.default_rng(8)
+    base = rng.poisson(20.0, size=(30, 15, 1))
+    samples = np.concatenate([base + rng.poisson(5.0, size=base.shape),
+                              base + rng.poisson(9.0, size=base.shape)], axis=2)
+    sample = hq.SteadyStateSample(samples, seed=0, burn_in=0.0, spacing=1.0)
+    reps = samples.shape[0]
+    loo = np.array([np.cov(np.delete(samples, r, axis=0).reshape(-1, 2).T)
+                    for r in range(reps)])
+    want = np.sqrt((reps - 1) / reps * ((loo - loo.mean(axis=0)) ** 2).sum(axis=0))
+    assert np.allclose(sample.se_cov(), want, rtol=1e-10, atol=0.0)
+    assert np.array_equal(sample.se_var(), np.diag(sample.se_cov()))
+    assert np.array_equal(sample.var(), np.diag(sample.cov()))
+
+
 def test_steady_state_hawkes_mean(h1):
     cfg = hq.HawkesConfig(20.0, h1)
     sample = hq.steady_state_sample(cfg, hq.ExponentialService(1.0), 4000, seed=12)
@@ -249,11 +265,10 @@ def test_transient_covariance_initial_service(h1, phi_h1):
                                     hq.rep_stream(4242, p.replication, SERVICE_STREAM),
                                     initial_service=F0).q[:, 0]
                   for p in hq.simulate_paths(sim)], dtype=float)
+    emp, se = sample_cov(q)
     for a, b in itertools.combinations_with_replacement(range(len(probes)), 2):
-        emp = float(np.cov(q[:, a], q[:, b])[0, 1])
-        se = np.sqrt(var_of_sample_cov(q[:, a], q[:, b]))
         want = mu * model.cov(probes[a], probes[b])
-        assert abs(emp - want) < 4.0 * se, (probes[a], probes[b], emp, want, se)
+        assert abs(emp[a, b] - want) < 4.0 * se[a, b], (probes[a], probes[b], emp, want, se)
 
 
 # --- distribution comparison -----------------------------------------------------

@@ -195,10 +195,8 @@ def test_multivariate_decoupled_matches_univariate(h1, quarter_matrix):
     assert abs(m.mean[0, 0] - 40.0) < 3.0 * m.se_mean[0, 0]
     assert abs(m.mean[0, 1] - 40.0) < 3.0 * m.se_mean[0, 1]
     # independent classes: cross-covariance compatible with zero
-    counts = np.stack([p.counts_at([4.0]) for p in paths])[:, 0, :].astype(float)
-    c = np.cov(counts[:, 0], counts[:, 1])[0, 1]
-    se = np.sqrt(hq.simulate.var_of_sample_cov(counts[:, 0], counts[:, 1]))
-    assert abs(c) < 3.0 * se
+    cov, se = simulate.sample_cov(np.stack([p.counts_at([4.0]) for p in paths])[:, 0, :])
+    assert abs(cov[0, 1]) < 3.0 * se[0, 1]
 
 
 def test_multivariate_sum_process_reduction(quarter_matrix):
@@ -210,11 +208,41 @@ def test_multivariate_sum_process_reduction(quarter_matrix):
     totals = np.array([p.counts_at([2.0]).sum() for p in paths], dtype=float)
     lam = 4.0 * mu
     assert abs(totals.mean() - lam * 2.0) < 3.0 * totals.std(ddof=1) / np.sqrt(totals.size)
-    n = totals.size
-    v = totals.var(ddof=1)
-    m4 = ((totals - totals.mean()) ** 4).mean()
-    se_var = np.sqrt((m4 - (n - 3) / (n - 1) * v**2) / n)
-    assert abs(v - 2.0 * mu * oracles.K1(2.0)) < 3.0 * se_var
+    v, se_var = simulate.sample_cov(totals[:, None])
+    assert abs(v[0, 0] - 2.0 * mu * oracles.K1(2.0)) < 3.0 * se_var[0, 0]
+
+
+def test_sample_cov_standard_errors():
+    rng = np.random.default_rng(3)
+    x = rng.gamma(2.0, size=(40, 3, 2)) @ np.array([[1.0, 0.4], [0.0, 1.0]])  # skewed, correlated
+    cov, se = simulate.sample_cov(x)
+    assert cov.shape == se.shape == (3, 2, 2)
+    n = x.shape[0]
+    for t in range(3):
+        assert np.allclose(cov[t], np.cov(x[:, t].T), rtol=1e-13, atol=0.0)
+        # the kurtosis-corrected SE of a sample variance
+        for i in range(2):
+            xi = x[:, t, i]
+            m4 = ((xi - xi.mean()) ** 4).mean()
+            want = np.sqrt((m4 - (n - 3) / (n - 1) * xi.var(ddof=1) ** 2) / n)
+            assert se[t, i, i] == pytest.approx(want, rel=1e-12)
+    # one off-diagonal entry by a scalar loop over the exact finite-sample variance
+    a, b = x[:, 1, 0], x[:, 1, 1]
+    ma, mb = sum(a) / n, sum(b) / n
+    c = sum((p - ma) * (q - mb) for p, q in zip(a, b)) / (n - 1)
+    vaa = sum((p - ma) ** 2 for p in a) / (n - 1)
+    vbb = sum((q - mb) ** 2 for q in b) / (n - 1)
+    m22 = sum((p - ma) ** 2 * (q - mb) ** 2 for p, q in zip(a, b)) / n
+    want = np.sqrt((m22 - c * c) / n + (vaa * vbb + c * c) / (n * (n - 1)))
+    assert se[1, 0, 1] == se[1, 1, 0] == pytest.approx(want, rel=1e-12)
+    # Gaussian rows: SE^2 is the Wishart variance (s_ii s_jj + s_ij^2) / (n - 1)
+    sigma = np.array([[2.0, 0.8], [0.8, 1.0]])
+    n = 20_000
+    cov, se = simulate.sample_cov(rng.multivariate_normal([1.0, -1.0], sigma, size=n))
+    wishart = (np.outer(np.diag(sigma), np.diag(sigma)) + sigma**2) / (n - 1)
+    assert np.allclose(se**2, wishart, rtol=0.05, atol=0.0)
+    with pytest.raises(ConfigurationError):
+        simulate.sample_cov(x[:1])
 
 
 def test_empirical_moments_validation(h1):
