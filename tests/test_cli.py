@@ -373,10 +373,14 @@ import math, sys
 import hawkesq, hawkesq.cli
 loaded = [m for m in {_DEFERRED!r} if m in sys.modules]
 assert not loaded, loaded
+F = hawkesq.LogNormalService(0.0, 0.5)
+values = [F.cdf(1.0), F.survival(1.0), F.survival_integral(1.0), F.inverse_cdf(0.3), F.mean(),
+          F.survival_cutoff(), F.sample(hawkesq.rep_stream(1, 0), 10).sum()]
+assert all(map(math.isfinite, values)), values
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, loaded
 value = hawkesq.PowerLawKernel(1.0, 3.5, 1.0).laplace(0.8)
 assert "scipy.integrate" in sys.modules and math.isfinite(value), value
-hawkesq.LogNormalService(0.0, 0.5)
-assert "scipy.special" in sys.modules
 """
     _fresh_interpreter(code)
 
@@ -398,3 +402,30 @@ loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 assert not loaded, loaded
 """
     _fresh_interpreter(code, queue, sim, str(tmp_path / "out"))
+
+
+def test_lognormal_service_runs_load_no_scipy(tmp_path):
+    queue = _write(tmp_path, "q.json", {"name": "h2", "kernel": H2, "mu": 10.0,
+                                        "service": {"type": "lognormal", "m": 0.0, "s": 0.5},
+                                        "n_samples": 2000, "seed": 3})
+    code = """
+import sys
+from hawkesq.cli import main
+queue, out = sys.argv[1:]
+assert main(["validate-queue", "--config", queue, "--out", out]) in (0, 1)
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, loaded
+"""
+    _fresh_interpreter(code, queue, str(tmp_path / "out"))
+
+
+def test_non_finite_service_parameter_exits_2(tmp_path, capsys):
+    # Python's json reads NaN and Infinity; the service law refuses them when it is built
+    cfg = _write(tmp_path, "q.json", {"name": "h2", "kernel": H2, "mu": 10.0,
+                                      "service": {"type": "lognormal", "m": 0.0, "s": math.nan},
+                                      "n_samples": 2000, "seed": 3})
+    assert "NaN" in Path(cfg).read_text()
+    out = tmp_path / "out"
+    assert main(["validate-queue", "--config", cfg, "--out", str(out)]) == 2
+    assert "shape parameter s must be positive and finite" in capsys.readouterr().err
+    assert not list(out.rglob("*.json"))

@@ -2,6 +2,7 @@ import itertools
 import math
 import pickle
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -48,6 +49,8 @@ def test_service_survival_integral_matches_quad(F, kinks):
         ref, _ = quad(F.survival, 0.0, x, points=inside, epsabs=1e-14, epsrel=1e-13, limit=200)
         assert abs(F.survival_integral(x) - ref) <= 1e-12, x
     assert F.survival_integral(1e6) == pytest.approx(F.mean(), rel=1e-13)
+    # pytest makes a RuntimeWarning an error, so this also asserts that none is emitted
+    assert F.survival_integral(np.inf) == pytest.approx(F.mean(), rel=1e-12, abs=0.0)
 
 
 def test_service_survival_keeps_tail_precision():
@@ -64,8 +67,50 @@ def test_service_survival_keeps_tail_precision():
     assert np.array_equal(F.survival(np.array([-1.0, 0.0, 2.0])), [1.0, 1.0, math.exp(-2.0)])
 
 
-def test_lognormal_service_is_the_scipy_normal_law():
-    # the deferred ufuncs give the closed forms bitwise, also after a pickle round trip
+def _normal_law_points():
+    """u from 1e-300 to 1 - 1e-15 and x from -37.5 to 8.5, each with the region
+    boundaries of AS241 (|u - 1/2| = 0.425, r = 5) and the ndtr switch |x| = 1."""
+    u = np.concatenate([np.logspace(-300, -1, 300), np.linspace(0.05, 0.95, 181),
+                        1.0 - np.logspace(-15, -1, 141),
+                        [0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0)]])
+    x = np.concatenate([np.linspace(-37.5, 8.5, 461), [-math.sqrt(2.0), math.sqrt(2.0)]])
+    return u, x
+
+
+def test_normal_law_is_exact_to_a_few_ulp():
+    # mpmath at 60 digits is the oracle.  Quantiles within 8 ULP.  The CDF
+    # within 4 (1 + x^2) eps relative: rounding x / sqrt(2) to a double moves
+    # ndtr(x) by about x^2 eps relative.  scipy meets the same bounds.
+    from hawkesq.service import _ndtr, _ndtri
+    u, x = _normal_law_points()
+
+    def exact_ndtri(v):
+        z = mpmath.mpf(_ndtri(v))       # Newton from 1e-16 relative: 1e-32, 1e-64
+        for _ in range(3):
+            z -= (mpmath.ncdf(z) - v) / mpmath.npdf(z)
+        return float(z)
+
+    with mpmath.workdps(60):
+        want_ndtri = np.array([exact_ndtri(v) for v in u])
+        want_ndtr = np.array([float(mpmath.ncdf(v)) for v in x])
+    bound = 4.0 * (1.0 + x**2) * np.finfo(float).eps
+    for name, f, g in (("hawkesq", _ndtri, _ndtr), ("scipy", ndtri, ndtr)):
+        ulps = np.abs(f(u) - want_ndtri) / np.array([math.ulp(w) for w in want_ndtri])
+        assert ulps.max() <= 8.0, (name, u[ulps.argmax()], ulps.max())
+        rel = np.abs(g(x) - want_ndtr) / want_ndtr
+        assert np.all(rel <= bound), (name, x[(rel / bound).argmax()], (rel / bound).max())
+    assert _ndtri(0.5) == 0.0 and _ndtr(0.0) == 0.5
+    edges = np.array([0.0, 1.0, -0.5, 1.5, -np.inf, np.inf, np.nan])
+    assert np.array_equal(_ndtri(edges), ndtri(edges), equal_nan=True)
+    assert _ndtri(0.0) == -np.inf and _ndtri(1.0) == np.inf and math.isnan(_ndtri(1.5))
+    assert np.array_equal(_ndtr(np.array([-np.inf, np.inf, np.nan])), [0.0, 1.0, np.nan],
+                          equal_nan=True)
+    assert type(_ndtr(0.3)) is float and type(_ndtri(0.3)) is float
+
+
+def test_lognormal_service_is_the_normal_law():
+    # every method goes through _ndtr and _ndtri, also after a pickle round trip
+    from hawkesq.service import _ndtr, _ndtri
     m, s = 0.2, 0.5
     x = np.array([0.0, 1e-3, 0.4, 1.0, 2.5, 10.0, 60.0])
     u = np.linspace(0.0, 1.0, 11)
@@ -74,12 +119,43 @@ def test_lognormal_service_is_the_scipy_normal_law():
         zi = (np.log(x) - m) / s
     mean = math.exp(m + 0.5 * s**2)
     for F in (hq.LogNormalService(m, s), pickle.loads(pickle.dumps(hq.LogNormalService(m, s)))):
-        assert np.array_equal(F.cdf(x), np.where(x > 0, ndtr(z), 0.0))
-        assert np.array_equal(F.survival(x), np.where(x > 0, ndtr(-z), 1.0))
-        assert np.array_equal(F.survival_integral(x), mean * ndtr(zi - s) + x * ndtr(-zi))
-        assert np.array_equal(F.inverse_cdf(u), np.exp(m + s * ndtri(u)))
-        assert F.survival_cutoff() == math.exp(m + s * ndtri(1.0 - 1e-12))
-        assert (F.m, F.s) == (m, s)
+        assert np.array_equal(F.cdf(x), np.where(x > 0, _ndtr(z), 0.0))
+        assert np.array_equal(F.survival(x), np.where(x > 0, _ndtr(-z), 1.0))
+        assert np.array_equal(F.survival_integral(x), mean * _ndtr(zi - s) + x * _ndtr(-zi))
+        assert np.array_equal(F.inverse_cdf(u), np.exp(m + s * _ndtri(u)))
+        assert F.survival_cutoff() == math.exp(m + s * _ndtri(1.0 - 1e-12))
+        assert vars(F) == {"m": m, "s": s}
+
+
+def test_lognormal_sample_is_the_lognormal_law():
+    # KS test of 200,000 draws against the exact CDF; at a fixed seed the test
+    # is deterministic, and for a seed picked at random it would fail 0.1% of
+    # the time (the alarm level of the p-value)
+    from scipy import stats
+    F = hq.LogNormalService(0.2, 0.5)
+    draws = F.sample(hq.rep_stream(23, 0), 200_000)
+    exact = stats.lognorm(0.5, scale=math.exp(0.2)).cdf
+    assert draws.shape == (200_000,) and np.all(draws > 0)
+    assert stats.kstest(draws, exact).pvalue > 1e-3
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build", [lambda: hq.ExponentialService(_NAN),
+                                   lambda: hq.ExponentialService(_INF),
+                                   lambda: hq.LogNormalService(0.0, _NAN),
+                                   lambda: hq.LogNormalService(_NAN, 0.5),
+                                   lambda: hq.LogNormalService(_INF, 0.5),
+                                   lambda: hq.LogNormalService(0.0, _INF),
+                                   lambda: hq.DeterministicService(_NAN),
+                                   lambda: hq.TabulatedInverseCDFService([0.0, 1.0, _INF]),
+                                   lambda: hq.TabulatedInverseCDFService([0.0, _NAN, 1.0])],
+                         ids=["exp-nan", "exp-inf", "logn-s-nan", "logn-m-nan", "logn-m-inf",
+                              "logn-s-inf", "det-nan", "tab-inf", "tab-nan"])
+def test_service_rejects_non_finite_parameters(build):
+    with pytest.raises(ConfigurationError):
+        build()
 
 
 def test_service_validation():
@@ -87,6 +163,7 @@ def test_service_validation():
         hq.DeterministicService(0.0)
     with pytest.raises(ConfigurationError):
         hq.TabulatedInverseCDFService([0.1, 0.5])    # F(0) != 0
+    assert hq.DeterministicService(math.inf).mean() == math.inf   # the count limit's law
     with pytest.raises(ConfigurationError):
         hq.service_from_dict({"type": "weibull"})
     spec = hq.LogNormalService(0.2, 0.7).to_dict()
