@@ -151,6 +151,12 @@ class SumOfExponentialsKernel(Kernel):
             if np.min(self(probe)) < 0:
                 raise ConfigurationError(
                     "mixed-sign exponential mixture is negative somewhere on [0, 20/min beta]")
+        self._l1 = float(np.sum(self.alphas / self.betas))
+        # the offset sampler's positive-part mixture: component weights and rates
+        pos = self.alphas > 0
+        weights = self.alphas[pos] / self.betas[pos]
+        self._pos_alphas, self._pos_betas = self.alphas[pos], self.betas[pos]
+        self._pos_weights = weights / weights.sum()
 
     def __repr__(self):
         terms = ", ".join(f"{a:g}*exp(-{b:g}t)" for a, b in zip(self.alphas, self.betas))
@@ -161,7 +167,7 @@ class SumOfExponentialsKernel(Kernel):
         return out.reshape(t.shape)
 
     def l1_norm(self) -> float:
-        return float(np.sum(self.alphas / self.betas))
+        return self._l1
 
     def _laplace(self, omega):
         return float(np.sum(self.alphas / (self.betas + omega)))
@@ -185,16 +191,13 @@ class SumOfExponentialsKernel(Kernel):
         return 1.0 / float(self.betas.min()) if self.alphas.size else 1.0
 
     def _sample_offsets(self, rng, n):
-        pos = self.alphas > 0
-        weights = self.alphas[pos] / self.betas[pos]
-        weights = weights / weights.sum()
-        betas_pos = self.betas[pos]
+        alphas_pos, betas_pos = self._pos_alphas, self._pos_betas
 
         def draw(m):
             # multinomial component counts, then one exponential block per component,
             # filled in place: exponential(scale) is scale times the standard draw
             out = np.empty(m)
-            ends = np.cumsum(rng.multinomial(m, weights)).tolist()
+            ends = np.cumsum(rng.multinomial(m, self._pos_weights)).tolist()
             for b, start, end in zip(betas_pos, [0] + ends, ends):
                 block = out[start:end]
                 rng.standard_exponential(out=block)
@@ -206,7 +209,6 @@ class SumOfExponentialsKernel(Kernel):
         # Mixed signs: rejection against the positive-part mixture envelope.
         out = np.empty(n)
         filled = 0
-        alphas_pos = self.alphas[pos]
         for _ in range(10_000):
             m = n - filled
             cand = draw(m)
@@ -339,6 +341,7 @@ class TabulatedKernel(Kernel):
             raise ConfigurationError("tabulated values must be finite and nonnegative")
         self.grid = np.arange(self.values.size) * self.dt
         self.cutoff = float(self.grid[-1])
+        self._l1 = float(np.trapezoid(self.values, dx=self.dt))
 
     def __repr__(self):
         return f"TabulatedKernel(dt={self.dt:g}, cutoff={self.cutoff:g}, n={self.values.size})"
@@ -347,7 +350,7 @@ class TabulatedKernel(Kernel):
         return np.interp(t, self.grid, self.values, right=0.0)
 
     def l1_norm(self):
-        return float(np.trapezoid(self.values, dx=self.dt))
+        return self._l1
 
     def _laplace(self, omega):
         return float(np.trapezoid(np.exp(-omega * self.grid) * self.values, dx=self.dt))

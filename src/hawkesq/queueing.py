@@ -39,7 +39,8 @@ def simulate_queue(arrivals: PointPath, service, q_init, t_grid,
     q_init holds the initial customer counts per class; their remaining
     service comes from initial_service (defaults to the arrival service
     distribution).  The rng drives only service sampling, independent of
-    the arrival path.
+    the arrival path.  A customer is in the queue at t when its arrival
+    (0 for an initial customer) is at or before t and its departure after t.
     """
     k = arrivals.dimension
     services = _normalize_services(service, k)
@@ -48,22 +49,44 @@ def simulate_queue(arrivals: PointPath, service, q_init, t_grid,
     q_init = np.atleast_1d(np.asarray(q_init, dtype=int))
     if q_init.shape != (k,) or np.any(q_init < 0):
         raise ConfigurationError("q_init must be one nonnegative count per class")
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid < 0) or np.any(t_grid > arrivals.horizon + 1e-12):
-        raise ConfigurationError("probe times outside the arrival window")
+    t_grid = arrivals._probe_times(t_grid)
+    order = np.argsort(t_grid, axis=None, kind="stable")
+    probes = t_grid.ravel()[order]
 
     q = np.empty((t_grid.size, k), dtype=int)
     for d in range(k):
-        remaining = np.sort(init_services[d].sample(rng, int(q_init[d])))
+        remaining = init_services[d].sample(rng, int(q_init[d]))
         taus = arrivals.times[d]
         departures = services[d].sample(rng, taus.size)
         departures += taus
-        departures.sort()
-        n_arrived = np.searchsorted(taus, t_grid, side="right")
-        gone = np.searchsorted(departures, t_grid, side="right")
-        init_left = q_init[d] - np.searchsorted(remaining, t_grid, side="right")
-        q[:, d] = init_left + n_arrived - gone
+        q[order, d] = (_in_service(probes, np.zeros(remaining.size), remaining)
+                       + _in_service(probes, taus, departures))
     return QueueTrajectory(t_grid, q)
+
+
+def _in_service(probes, starts, ends) -> np.ndarray:
+    """#{i : starts_i <= t < ends_i} at each of the sorted probe times t.
+
+    starts must be sorted and ends >= starts.  One search of the probes in
+    starts splits the customers by their first probe at or after their
+    start.  A customer that has left by that probe is never counted, so only
+    the customers still present there have their end located among the
+    probes.  No temporary is as long as the customer arrays.
+    """
+    probes_list = probes.tolist()
+    bounds = np.searchsorted(starts, probes, side="right").tolist()
+    entered = np.zeros(len(probes_list) + 1, dtype=np.int64)
+    present = [np.empty(0)]
+    for m, (t, lo, hi) in enumerate(zip(probes_list, [0] + bounds, bounds)):
+        if lo == hi:
+            continue
+        stay = ends[lo:hi]
+        stay = stay[stay > t]
+        entered[m] = stay.size
+        present.append(stay)
+    left = np.bincount(np.searchsorted(probes, np.concatenate(present), side="left"),
+                       minlength=entered.size)
+    return np.cumsum(entered - left)[:-1]
 
 
 @dataclass
@@ -153,12 +176,16 @@ def steady_state_sample(config: HawkesConfig, service, n_samples: int, seed: int
     min_burn = 10.0 * means.max() + 10.0 * corr_scale
     if burn_in is None:
         burn_in = min_burn
+    elif not math.isfinite(burn_in):
+        raise ConfigurationError("burn-in must be finite")
     elif burn_in < min_burn:
         raise ConfigurationError(
             f"burn-in {burn_in:g} below the decorrelation floor {min_burn:g}")
     min_spacing = 5.0 * means.max()
     if spacing is None:
         spacing = min_spacing
+    elif not math.isfinite(spacing):
+        raise ConfigurationError("spacing must be finite")
     elif spacing < min_spacing:
         raise ConfigurationError(f"spacing {spacing:g} below the floor {min_spacing:g}")
     reps = int(min(400, max(25, math.ceil(n_samples / 200))))

@@ -142,11 +142,19 @@ class ExponentialService(ServiceModel):
         return -np.expm1(-self.rate * x) / self.rate
 
     def inverse_cdf(self, u):
-        x = np.array(u, dtype=float)
+        x = self._quantile_in_place(np.array(u, dtype=float))
+        return x if x.ndim else x[()]
+
+    def _quantile_in_place(self, x):
+        """-log1p(-u) / rate, overwriting the float array u."""
         np.negative(x, out=x)
         np.log1p(x, out=x)
         x /= -self.rate
-        return x if x.ndim else x[()]
+        return x
+
+    def sample(self, rng, n):
+        """inverse_cdf of n uniforms, computed in the uniforms' own array."""
+        return self._quantile_in_place(rng.random(n))
 
     def mean(self):
         return 1.0 / self.rate

@@ -116,11 +116,18 @@ class PointPath:
     def dimension(self) -> int:
         return len(self.times)
 
+    def _probe_times(self, t_grid) -> np.ndarray:
+        """t_grid as a float array, refused unless every time lies in [0, horizon]."""
+        t_grid = np.asarray(t_grid, dtype=float)
+        if np.any(np.isnan(t_grid)):
+            raise ConfigurationError("probe times must not be NaN")
+        if np.any(t_grid < 0) or np.any(t_grid > self.horizon + 1e-12):
+            raise ConfigurationError("probe times outside [0, horizon]")
+        return t_grid
+
     def counts_at(self, t_grid) -> np.ndarray:
         """Counts N_i(t) for each grid time; shape (len(t_grid), k)."""
-        t_grid = np.asarray(t_grid, dtype=float)
-        if np.any(t_grid < 0) or np.any(t_grid > self.horizon + 1e-12):
-            raise ConfigurationError("probe times outside (0, horizon]")
+        t_grid = self._probe_times(t_grid)
         return np.column_stack([np.searchsorted(seq, t_grid, side="right")
                                 for seq in self.times])
 
@@ -137,16 +144,16 @@ class SimConfig:
     replications: int = 1
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ConfigurationError("horizon must be positive")
+        if not 0 < self.horizon < math.inf:
+            raise ConfigurationError("horizon must be positive and finite")
         if self.engine not in _ENGINES:
             raise ConfigurationError(f"unknown engine {self.engine!r}")
         if self.replications < 1:
             raise ConfigurationError("need at least one replication")
         if self.burn_in is None:
             self.burn_in = default_burn_in(self.config)
-        elif self.burn_in < 0:
-            raise ConfigurationError("burn-in must be nonnegative")
+        elif not 0 <= self.burn_in < math.inf:
+            raise ConfigurationError("burn-in must be nonnegative and finite")
 
 
 def default_burn_in(config: HawkesConfig) -> float:
@@ -198,7 +205,8 @@ def simulate_cluster(sim: SimConfig, replication: int = 0) -> PointPath:
     Poisson(n ||h_ij||) total, each child given a uniformly chosen parent;
     this multinomial split has the law of n independent litters.  Uniform
     parent indices also pair offsets with parents at random, as
-    Kernel.sample_offsets requires.
+    Kernel.sample_offsets requires.  Every point at or before T is kept, and
+    each class is sorted once and returned from its first positive time on.
     """
     rng = rep_stream(sim.seed, replication, ARRIVAL_STREAM)
     multi = sim.config.kernel_matrix()
@@ -212,7 +220,7 @@ def simulate_cluster(sim: SimConfig, replication: int = 0) -> PointPath:
         n_imm = rng.poisson(mu[i] * (T + B))
         imm = rng.uniform(-B, T, size=n_imm)
         gen.append(imm)
-        collected[i].append(imm[imm > 0])
+        collected[i].append(imm)
 
     branching = multi.l1_matrix()
     depth = 0
@@ -233,17 +241,29 @@ def simulate_cluster(sim: SimConfig, replication: int = 0) -> PointPath:
                 total = int(rng.poisson(br * parents.size))
                 if total == 0:
                     continue
-                births = (parents[rng.integers(0, parents.size, size=total)]
-                          + multi.entries[i][j].sample_offsets(rng, total))
+                births = parents[rng.integers(0, parents.size, size=total)]
+                births += multi.entries[i][j].sample_offsets(rng, total)
                 births = births[births <= T]    # later births cannot have offspring in (0, T]
                 nxt[i].append(births)
-                collected[i].append(births[births > 0])
-        gen = [np.concatenate(buf) if buf else np.empty(0) for buf in nxt]
+                collected[i].append(births)
+        gen = [_joined(buf) for buf in nxt]
 
-    times = [np.concatenate(buf) if buf else np.empty(0) for buf in collected]
-    for seq in times:
+    times = []
+    for buf in collected:
+        seq = _joined(buf)
         seq.sort()
+        start = int(np.searchsorted(seq, 0.0, side="right"))
+        # a slice keeps the burn-in points alive with it: copy the window out
+        # when they are the larger part (short windows)
+        times.append(seq[start:].copy() if 2 * start > seq.size else seq[start:])
     return PointPath(tuple(times), T, replication)
+
+
+def _joined(arrays: list) -> np.ndarray:
+    """The arrays end to end; a single array itself, not a copy."""
+    if len(arrays) == 1:
+        return arrays[0]
+    return np.concatenate(arrays) if arrays else np.empty(0)
 
 
 class _ThinningState:

@@ -8,10 +8,16 @@ sums matrix-free and is checked against them.  `nested_quad_steady_var`
 integrates a steady-state variance off the lattice, by nested adaptive
 quadrature of an exact density.  `running_integral_cov` is the count-limit
 covariance from the running integrals of phi, independent of the lag sums
-that the library uses.
+that the library uses.  `filter_then_sort_cluster` is the cluster engine
+that keeps only positive times in every generation, and
+`event_driven_queue` counts a queue by sorting all its arrival and
+departure events; the library builds the same paths and counts without
+those copies and sorts.
 """
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad
+
+from hawkesq.simulate import ARRIVAL_STREAM, PointPath, rep_stream
 
 
 def _trapz_weights(n, dt):
@@ -124,3 +130,53 @@ def running_integral_cov(phi):
         return at(t) - p2s - at(t - s) + np.diag(phi.a) * s + p2s + p2s.T
 
     return cov
+
+
+def filter_then_sort_cluster(sim, replication=0):
+    """simulate_cluster's path, built by copying out the times in (0, T] of
+    every generation and sorting their concatenation per class."""
+    rng = rep_stream(sim.seed, replication, ARRIVAL_STREAM)
+    multi = sim.config.kernel_matrix()
+    k = multi.k
+    mu = sim.config.baseline * multi.p
+    T, B = sim.horizon, sim.burn_in
+    collected = [[] for _ in range(k)]
+    gen = []
+    for i in range(k):
+        imm = rng.uniform(-B, T, size=rng.poisson(mu[i] * (T + B)))
+        gen.append(imm)
+        collected[i].append(imm[imm > 0])
+    branching = multi.l1_matrix()
+    while any(g.size for g in gen):
+        nxt = [[] for _ in range(k)]
+        for j in range(k):
+            parents = gen[j]
+            if parents.size == 0:
+                continue
+            for i in range(k):
+                if branching[i, j] == 0.0:
+                    continue
+                total = int(rng.poisson(branching[i, j] * parents.size))
+                if total == 0:
+                    continue
+                births = (parents[rng.integers(0, parents.size, size=total)]
+                          + multi.entries[i][j].sample_offsets(rng, total))
+                births = births[births <= T]
+                nxt[i].append(births)
+                collected[i].append(births[births > 0])
+        gen = [np.concatenate(buf) if buf else np.empty(0) for buf in nxt]
+    return PointPath(tuple(np.sort(np.concatenate(buf)) for buf in collected), T, replication)
+
+
+def event_driven_queue(q_init, remaining, taus, departures, t_grid):
+    """Queue length of one class at each time of t_grid (any order, repeats
+    or a scalar): q_init plus the running sum of +1 at each arrival and -1 at
+    each departure, the initial customers departing at `remaining`, over all
+    events at or before t."""
+    events = np.concatenate([remaining, taus, departures])
+    deltas = np.concatenate([-np.ones(len(remaining)), np.ones(len(taus)),
+                             -np.ones(len(departures))])
+    order = np.argsort(events, kind="stable")
+    cum = np.concatenate([[0.0], np.cumsum(deltas[order])])
+    idx = np.searchsorted(events[order], np.atleast_1d(t_grid), side="right")
+    return (q_init + cum[idx]).astype(int)

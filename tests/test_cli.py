@@ -429,3 +429,20 @@ def test_non_finite_service_parameter_exits_2(tmp_path, capsys):
     assert main(["validate-queue", "--config", cfg, "--out", str(out)]) == 2
     assert "shape parameter s must be positive and finite" in capsys.readouterr().err
     assert not list(out.rglob("*.json"))
+
+
+@pytest.mark.parametrize("command, window, message", [
+    ("simulate", {"horizon": math.nan}, "horizon must be positive and finite"),
+    ("simulate", {"horizon": 5.0, "burn_in": math.inf}, "burn-in must be nonnegative and finite"),
+    ("validate-queue", {"spacing": math.nan}, "spacing must be finite"),
+    ("validate-queue", {"queue_burn_in": math.inf}, "burn-in must be finite"),
+], ids=["simulate-horizon-nan", "simulate-burn-in-inf", "queue-spacing-nan",
+        "queue-burn-in-inf"])
+def test_non_finite_window_exits_2(tmp_path, capsys, command, window, message):
+    # refused before any replication starts, not by a pool worker's Poisson draw
+    cfg = _write(tmp_path, "w.json", dict(window, name="w", kernel=H1, mu=10.0, seed=3,
+                                          n_samples=200, reps=4))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not [p for p in out.rglob("*") if p.is_file()]

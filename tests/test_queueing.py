@@ -11,7 +11,10 @@ from scipy.special import ndtr, ndtri
 import hawkesq as hq
 from hawkesq.errors import ConfigurationError
 from hawkesq.queueing import queue_verdict, tv_jackknife
+from hawkesq.service import _normalize_services
 from hawkesq.simulate import SERVICE_STREAM, sample_cov
+
+from dense_reference import event_driven_queue
 
 
 # --- service models -----------------------------------------------------------
@@ -24,6 +27,18 @@ def test_service_inverse_cdf_round_trip():
         assert np.allclose(m.cdf(m.inverse_cdf(u)), u, atol=1e-9)
         assert m.cdf(0.0) == 0.0
         assert m.survival(m.survival_cutoff()) <= 1e-9
+
+
+def test_exponential_sample_is_inverse_cdf_of_uniforms():
+    # the sampler transforms its uniforms in place; inverse_cdf leaves its input alone
+    svc = hq.ExponentialService(1.7)
+    u = hq.rep_stream(3, 0, SERVICE_STREAM).random(10_000)
+    kept = u.copy()
+    expected = svc.inverse_cdf(u)
+    assert np.array_equal(u, kept)
+    assert svc.sample(hq.rep_stream(3, 0, SERVICE_STREAM), 10_000).tobytes() == expected.tobytes()
+    assert svc.inverse_cdf(0.5) == pytest.approx(math.log(2.0) / 1.7)
+    assert isinstance(svc.inverse_cdf(0.5), float)
 
 
 def test_service_means():
@@ -180,28 +195,64 @@ def test_queue_no_arrivals_deterministic_service():
     assert traj.q[:, 0].tolist() == [3, 3, 3, 0, 0]
 
 
+def _tie_path():
+    # arrivals on a quarter grid, two at once; departures after 2.0 land on
+    # arrival times and on probe times exactly
+    return hq.PointPath((np.array([1.0, 2.0, 2.0, 3.0, 4.5]),), 6.0)
+
+
+def _asymmetric_path():
+    E = hq.SumOfExponentialsKernel
+    km = hq.KernelMatrix([[E([0.3], [1.0]), E([0.1, 0.05], [2.0, 0.5])],
+                          [E([0.2], [0.7]), E([0.3], [1.0])]], [1.0, 0.5])
+    return hq.simulate_cluster(hq.SimConfig(hq.HawkesConfig(8.0, km), 10.0, seed=4), 1)
+
+
+def _queue_cases(h1):
+    """name: (path, service, initial service, q_init, probe grid)"""
+    h1_path = hq.simulate_cluster(hq.SimConfig(hq.HawkesConfig(5.0, h1), 12.0, seed=3))
+    ties = (_tie_path(), hq.DeterministicService(2.0), hq.DeterministicService(1.0), [3])
+    return {
+        "exp": (h1_path, hq.ExponentialService(0.7), None, [4], np.linspace(0.5, 12.0, 40)),
+        "ties": ties + (np.arange(0.0, 6.25, 0.25),),
+        "unsorted-repeated": ties + ([5.0, 1.0, 5.0, 3.0, 0.0, 1.0],),
+        "scalar": ties + (3.0,),
+        "empty-class": (hq.PointPath((np.array([0.5, 1.5, 2.5]), np.empty(0)), 4.0),
+                        [hq.DeterministicService(1.0), hq.ExponentialService(1.0)], None,
+                        [2, 3], [4.0, 0.5, 1.5, 2.5, 0.0]),
+        "k2-two-laws": (_asymmetric_path(),
+                        [hq.ExponentialService(1.3), hq.LogNormalService(0.0, 0.5)],
+                        [hq.DeterministicService(0.5), hq.ExponentialService(2.0)], [5, 2],
+                        [7.0, 0.5, 10.0, 0.5, 3.25, 0.0]),
+    }
+
+
 def test_queue_work_conservation(h1):
-    # indicator-sum evaluation equals event-driven counting, exactly
-    cfg = hq.HawkesConfig(5.0, h1)
-    sim = hq.SimConfig(cfg, horizon=12.0, seed=3)
-    arrivals = hq.simulate_cluster(sim, 0)
-    svc = hq.ExponentialService(0.7)
-    t_grid = np.linspace(0.5, 12.0, 40)
+    # the indicator sum equals event-driven counting exactly, ties included: a
+    # customer who departs at a probe time has left, one who arrives at it is there
+    for case, (arrivals, service, initial, q_init, t_grid) in _queue_cases(h1).items():
+        k = arrivals.dimension
+        traj = hq.simulate_queue(arrivals, service, q_init, t_grid, hq.rep_stream(11, 0, 1),
+                                 initial_service=initial)
+        assert traj.q.shape == (np.size(t_grid), k), case
 
-    rng = hq.rep_stream(11, 0, 1)
-    traj = hq.simulate_queue(arrivals, svc, [4], t_grid, rng)
+        rng = hq.rep_stream(11, 0, 1)          # same stream -> same service draws
+        laws = _normalize_services(service, k)
+        initial = laws if initial is None else _normalize_services(initial, k)
+        for d in range(k):
+            remaining = initial[d].sample(rng, q_init[d])
+            taus = arrivals.times[d]
+            departures = taus + laws[d].sample(rng, taus.size)
+            counted = event_driven_queue(q_init[d], remaining, taus, departures, t_grid)
+            assert np.array_equal(traj.q[:, d], counted), (case, d)
 
-    rng2 = hq.rep_stream(11, 0, 1)          # same stream -> same service draws
-    remaining = np.sort(svc.sample(rng2, 4))
-    taus = arrivals.times[0]
-    departures = taus + svc.sample(rng2, taus.size)
-    events = np.concatenate([remaining, taus, departures])
-    deltas = np.concatenate([-np.ones(4), np.ones(taus.size), -np.ones(taus.size)])
-    order = np.argsort(events, kind="stable")
-    cum = np.cumsum(deltas[order])
-    idx = np.searchsorted(events[order], t_grid, side="right")
-    counted = 4 + np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
-    assert np.array_equal(traj.q[:, 0], counted.astype(int))
+
+def test_queue_ties_by_hand():
+    # initial customers leave at 1.0; arrivals 1, 2, 2, 3, 4.5 leave at 3, 4, 4, 5, 6.5
+    traj = hq.simulate_queue(_tie_path(), hq.DeterministicService(2.0), [3],
+                             [5.0, 1.0, 5.0, 3.0, 0.0, 4.0], hq.rep_stream(0, 0),
+                             initial_service=hq.DeterministicService(1.0))
+    assert traj.q[:, 0].tolist() == [1, 1, 1, 3, 3, 1]
 
 
 def test_queue_mm_infinity_mean():
@@ -232,11 +283,15 @@ def test_queue_independence_contract(h1):
     assert abs(a.q.mean() - b.q.mean()) < 3.0 * pooled_se
 
 
-def test_queue_range_error(h1):
+def test_queue_range_error():
+    # a NaN probe passes both range comparisons, so it is refused on its own
     arrivals = hq.PointPath((np.array([0.5]),), 1.0)
-    with pytest.raises(ConfigurationError):
-        hq.simulate_queue(arrivals, hq.ExponentialService(1.0), [0], [2.0],
-                          hq.rep_stream(0, 0))
+    for t_grid in ([2.0], [-0.5], [0.5, math.nan], math.nan):
+        with pytest.raises(ConfigurationError):
+            hq.simulate_queue(arrivals, hq.ExponentialService(1.0), [0], t_grid,
+                              hq.rep_stream(0, 0))
+        with pytest.raises(ConfigurationError):
+            arrivals.counts_at(t_grid)
 
 
 # --- steady-state sampling ------------------------------------------------------
@@ -282,6 +337,11 @@ def test_steady_state_floor_validation(h1):
     with pytest.raises(ConfigurationError):
         hq.steady_state_sample(cfg, hq.ExponentialService(1.0), 100, seed=1,
                                engine="bogus")
+    # NaN passes every floor comparison, and an infinite window has no last probe
+    for window in ({"burn_in": math.nan}, {"burn_in": math.inf},
+                   {"spacing": math.nan}, {"spacing": math.inf}):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            hq.steady_state_sample(cfg, hq.ExponentialService(1.0), 100, seed=1, **window)
 
 
 def test_se_cov_is_the_replication_jackknife():

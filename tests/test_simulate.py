@@ -1,5 +1,6 @@
 import ctypes
 import json
+import math
 import platform
 
 import numpy as np
@@ -11,6 +12,7 @@ from hawkesq.cli import main
 from hawkesq.errors import ConfigurationError, StabilityError
 
 import oracles
+from dense_reference import filter_then_sort_cluster
 
 
 def _config(kernel, mu):
@@ -36,6 +38,20 @@ def test_cluster_is_deterministic(h1):
     assert all(np.array_equal(x, y) for x, y in zip(a.times, b.times))
     c = hq.simulate_cluster(sim, 3)
     assert not all(np.array_equal(x, y) for x, y in zip(a.times, c.times))
+
+
+@pytest.mark.parametrize("kernel", ["h1", "asymmetric"])
+@pytest.mark.parametrize("burn_in", [0.0, None], ids=["no-burn-in", "default-burn-in"])
+def test_cluster_matches_filter_then_sort(h1, kernel, burn_in):
+    # one sort per class and a slice at 0 give the paths of filtering every generation
+    E = hq.SumOfExponentialsKernel
+    model = h1 if kernel == "h1" else hq.KernelMatrix(
+        [[E([0.3], [1.0]), E([0.1, 0.05], [2.0, 0.5])],
+         [E([0.2], [0.7]), E([0.3], [1.0])]], [1.0, 0.5])
+    sim = hq.SimConfig(_config(model, 10.0), horizon=8.0, seed=21, burn_in=burn_in)
+    for r in range(5):
+        path, reference = hq.simulate_cluster(sim, r), filter_then_sort_cluster(sim, r)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(path.times, reference.times))
 
 
 def test_thinning_is_deterministic(h1):
@@ -253,6 +269,16 @@ def test_empirical_moments_validation(h1):
     m1 = hq.empirical_moments(paths, [1.0, 5.0])
     m2 = hq.empirical_moments(paths, [1.0, 5.0])
     assert np.array_equal(m1.mean, m2.mean) and np.array_equal(m1.var, m2.var)
+
+
+@pytest.mark.parametrize("window", [{"horizon": math.nan}, {"horizon": math.inf},
+                                    {"horizon": 0.0}, {"burn_in": math.nan},
+                                    {"burn_in": math.inf}, {"burn_in": -1.0}],
+                         ids=["horizon-nan", "horizon-inf", "horizon-0", "burn-in-nan",
+                              "burn-in-inf", "burn-in-negative"])
+def test_sim_config_refuses_bad_windows(h1, window):
+    with pytest.raises(ConfigurationError):
+        hq.SimConfig(_config(h1, 10.0), **dict({"horizon": 5.0, "seed": 1}, **window))
 
 
 def test_point_path_validation():
