@@ -34,7 +34,8 @@ from .limits import count_limit_model, gaussian_queue_approx
 from .queueing import (compare_distributions, queue_verdict, steady_state_sample,
                        summary_json)
 from .service import service_from_dict
-from .simulate import SimConfig, empirical_moments, sample_cov, simulate_paths, write_paths_csv
+from .simulate import (SimConfig, _z, empirical_moments, sample_cov, simulate_paths,
+                       write_paths_csv)
 
 _SCHEMA = 1
 
@@ -67,15 +68,47 @@ def _load_config(path: str) -> dict:
     return data
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigurationError(f"config is missing required field {key!r}")
-    return cfg[key]
+def _number(key: str, value, kind=float):
+    """value as kind: an int is an integral number (2000.0 reads as 2000), a float
+    any number; booleans, strings and other kinds are refused.  Ranges, finiteness
+    included, are checked by the code that uses the value."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (kind is int and isinstance(value, float) and not value.is_integer())):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigurationError(f"config field {key!r} must be {what}, not {value!r}")
+    return kind(value)
+
+
+def _read(cfg: dict, key: str, kind=float, default=...):
+    """cfg[key] through `_number`; an absent or null field takes the default,
+    and a required one is refused."""
+    value = cfg.get(key)
+    if value is None:
+        if default is ...:
+            raise ConfigurationError(f"config is missing required field {key!r}")
+        return default
+    return _number(key, value, kind)
+
+
+def _times(cfg: dict, default) -> list:
+    """The probe times: a list of numbers, the default when absent, null or empty."""
+    times = cfg.get("probe_times") or default
+    if not isinstance(times, list):
+        raise ConfigurationError(f"config field 'probe_times' must be a list, not {times!r}")
+    return [_number("probe_times", t) for t in times]
+
+
+def _grid(cfg: dict):
+    """dt and t_max of the optional grid; None keeps the solver's default."""
+    grid = cfg.get("grid") or {}
+    if not isinstance(grid, dict):
+        raise ConfigurationError(f"config field 'grid' must be an object, not {grid!r}")
+    return _read(grid, "dt", default=None), _read(grid, "t_max", default=None)
 
 
 def _hawkes_config(cfg: dict) -> HawkesConfig:
-    kernel = kernel_from_dict(_require(cfg, "kernel"))
-    return HawkesConfig(float(_require(cfg, "mu")), kernel)
+    kernel = kernel_from_dict(cfg.get("kernel"))
+    return HawkesConfig(_read(cfg, "mu"), kernel)
 
 
 def _out_dir(base: str, command: str, cfg: dict) -> Path:
@@ -98,19 +131,19 @@ def _resolve_common(cfg: dict, args) -> dict:
     if args.seed is not None:
         cfg["seed"] = args.seed
     cfg.setdefault("seed", 20240)
-    if args.reps is not None:
+    if getattr(args, "reps", None) is not None:
         cfg["reps"] = args.reps
     return cfg
 
 
 def cmd_simulate(cfg: dict, out: Path) -> int:
     config = _hawkes_config(cfg)
-    sim = SimConfig(config, float(_require(cfg, "horizon")), int(cfg["seed"]),
-                    burn_in=cfg.get("burn_in"), engine=cfg.get("engine", "cluster"),
-                    replications=int(cfg.get("reps", 100)))
+    sim = SimConfig(config, _read(cfg, "horizon"), _read(cfg, "seed", int),
+                    burn_in=_read(cfg, "burn_in", default=None),
+                    engine=cfg.get("engine", "cluster"), replications=_read(cfg, "reps", int, 100))
+    probe = _times(cfg, [sim.horizon / 2.0, sim.horizon])
     cfg["burn_in"] = sim.burn_in
     paths = simulate_paths(sim)
-    probe = cfg.get("probe_times") or [sim.horizon / 2.0, sim.horizon]
     moments = empirical_moments(paths, probe)
     write_paths_csv(paths, out / "paths.csv")
     moments.write_json(out / "moments.json")
@@ -118,14 +151,14 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
 
 
 def cmd_analyze(cfg: dict, out: Path) -> int:
-    kernel, grid = kernel_from_dict(_require(cfg, "kernel")), cfg.get("grid") or {}
-    phi = solve_phi_grid(kernel, grid.get("dt"), grid.get("t_max"))
+    kernel = kernel_from_dict(cfg.get("kernel"))
+    times = sorted(_times(cfg, [1.0, 2.0, 5.0]))
+    phi = solve_phi_grid(kernel, *_grid(cfg))
     phi.write_csv(out / "phi.csv")
     variance_function(phi).write_csv(out / "K.csv")
     if isinstance(kernel, KernelMatrix):
         return 0
     # the upper triangle of the count Gram: Cov(G(s), G(t)) for s <= t, row by row
-    times = sorted(float(x) for x in cfg.get("probe_times", [1.0, 2.0, 5.0]))
     a, b = np.triu_indices(len(times))
     gram = count_limit_model(phi).gram(times)
     write_csv(out / "covG.csv", ["s", "t", "cov"],
@@ -141,27 +174,20 @@ def cmd_analyze(cfg: dict, out: Path) -> int:
     return 0
 
 
-def _z(gap, se):
-    """gap / se entrywise; with no sample spread, 0 for no gap, else inf (a failed check)."""
-    z = np.where(np.asarray(gap) == 0, 0.0, math.inf)
-    np.divide(gap, se, out=z, where=np.asarray(se) > 0)
-    return z[()]
-
-
 def cmd_validate_fclt(cfg: dict, out: Path) -> int:
     config = _hawkes_config(cfg)
     mu, k = config.baseline, config.dimension
-    reps = int(cfg.get("reps", 2000))
-    probe = [float(x) for x in cfg.get("probe_times", [1.0, 2.0, 5.0])]
-    sim = SimConfig(config, max(probe), int(cfg["seed"]),
-                    burn_in=cfg.get("burn_in"), engine=cfg.get("engine", "cluster"),
-                    replications=reps)
+    reps = _read(cfg, "reps", int, 2000)
+    probe = _times(cfg, [1.0, 2.0, 5.0])
+    dt, t_max = _grid(cfg)
+    sim = SimConfig(config, max(probe), _read(cfg, "seed", int),
+                    burn_in=_read(cfg, "burn_in", default=None),
+                    engine=cfg.get("engine", "cluster"), replications=reps)
     counts = np.stack([p.counts_at(probe) for p in simulate_paths(sim)])  # (R, nt, k)
     # G = (N - t rate) / sqrt(mu): the sample covariance centres on its own mean,
     # so the rate shift drops out and only the 1 / mu scale is left
     emp, se = (m / mu for m in sample_cov(counts.reshape(reps, -1)))
-    grid = cfg.get("grid") or {}
-    phi = solve_phi_grid(config.kernel, grid.get("dt"), grid.get("t_max"))
+    phi = solve_phi_grid(config.kernel, dt, t_max)
     # entry [b k + i, a k + j] = Cov(G_i(t_b), G_j(t_a)), in the order of emp
     target = count_limit_model(phi).gram(probe)
     z = _z(emp - target, se)
@@ -194,18 +220,19 @@ def cmd_validate_queue(cfg: dict, out: Path) -> int:
     service = service_from_dict(cfg.get("service", {"type": "exponential", "rate": 1.0}))
     # the target first: it refuses a model of k > 1 before the sampling starts
     approx = gaussian_queue_approx(config.baseline, config.kernel, service=service)
-    n_samples = int(cfg.get("n_samples", 10_000))
-    sample = steady_state_sample(config, service, n_samples, int(cfg["seed"]),
-                                 engine=cfg.get("engine", "cluster"),
-                                 burn_in=cfg.get("queue_burn_in"),
-                                 spacing=cfg.get("spacing"))
+    thresholds = {key: _read(cfg, key, default=0.05)
+                  for key in ("var_rel_threshold", "tv_threshold")}
+    if not all(0 < value < math.inf for value in thresholds.values()):
+        raise ConfigurationError(f"thresholds must be positive and finite: {thresholds}")
+    sample = steady_state_sample(config, service, _read(cfg, "n_samples", int, 10_000),
+                                 _read(cfg, "seed", int), engine=cfg.get("engine", "cluster"),
+                                 burn_in=_read(cfg, "queue_burn_in", default=None),
+                                 spacing=_read(cfg, "spacing", default=None))
     report = compare_distributions(sample.pooled(0), approx)
     report.write_csv(out / "histogram.csv")
     summary_json(sample, report, out / "comparison.json")
 
-    verdict = queue_verdict(sample, report, approx,
-                            var_rel_threshold=float(cfg.get("var_rel_threshold", 0.05)),
-                            tv_threshold=float(cfg.get("tv_threshold", 0.05)))
+    verdict = queue_verdict(sample, report, approx, **thresholds)
     write_json(out / "verdict.json", verdict)
     return 0 if verdict["pass"] else 1
 
@@ -224,7 +251,8 @@ def build_parser(version: str) -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config (or a manifest)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default="out", help="output directory root")
-        p.add_argument("--reps", type=int, default=None, help="override replication count")
+        if name in ("simulate", "validate-fclt"):      # the commands that read reps
+            p.add_argument("--reps", type=int, default=None, help="override replication count")
     return parser
 
 

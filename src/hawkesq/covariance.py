@@ -209,8 +209,8 @@ def _resolve_grid(kernel, dt, t_max, k=1, tail_tol=_TAIL_TOL):
     auto and the explicit horizon are checked against the cap on k^2 (n + 1)
     unknowns before any grid is allocated.
     """
-    if dt <= 0:
-        raise ConfigurationError("grid step must be positive")
+    if not 0 < dt < math.inf or not (t_max is None or 0 < t_max < math.inf):
+        raise ConfigurationError("grid step dt and horizon t_max must be positive and finite")
     if t_max is None:
         t_max = _default_t_max(kernel)
         while kernel.tail_mass(t_max) > tail_tol:

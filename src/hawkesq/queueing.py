@@ -17,7 +17,7 @@ from .errors import ConfigurationError
 from .kernels import HawkesConfig
 from .service import _normalize_services
 from .simulate import (_ENGINES, INITIAL_STREAM, SERVICE_STREAM, PointPath, SimConfig,
-                       _map_replications, rep_stream)
+                       _map_replications, _z, rep_stream)
 
 
 @dataclass
@@ -266,9 +266,9 @@ def tv_jackknife(sample: SteadyStateSample, report: ComparisonReport) -> float:
 def queue_verdict(sample: SteadyStateSample, report: ComparisonReport, approx, *,
                   var_rel_threshold: float = 0.05, tv_threshold: float = 0.05) -> dict:
     """The gates of validate-queue: the mean within 3 replication standard
-    errors of the target, and the relative variance gap and the jackknife TV
-    (`tv_jackknife`) each below its tolerance."""
-    mean_z = abs(report.mean_gap) / float(sample.se_mean()[0])
+    errors of the target (z by `simulate._z`), and the relative variance gap
+    and the jackknife TV (`tv_jackknife`) each below its tolerance."""
+    mean_z = float(abs(_z(report.mean_gap, sample.se_mean()[0])))
     var_rel = float(abs(report.var_gap) / approx.sigma**2)
     tv = tv_jackknife(sample, report)
     ok = mean_z < 3.0 and var_rel < var_rel_threshold and tv < tv_threshold

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 
@@ -20,56 +21,17 @@ def _ndtr(x):
     return out if out.ndim else float(out)
 
 
-# Wichura's AS241 (Applied Statistics 37, 1988), as in CPython's statistics module:
-# rational approximations in q = u - 1/2 for |q| <= 0.425, and beyond it in
-# r = sqrt(-log(min(u, 1 - u))) for r <= 5 and r > 5.  Highest power first.
-_AS241 = (
-    ((2.50908_09287_30122_6727e+3, 3.34305_75583_58812_8105e+4, 6.72657_70927_00870_0853e+4,
-      4.59219_53931_54987_1457e+4, 1.37316_93765_50946_1125e+4, 1.97159_09503_06551_4427e+3,
-      1.33141_66789_17843_7745e+2, 3.38713_28727_96366_6080e+0),
-     (5.22649_52788_52854_5610e+3, 2.87290_85735_72194_2674e+4, 3.93078_95800_09271_0610e+4,
-      2.12137_94301_58659_5867e+4, 5.39419_60214_24751_1077e+3, 6.87187_00749_20579_0830e+2,
-      4.23133_30701_60091_1252e+1, 1.0)),
-    ((7.74545_01427_83414_07640e-4, 2.27238_44989_26918_45833e-2, 2.41780_72517_74506_11770e-1,
-      1.27045_82524_52368_38258e+0, 3.64784_83247_63204_60504e+0, 5.76949_72214_60691_40550e+0,
-      4.63033_78461_56545_29590e+0, 1.42343_71107_49683_57734e+0),
-     (1.05075_00716_44416_84324e-9, 5.47593_80849_95344_94600e-4, 1.51986_66563_61645_71966e-2,
-      1.48103_97642_74800_74590e-1, 6.89767_33498_51000_04550e-1, 1.67638_48301_83803_84940e+0,
-      2.05319_16266_37758_82187e+0, 1.0)),
-    ((2.01033_43992_92288_13265e-7, 2.71155_55687_43487_57815e-5, 1.24266_09473_88078_43860e-3,
-      2.65321_89526_57612_30930e-2, 2.96560_57182_85048_91230e-1, 1.78482_65399_17291_33580e+0,
-      5.46378_49111_64114_36990e+0, 6.65790_46435_01103_77720e+0),
-     (2.04426_31033_89939_78564e-15, 1.42151_17583_16445_88870e-7, 1.84631_83175_10054_68180e-5,
-      7.86869_13114_56132_59100e-4, 1.48753_61290_85061_48525e-2, 1.36929_88092_27358_05310e-1,
-      5.99832_20655_58879_37690e-1, 1.0)),
-)
-
-
-def _polynomials(coefficients, r):
-    """Numerator and denominator of one AS241 region at r, by Horner's rule."""
-    num, den = coefficients
-    p, q = num[0], den[0]
-    for a, b in zip(num[1:], den[1:]):
-        p, q = p * r + a, q * r + b
-    return p, q
+_inv_cdf = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
 
 
 def _ndtri(u):
-    """Inverse of the standard normal CDF by AS241: -inf at 0, inf at 1, NaN
-    outside [0, 1]; a float for a scalar."""
+    """Inverse of the standard normal CDF, elementwise through the standard
+    library's NormalDist.inv_cdf: -inf at 0, inf at 1, NaN outside [0, 1] or at
+    NaN; a float for a scalar."""
     u = np.asarray(u, dtype=float)
-    q = u - 0.5
-    central, near, far = _AS241
-    # every region is evaluated everywhere and selected below; the tails take
-    # log(0) at the edges and log of a negative number outside [0, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        num, den = _polynomials(central, 0.180625 - q * q)
-        inner = num * q / den
-        r = np.sqrt(-np.log(np.where(q <= 0.0, u, 1.0 - u)))
-        num, den = np.where(r <= 5.0, _polynomials(near, r - 1.6), _polynomials(far, r - 5.0))
-        tail = num / den
-    x = np.select([u == 0.0, u == 1.0, np.abs(q) <= 0.425], [-np.inf, np.inf, inner],
-                  np.copysign(tail, q))
+    inside = (u > 0.0) & (u < 1.0)
+    x = np.asarray(_inv_cdf(np.where(inside, u, 0.5)), dtype=float)
+    x = np.select([inside, u == 0.0, u == 1.0], [x, -np.inf, np.inf], np.nan)
     return x if x.ndim else float(x)
 
 

@@ -150,6 +150,8 @@ class SimConfig:
             raise ConfigurationError(f"unknown engine {self.engine!r}")
         if self.replications < 1:
             raise ConfigurationError("need at least one replication")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be nonnegative")
         if self.burn_in is None:
             self.burn_in = default_burn_in(self.config)
         elif not 0 <= self.burn_in < math.inf:
@@ -411,6 +413,13 @@ def sample_cov(x) -> tuple[np.ndarray, np.ndarray]:
     var_of_cov = ((m22 - cov**2) / n
                   + (var[..., :, None] * var[..., None, :] + cov**2) / (n * (n - 1)))
     return cov, np.sqrt(np.maximum(var_of_cov, 0.0))
+
+
+def _z(gap, se):
+    """gap / se entrywise; with no sample spread, 0 for no gap, else inf (a failed check)."""
+    z = np.where(np.asarray(gap) == 0, 0.0, math.inf)
+    np.divide(gap, se, out=z, where=np.asarray(se) > 0)
+    return z[()]
 
 
 @dataclass

@@ -446,3 +446,74 @@ def test_non_finite_window_exits_2(tmp_path, capsys, command, window, message):
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not [p for p in out.rglob("*") if p.is_file()]
+
+
+@pytest.mark.parametrize("command, fields, key", [
+    ("simulate", {"reps": "many"}, "reps"),
+    ("simulate", {"seed": 1.5}, "seed"),
+    ("simulate", {"seed": -1}, "seed"),
+    ("simulate", {"burn_in": "x"}, "burn_in"),
+    ("simulate", {"horizon": True}, "horizon"),
+    ("simulate", {"probe_times": [1.0, "2"]}, "probe_times"),
+    ("analyze", {"grid": {"dt": "0.05"}}, "dt"),
+    ("analyze", {"grid": {"t_max": math.nan}}, "t_max"),
+    ("analyze", {"grid": [0.05]}, "grid"),
+    ("analyze", {"probe_times": 5.0}, "probe_times"),
+    ("validate-fclt", {"reps": math.nan}, "reps"),
+    ("validate-fclt", {"mu": "10"}, "mu"),
+    ("validate-fclt", {"grid": {"dt": math.inf}}, "dt"),
+    ("validate-queue", {"n_samples": math.nan}, "n_samples"),
+    ("validate-queue", {"n_samples": 200.5}, "n_samples"),
+    ("validate-queue", {"seed": False}, "seed"),
+    ("validate-queue", {"queue_burn_in": "x"}, "queue_burn_in"),
+    ("validate-queue", {"spacing": [5.0]}, "spacing"),
+    ("validate-queue", {"tv_threshold": math.nan}, "tv_threshold"),
+    ("validate-queue", {"var_rel_threshold": "0.05"}, "var_rel_threshold"),
+], ids=["simulate-reps-str", "simulate-seed-1.5", "simulate-seed-negative",
+        "simulate-burn-in-str", "simulate-horizon-bool", "simulate-probe-str", "analyze-dt-str",
+        "analyze-t-max-nan", "analyze-grid-list", "analyze-probe-scalar", "fclt-reps-nan",
+        "fclt-mu-str", "fclt-dt-inf", "queue-n-nan", "queue-n-200.5", "queue-seed-bool",
+        "queue-burn-in-str", "queue-spacing-list", "queue-tv-nan", "queue-var-rel-str"])
+def test_wrong_kind_config_exits_2(tmp_path, capsys, command, fields, key):
+    # refused as a configuration error with the field's name, before any file is written
+    cfg = _write(tmp_path, "k.json", dict({"name": "k", "kernel": H1, "mu": 10.0, "seed": 3,
+                                           "horizon": 2.0, "reps": 4, "n_samples": 200,
+                                           "grid": {"dt": 0.05, "t_max": 40.0}}, **fields))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and key in err, err
+    assert not [p for p in out.rglob("*") if p.is_file()]
+
+
+def test_integral_float_counts_read_as_integers(tmp_path):
+    files = []
+    for name, reps, seed in [("int", 20, 5), ("float", 20.0, 5.0)]:
+        cfg = _write(tmp_path, f"{name}.json", {"name": "c", "kernel": H1, "mu": 10.0,
+                                                 "horizon": 2.0, "reps": reps, "seed": seed})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        files.append((tmp_path / name / "simulate" / "c" / "paths.csv").read_bytes())
+    assert files[0] == files[1]
+
+
+def test_validate_queue_without_spread_fails_and_writes_its_verdict(tmp_path):
+    # at mu = 1e-4 every sample is 0: the replication means agree exactly, and the
+    # gap to the target mean has no standard error to be measured in
+    cfg = _write(tmp_path, "q.json", {"name": "flat", "kernel": H1, "mu": 1e-4,
+                                      "service": {"type": "exponential", "rate": 1.0},
+                                      "n_samples": 100, "seed": 3})
+    assert main(["validate-queue", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    outdir = tmp_path / "out" / "validate-queue" / "flat"
+    assert json.loads((outdir / "comparison.json").read_text())["se_mean"] == [0.0]
+    verdict = json.loads((outdir / "verdict.json").read_text())
+    assert verdict["mean_z"] == math.inf and not verdict["pass"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate-queue"])
+def test_reps_flag_only_where_it_is_read(tmp_path, capsys, command):
+    cfg = _write(tmp_path, "r.json", {"name": "r", "kernel": H1, "mu": 10.0})
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--reps", "5", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --reps" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
