@@ -28,7 +28,8 @@ from . import __version__
 from ._io import write_csv, write_json
 from .covariance import (asymptotic_offset, asymptotic_slope, laplace_pipeline,
                          solve_phi_grid, variance_function)
-from .errors import ConfigurationError, HawkesqError, NumericalError
+from .errors import (ConfigurationError, HawkesqError, NumericalError, config_list,
+                     config_value)
 from .kernels import HawkesConfig, KernelMatrix, SumOfExponentialsKernel, kernel_from_dict
 from .limits import count_limit_model, gaussian_queue_approx
 from .queueing import (compare_distributions, queue_verdict, steady_state_sample,
@@ -68,34 +69,20 @@ def _load_config(path: str) -> dict:
     return data
 
 
-def _number(key: str, value, kind=float):
-    """value as kind: an int is an integral number (2000.0 reads as 2000), a float
-    any number; booleans, strings and other kinds are refused.  Ranges, finiteness
-    included, are checked by the code that uses the value."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or (kind is int and isinstance(value, float) and not value.is_integer())):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigurationError(f"config field {key!r} must be {what}, not {value!r}")
-    return kind(value)
-
-
 def _read(cfg: dict, key: str, kind=float, default=...):
-    """cfg[key] through `_number`; an absent or null field takes the default,
-    and a required one is refused."""
+    """cfg[key] through `config_value`; an absent or null field takes the
+    default, and a required one is refused."""
     value = cfg.get(key)
     if value is None:
         if default is ...:
             raise ConfigurationError(f"config is missing required field {key!r}")
         return default
-    return _number(key, value, kind)
+    return config_value(key, value, kind)
 
 
 def _times(cfg: dict, default) -> list:
     """The probe times: a list of numbers, the default when absent, null or empty."""
-    times = cfg.get("probe_times") or default
-    if not isinstance(times, list):
-        raise ConfigurationError(f"config field 'probe_times' must be a list, not {times!r}")
-    return [_number("probe_times", t) for t in times]
+    return config_list("probe_times", cfg.get("probe_times") or default)
 
 
 def _grid(cfg: dict):
@@ -140,7 +127,8 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
     config = _hawkes_config(cfg)
     sim = SimConfig(config, _read(cfg, "horizon"), _read(cfg, "seed", int),
                     burn_in=_read(cfg, "burn_in", default=None),
-                    engine=cfg.get("engine", "cluster"), replications=_read(cfg, "reps", int, 100))
+                    engine=_read(cfg, "engine", str, "cluster"),
+                    replications=_read(cfg, "reps", int, 100))
     probe = _times(cfg, [sim.horizon / 2.0, sim.horizon])
     cfg["burn_in"] = sim.burn_in
     paths = simulate_paths(sim)
@@ -154,13 +142,14 @@ def cmd_analyze(cfg: dict, out: Path) -> int:
     kernel = kernel_from_dict(cfg.get("kernel"))
     times = sorted(_times(cfg, [1.0, 2.0, 5.0]))
     phi = solve_phi_grid(kernel, *_grid(cfg))
+    # the count Gram first: it refuses bad probe times before any file is written
+    gram = None if isinstance(kernel, KernelMatrix) else count_limit_model(phi).gram(times)
     phi.write_csv(out / "phi.csv")
     variance_function(phi).write_csv(out / "K.csv")
-    if isinstance(kernel, KernelMatrix):
+    if gram is None:
         return 0
     # the upper triangle of the count Gram: Cov(G(s), G(t)) for s <= t, row by row
     a, b = np.triu_indices(len(times))
-    gram = count_limit_model(phi).gram(times)
     write_csv(out / "covG.csv", ["s", "t", "cov"],
               zip(np.take(times, a), np.take(times, b), gram[a, b]))
     asym = {"slope": asymptotic_slope(kernel)}
@@ -182,7 +171,7 @@ def cmd_validate_fclt(cfg: dict, out: Path) -> int:
     dt, t_max = _grid(cfg)
     sim = SimConfig(config, max(probe), _read(cfg, "seed", int),
                     burn_in=_read(cfg, "burn_in", default=None),
-                    engine=cfg.get("engine", "cluster"), replications=reps)
+                    engine=_read(cfg, "engine", str, "cluster"), replications=reps)
     counts = np.stack([p.counts_at(probe) for p in simulate_paths(sim)])  # (R, nt, k)
     # G = (N - t rate) / sqrt(mu): the sample covariance centres on its own mean,
     # so the rate shift drops out and only the 1 / mu scale is left
@@ -225,7 +214,8 @@ def cmd_validate_queue(cfg: dict, out: Path) -> int:
     if not all(0 < value < math.inf for value in thresholds.values()):
         raise ConfigurationError(f"thresholds must be positive and finite: {thresholds}")
     sample = steady_state_sample(config, service, _read(cfg, "n_samples", int, 10_000),
-                                 _read(cfg, "seed", int), engine=cfg.get("engine", "cluster"),
+                                 _read(cfg, "seed", int),
+                                 engine=_read(cfg, "engine", str, "cluster"),
                                  burn_in=_read(cfg, "queue_burn_in", default=None),
                                  spacing=_read(cfg, "spacing", default=None))
     report = compare_distributions(sample.pooled(0), approx)

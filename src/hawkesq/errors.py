@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rule that reads a
+config value of a given kind or refuses it with a ConfigurationError."""
+from numbers import Real
 
 
 class HawkesqError(Exception):
@@ -23,3 +25,24 @@ class StabilityError(NumericalError):
 
 class TruncationError(NumericalError):
     """Reported truncation tail bound exceeds the requested tolerance."""
+
+
+def config_value(key: str, value, kind=float):
+    """A config value as kind: a str a string, an int an integral number (2000.0
+    reads as 2000), a float any real number, numpy scalars included; booleans
+    and other kinds are refused.
+    Ranges, finiteness included, are checked by the code that uses the value."""
+    ok = (isinstance(value, str) if kind is str else
+          isinstance(value, Real) and not isinstance(value, bool)
+          and not (kind is int and not float(value).is_integer()))
+    if not ok:
+        what = {str: "a string", int: "an integer", float: "a number"}[kind]
+        raise ConfigurationError(f"config field {key!r} must be {what}, not {value!r}")
+    return kind(value)
+
+
+def config_list(key: str, values) -> list:
+    """A config list of numbers, each through `config_value`."""
+    if not isinstance(values, list):
+        raise ConfigurationError(f"config field {key!r} must be a list, not {values!r}")
+    return [config_value(key, v) for v in values]

@@ -19,7 +19,8 @@ from .covariance import (_MAX_UNKNOWNS, CovarianceDensity, _lattice_weights, _ne
                          laplace_pipeline, solve_phi_grid)
 from .errors import ConfigurationError, NumericalError, TruncationError
 from .kernels import Kernel, KernelMatrix, SumOfExponentialsKernel, _as_matrix
-from .service import DeterministicService, ExponentialService, ServiceModel, _normalize_services
+from .service import (DeterministicService, ExponentialService, ServiceModel, _ndtr,
+                      _normalize_services)
 from .simulate import rep_stream
 
 _PSD_JITTERS = (0.0, 1e-10, 1e-9, 1e-8)
@@ -207,15 +208,19 @@ def var_xe_infty(kernel: Kernel | KernelMatrix, phi: CovarianceDensity | None = 
 
 @dataclass
 class GaussianQueueApprox:
-    """Normal-density approximation of the steady-state queue-length pmf."""
+    """Normal approximation of the steady-state queue-length pmf."""
 
     mean: float
     sigma: float
 
     def pmf(self, i):
+        """The normal mass of the cell [i - 1/2, i + 1/2), with all the mass
+        below 1/2 in cell 0 and none below it, so the pmf sums to 1; each
+        difference is taken on the side of the mean that keeps its precision."""
         i = np.asarray(i, dtype=float)
-        z = (i - self.mean) / self.sigma
-        out = np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
+        lo = np.where(i > 0, (i - 0.5 - self.mean) / self.sigma, -np.inf)
+        hi = np.where(i >= 0, (i + 0.5 - self.mean) / self.sigma, -np.inf)
+        out = np.where(lo > 0, _ndtr(-lo) - _ndtr(-hi), _ndtr(hi) - _ndtr(lo))
         return out if i.ndim else float(out)
 
     def to_dict(self):
@@ -276,8 +281,8 @@ class LimitModel:
         plus the lag sum of phi against the survival weights of F_i on [0, t]
         and of F_j on [0, s], all pairs in one `_lag_sums` call."""
         phi, d, hi = self.phi, self.dim, np.max(times, initial=0.0)
-        if np.min(times, initial=0.0) < 0:
-            raise ConfigurationError("times must be nonnegative")
+        if not np.all(times >= 0):             # NaN fails this test too
+            raise ConfigurationError("times must be nonnegative numbers")
         if hi > phi.t_max:
             raise ConfigurationError(f"t = {hi:g} beyond the phi grid [0, {phi.t_max:g}]")
         rows = [(t, c, _survival_weights(G, t, phi.dt))

@@ -6,7 +6,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, config_list, config_value
 
 # Survival level at which integrals over service ages are truncated.
 _SURVIVAL_FLOOR = 1e-12
@@ -268,18 +268,20 @@ def _normalize_services(service, k) -> list[ServiceModel]:
 
 
 def service_from_dict(data: dict) -> ServiceModel:
+    """Build a service law from the JSON schema of CLI configs, reading each
+    parameter through `config_value`."""
     if not isinstance(data, dict) or "type" not in data:
         raise ConfigurationError("service spec must be an object with a 'type' field")
     kind = data["type"]
     try:
         if kind == "exponential":
-            return ExponentialService(data.get("rate", 1.0))
+            return ExponentialService(config_value("rate", data.get("rate", 1.0)))
         if kind == "deterministic":
-            return DeterministicService(data["value"])
+            return DeterministicService(config_value("value", data["value"]))
         if kind == "lognormal":
-            return LogNormalService(data["m"], data["s"])
+            return LogNormalService(config_value("m", data["m"]), config_value("s", data["s"]))
         if kind == "tabulated_icdf":
-            return TabulatedInverseCDFService(data["quantiles"])
+            return TabulatedInverseCDFService(config_list("quantiles", data["quantiles"]))
     except KeyError as exc:
         raise ConfigurationError(f"service spec missing field {exc}") from exc
     raise ConfigurationError(f"unknown service type {kind!r}")

@@ -12,8 +12,11 @@ that the library uses.  `filter_then_sort_cluster` is the cluster engine
 that keeps only positive times in every generation, and
 `event_driven_queue` counts a queue by sorting all its arrival and
 departure events; the library builds the same paths and counts without
-those copies and sorts.
+those copies and sorts.  `quad_laplace` is a kernel's Laplace transform by
+adaptive quadrature of h, which the library's exact rules are checked against.
 """
+import math
+
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad
 
@@ -180,3 +183,15 @@ def event_driven_queue(q_init, remaining, taus, departures, t_grid):
     cum = np.concatenate([[0.0], np.cumsum(deltas[order])])
     idx = np.searchsorted(events[order], np.atleast_1d(t_grid), side="right")
     return (q_init + cum[idx]).astype(int)
+
+
+def quad_laplace(kern, omega, breaks=None):
+    """int_0^inf e^{-omega t} h(t) dt by adaptive quadrature: over [0, inf), or
+    piece by piece between `breaks` (a table's grid, where h has kinks)."""
+    def f(t):
+        return math.exp(-omega * t) * float(kern(t))
+
+    if breaks is None:
+        return quad(f, 0.0, np.inf, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+    return math.fsum(quad(f, a, b, epsabs=0.0, epsrel=1e-13)[0]
+                     for a, b in zip(breaks[:-1], breaks[1:]))

@@ -379,8 +379,12 @@ values = [F.cdf(1.0), F.survival(1.0), F.survival_integral(1.0), F.inverse_cdf(0
 assert all(map(math.isfinite, values)), values
 loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 assert not loaded, loaded
-value = hawkesq.PowerLawKernel(1.0, 3.5, 1.0).laplace(0.8)
-assert "scipy.integrate" in sys.modules and math.isfinite(value), value
+# the power law and the table have exact transforms: no quadrature, no scipy
+for kern in (hawkesq.PowerLawKernel(1.0, 3.5, 1.0), hawkesq.TabulatedKernel(0.5, [1.0, 0.5, 0.0])):
+    values = [kern.laplace(0.8), abs(kern.fourier(0.8)), hawkesq.asymptotic_offset(kern)]
+    assert all(map(math.isfinite, values)), values
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, loaded
 """
     _fresh_interpreter(code)
 
@@ -469,11 +473,17 @@ def test_non_finite_window_exits_2(tmp_path, capsys, command, window, message):
     ("validate-queue", {"spacing": [5.0]}, "spacing"),
     ("validate-queue", {"tv_threshold": math.nan}, "tv_threshold"),
     ("validate-queue", {"var_rel_threshold": "0.05"}, "var_rel_threshold"),
+    ("analyze", {"kernel": {"type": "sum_exp", "terms": [{"alpha": "0.5", "beta": 1.0}]}},
+     "alpha"),
+    ("validate-queue", {"service": {"type": "exponential", "rate": "x"}}, "rate"),
+    ("simulate", {"engine": ["x"]}, "engine"),
+    ("analyze", {"probe_times": [1.0, math.nan]}, "times"),
 ], ids=["simulate-reps-str", "simulate-seed-1.5", "simulate-seed-negative",
         "simulate-burn-in-str", "simulate-horizon-bool", "simulate-probe-str", "analyze-dt-str",
         "analyze-t-max-nan", "analyze-grid-list", "analyze-probe-scalar", "fclt-reps-nan",
         "fclt-mu-str", "fclt-dt-inf", "queue-n-nan", "queue-n-200.5", "queue-seed-bool",
-        "queue-burn-in-str", "queue-spacing-list", "queue-tv-nan", "queue-var-rel-str"])
+        "queue-burn-in-str", "queue-spacing-list", "queue-tv-nan", "queue-var-rel-str",
+        "kernel-alpha-str", "service-rate-str", "engine-list", "analyze-probe-nan"])
 def test_wrong_kind_config_exits_2(tmp_path, capsys, command, fields, key):
     # refused as a configuration error with the field's name, before any file is written
     cfg = _write(tmp_path, "k.json", dict({"name": "k", "kernel": H1, "mu": 10.0, "seed": 3,
@@ -507,6 +517,8 @@ def test_validate_queue_without_spread_fails_and_writes_its_verdict(tmp_path):
     assert json.loads((outdir / "comparison.json").read_text())["se_mean"] == [0.0]
     verdict = json.loads((outdir / "verdict.json").read_text())
     assert verdict["mean_z"] == math.inf and not verdict["pass"]
+    # the target's cell probabilities put all its mass on 0, where every sample is
+    assert verdict["tv_distance"] <= 1.0
 
 
 @pytest.mark.parametrize("command", ["analyze", "validate-queue"])

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import hawkesq as hq
 
+from dense_reference import quad_laplace
+
 _SETTINGS = settings(max_examples=25, derandomize=True, deadline=None, database=None)
 _GRID = np.array([[0.0, 0.3], [1.7, 12.0]])
 
@@ -46,8 +48,7 @@ def _check_family(kern, x):
 @given(mixtures(), st.floats(1e-9, 20.0), st.floats(0.1, 10.0))
 def test_mixture_contract(kern, x, omega):
     _check_family(kern, x)
-    assert kern.laplace(omega) == pytest.approx(kern.laplace(omega, method="quadrature"),
-                                                abs=1e-6)
+    assert kern.laplace(omega) == pytest.approx(quad_laplace(kern, omega), abs=1e-10)
 
 
 @_SETTINGS
@@ -57,7 +58,7 @@ def test_power_law_contract(kern, x, omega):
     # A (1 + c t)^-g has the Laplace transform (A / c) e^{omega/c} E_g(omega/c)
     c, g, A = kern.scale, kern.exponent, kern.amplitude
     exact = float(A / c * mpmath.exp(omega / c) * mpmath.expint(g, omega / c))
-    assert kern.laplace(omega) == pytest.approx(exact, abs=1e-6)
+    assert kern.laplace(omega) == pytest.approx(exact, abs=1e-11 * A / c)
 
 
 @_SETTINGS

@@ -227,6 +227,14 @@ def test_asymptotic_offset_tabulated(h1):
     assert offset == pytest.approx(-11.999777100856212, rel=1e-12)   # value of the dense table
 
 
+def test_asymptotic_offset_power_law():
+    # the same spectral integral over mpmath's exact transform (A/c) e^z E_g(z),
+    # z = -i omega/c, reads -4.139794996; the omega^-2 of the integrand amplifies
+    # an error of the transform at small omega, so 1e-10 there moves it by 4e-5
+    assert hq.asymptotic_offset(hq.PowerLawKernel(1.0, 5.0, 2.0)) == \
+        pytest.approx(-4.1397950, abs=1e-7)
+
+
 def test_multivariate_reduces_to_univariate(phi_h1, h1):
     km = hq.KernelMatrix([[h1]], [1.0])
     multi = hq.solve_multivariate_phi(km, dt=0.01, t_max=40.0)

@@ -1,13 +1,16 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import exp1
 from scipy.stats import kstest
 
 import hawkesq as hq
-from hawkesq.errors import ConfigurationError, IntegrabilityError
+from hawkesq.errors import ConfigurationError, IntegrabilityError, NumericalError
+
+from dense_reference import quad_laplace
 
 
 def test_l1_norms(h1, h2):
@@ -45,9 +48,7 @@ def test_laplace_transform_values(h1, h2):
 @pytest.mark.parametrize("omega", [0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
 def test_laplace_quadrature_agrees_with_closed_form(h1, h2, omega):
     for kern in (h1, h2):
-        exact = kern.laplace(omega)
-        quadv = kern.laplace(omega, method="quadrature")
-        assert quadv == pytest.approx(exact, abs=1e-8)
+        assert quad_laplace(kern, omega) == pytest.approx(kern.laplace(omega), abs=1e-12)
 
 
 def test_fourier_transform_values(h1):
@@ -77,8 +78,7 @@ def test_tabulated_matches_sum_exp_transforms(h1):
 def test_power_law_norm_and_integrability():
     kern = hq.PowerLawKernel(scale=2.0, exponent=5.0, amplitude=1.0)
     assert kern.l1_norm() == pytest.approx(1.0 / 8.0)
-    assert kern.laplace(1.0, method="quadrature") == pytest.approx(
-        kern.laplace(1.0), abs=1e-10)
+    assert quad_laplace(kern, 1.0) == pytest.approx(kern.laplace(1.0), abs=1e-12)
     with pytest.raises(IntegrabilityError):
         hq.PowerLawKernel(scale=1.0, exponent=0.5).l1_norm()
     with pytest.raises(IntegrabilityError):
@@ -167,19 +167,24 @@ _FAMILIES = [hq.SumOfExponentialsKernel([0.5], [1.0]), hq.PowerLawKernel(1.0, 3.
 
 @pytest.mark.parametrize("kern", _FAMILIES, ids=["sum_exp", "power_law", "tabulated"])
 def test_laplace_rejects_unknown_method(kern):
-    with pytest.raises(ConfigurationError, match="unknown method"):
-        kern.laplace(1.0, method="bogus")
+    # one exact rule per family: laplace takes no method at all
+    with pytest.raises(TypeError, match="method"):
+        kern.laplace(1.0, method="quadrature")
     with pytest.raises(ConfigurationError, match="omega > 0"):
         kern.laplace(0.0)
 
 
 def test_tabulated_laplace_quadrature_is_quadrature():
+    # laplace is the exact transform of the interpolant, so adaptive quadrature of
+    # the interpolant, cell by cell, agrees at any omega dt (the series branch below
+    # omega dt = 1e-3 included)
     tab = hq.TabulatedKernel(0.5, [1.0, 0.5, 0.25, 0.0])
-    for omega in (0.5, 1.0, 3.0):
-        assert tab.laplace(omega, method="quadrature") == tab._laplace_quadrature(omega)
-    # the grid trapezoid (0.44762) and the quadrature of the interpolant differ
-    assert tab.laplace(1.0, method="quadrature") == pytest.approx(0.41483041, abs=1e-8)
-    assert tab.laplace(1.0) == pytest.approx(0.44761760, abs=1e-8)
+    assert tab.laplace(1.0) == pytest.approx(0.41483041, abs=1e-8)
+    rough = hq.TabulatedKernel(0.01, hq.rep_stream(4, 0).random(300))
+    for kern in (tab, rough):
+        for omega in (1e-5, 1e-3, 0.099, 0.5, 1.0, 3.0, 150.0, 1e4):
+            exact = quad_laplace(kern, omega, kern.grid)
+            assert abs(kern.laplace(omega) - exact) <= 1e-12 * exact, (kern, omega)
 
 
 @pytest.mark.parametrize("kern", _FAMILIES[1:], ids=["power_law", "tabulated"])
@@ -198,6 +203,35 @@ def test_zero_amplitude_mixture_refuses_offsets():
         for n in (0, 5):
             with pytest.raises(ConfigurationError, match="zero kernel"):
                 kern.sample_offsets(rng, n)
+
+
+@pytest.mark.parametrize("g", [1.5, 2.0, 3.5, 5.0])
+@pytest.mark.parametrize("scale, amplitude", [(1.0, 1.0), (0.3, 2.0), (4.0, 0.5)])
+def test_power_law_transforms_match_mpmath(g, scale, amplitude):
+    # A (1 + c t)^-g has the Fourier transform (A/c) e^z E_g(z) at z = -i omega/c and
+    # the Laplace transform the same at z = omega/c; the exponential sum the power law
+    # builds holds both to 1e-11 A/c from omega = 1e-3 to 1e3, heavy tails included
+    kern = hq.PowerLawKernel(scale, g, amplitude)
+    omegas = np.logspace(-3, 3, 25)
+    got = kern.fourier(omegas)
+    for w, f in zip(omegas, got):
+        z = mpmath.mpc(0.0, -w / scale)
+        assert abs(f - complex(amplitude / scale * mpmath.exp(z) * mpmath.expint(g, z))) \
+            <= 1e-11 * amplitude / scale, w
+        lap = float(amplitude / scale * mpmath.exp(w / scale) * mpmath.expint(g, w / scale))
+        assert abs(kern.laplace(w) - lap) <= 1e-11 * amplitude / scale, w
+    assert kern.fourier(0.0) == kern.l1_norm()         # bitwise, not the sum's norm
+    assert kern.fourier(-1.7) == np.conj(kern.fourier(1.7))
+
+
+def test_power_law_exponential_sum_limits():
+    # the transforms need ||h|| < inf; close to g = 1 the slowest rate underflows
+    with pytest.raises(IntegrabilityError, match="L1 norm"):
+        hq.PowerLawKernel(1.0, 0.8).laplace(1.0)
+    with pytest.raises(NumericalError, match="too close to 1"):
+        hq.PowerLawKernel(1.0, 1.04).fourier(1.0)
+    assert hq.PowerLawKernel(1.0, 1.06, 0.1).fourier(1.0) == pytest.approx(complex(
+        0.1 * mpmath.exp(-1j) * mpmath.expint(1.06, -1j)), abs=1e-12)
 
 
 @pytest.mark.parametrize("scale, amplitude, omega",

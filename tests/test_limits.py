@@ -314,7 +314,8 @@ def test_gaussian_queue_pair_h1(h1):
     approx = hq.gaussian_queue_approx(100.0, h1)
     assert approx.mean == pytest.approx(200.0)
     assert approx.sigma == pytest.approx(np.sqrt(300.0), abs=1e-9)
-    assert approx.pmf(200) == pytest.approx(1.0 / np.sqrt(2 * np.pi * 300.0))
+    # the normal mass of [199.5, 200.5), not the density at 200 (1 / sqrt(600 pi))
+    assert approx.pmf(200) == pytest.approx(math.erf(0.5 / math.sqrt(600.0)), rel=1e-14)
 
 
 def test_gaussian_queue_pair_h2(h2):
@@ -326,6 +327,19 @@ def test_gaussian_pmf_symmetry(h1):
     approx = hq.gaussian_queue_approx(100.0, h1)   # integer mean 200
     for x in (1, 5, 17):
         assert approx.pmf(200 + x) == pytest.approx(approx.pmf(200 - x))
+
+
+@pytest.mark.parametrize("mean, sigma", [(2.0, 1.2), (20.0, 5.1), (5e-5, 0.012), (0.3, 0.012)])
+def test_gaussian_pmf_is_cell_probabilities(mean, sigma):
+    # cell i holds the normal mass of [i - 1/2, i + 1/2), cell 0 all of it below 1/2,
+    # so the pmf sums to 1 over its support however narrow or close to 0 the law is
+    approx = hq.GaussianQueueApprox(mean, sigma)
+    support = np.arange(int(math.ceil(mean + 10.0 * sigma)) + 1)
+    pmf = approx.pmf(support)
+    assert abs(pmf.sum() - 1.0) <= 1e-12
+    assert approx.pmf(0) == pytest.approx(0.5 * math.erfc((mean - 0.5) / (sigma * math.sqrt(2.0))),
+                                          rel=1e-14)
+    assert approx.pmf(-1) == 0.0 and np.all(pmf >= 0.0)
 
 
 # --- multivariate OU -----------------------------------------------------------
