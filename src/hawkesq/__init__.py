@@ -1,7 +1,7 @@
 """Stationary self-exciting traffic models, their Gaussian limits, and
 infinite-server queues driven by them."""
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"
 
 from .covariance import (CovarianceDensity, LaplacePipeline, VarianceFunction,
                          asymptotic_offset, asymptotic_slope, laplace_pipeline,
@@ -11,7 +11,7 @@ from .errors import (ConfigurationError, HawkesqError, IntegrabilityError,
                      NumericalError, StabilityError, TruncationError)
 from .kernels import (HawkesConfig, Kernel, KernelMatrix, PowerLawKernel,
                       SumOfExponentialsKernel, TabulatedKernel, ZERO_KERNEL,
-                      fourier_transform, kernel_from_dict, kernel_from_json,
+                      fourier_transform, kernel_from_dict,
                       l1_norm, laplace_transform, spectral_radius)
 from .limits import (GaussianQueueApprox, LimitModel, count_limit_model,
                      exp_queue_limit_model, gaussian_queue_approx, limit_covariance_G,

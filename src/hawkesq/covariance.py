@@ -380,8 +380,10 @@ def asymptotic_offset(kernel: Kernel) -> float:
     Evaluates the frequency integral on symmetric log-spaced nodes with the
     removable omega -> 0 singularity replaced by its analytic limit
     -(4/(1-||h||)^2) * [(1-||h||) m2 + m1^2] / 4 per the dominated-convergence
-    derivation (the published limit display carries a sign slip; the value
-    below reproduces the exponential-kernel closed form exactly).
+    derivation (the published limit display carries a sign slip).  The
+    4001-node trapezoid rule cut at omega = 1e4 is off the exact offset by
+    2-3e-4 for exponential kernels: h1 reads -11.999660 for -12, h2
+    -40.19976 for -40.2.
     Requires a finite second moment; strictly negative unless h is zero.
     """
     norm = _stable_norm(kernel, "offset")

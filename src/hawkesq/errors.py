@@ -28,21 +28,20 @@ class TruncationError(NumericalError):
 
 
 def config_value(key: str, value, kind=float):
-    """A config value as kind: a str a string, an int an integral number (2000.0
-    reads as 2000), a float any real number, numpy scalars included; booleans
-    and other kinds are refused.
+    """A config value as kind: a str a string, a list a list and a dict an object,
+    an int an integral number (2000.0 reads as 2000), a float any real number,
+    numpy scalars included; booleans and other kinds are refused.
     Ranges, finiteness included, are checked by the code that uses the value."""
-    ok = (isinstance(value, str) if kind is str else
+    ok = (isinstance(value, kind) if kind in (str, list, dict) else
           isinstance(value, Real) and not isinstance(value, bool)
           and not (kind is int and not float(value).is_integer()))
     if not ok:
-        what = {str: "a string", int: "an integer", float: "a number"}[kind]
+        what = {str: "a string", list: "a list", dict: "an object", int: "an integer",
+                float: "a number"}[kind]
         raise ConfigurationError(f"config field {key!r} must be {what}, not {value!r}")
     return kind(value)
 
 
 def config_list(key: str, values) -> list:
     """A config list of numbers, each through `config_value`."""
-    if not isinstance(values, list):
-        raise ConfigurationError(f"config field {key!r} must be a list, not {values!r}")
-    return [config_value(key, v) for v in values]
+    return [config_value(key, v) for v in config_value(key, values, list)]

@@ -4,10 +4,11 @@ A kernel is the nonnegative function h weighting the influence of past
 events on the current intensity.  Three parametric families are supported
 (sum of exponentials, shifted power law, tabulated values on a uniform
 grid) together with a matrix-valued wrapper for mutually-exciting models.
+Each family supplies one transform, its exact Laplace transform L(s) at
+complex s; `laplace` reads it at real s and `fourier` at s = -i omega.
 """
 from __future__ import annotations
 
-import json
 import math
 from functools import cached_property
 
@@ -21,16 +22,17 @@ _PROBE_POINTS = 10_000
 # Relative floor below which the kernel is treated as fully decayed.
 _DECAY_FLOOR = 1e-12
 _POWER_TAIL = 1e-16    # share of ||h|| that a power law's exponential sum may drop
-# Entries per (frequencies x values) work array of TabulatedKernel.fourier (4 MB).
-_FOURIER_BLOCK = 1 << 18
+# Entries per (arguments x values) work array of TabulatedKernel._transform (4 MB).
+_TRANSFORM_BLOCK = 1 << 18
 
 
 class Kernel:
     """Base class: a nonnegative, integrable function on [0, inf).
 
     The base owns the argument rules.  A family supplies `_h` on nonnegative
-    arrays, `_fourier` on 1-d frequency arrays, `_laplace` at omega > 0 and
-    `_sample_offsets`; both transforms are exact for the family.
+    arrays, `_sample_offsets`, and `_transform`: the exact Laplace transform
+    L(s) = int e^{-s t} h(t) dt on a 1-d array of s, real or complex, with
+    Re s >= 0.  `laplace` is L at real omega > 0 and `fourier` is L(-i omega).
     """
 
     def __call__(self, t):
@@ -54,19 +56,17 @@ class Kernel:
         """One-sided Laplace transform at omega > 0, by the family's exact rule."""
         if omega <= 0:
             raise ConfigurationError("laplace transform requires omega > 0")
-        return self._laplace(omega)
-
-    def _laplace(self, omega: float) -> float:
-        raise NotImplementedError
+        return float(self._transform(np.array([omega], dtype=float))[0])
 
     def fourier(self, omega):
         """One-sided Fourier transform, the integral of exp(i*omega*t)*h(t), at
-        scalar or array omega; at omega = 0 this equals the L1 norm."""
+        scalar or array omega; at omega = 0 it is the L1 norm, bitwise."""
         omega = np.asarray(omega, dtype=float)
-        out = self._fourier(omega.ravel())
+        w = omega.ravel()
+        out = np.where(w == 0.0, self.l1_norm(), self._transform(-1j * w))
         return out.reshape(omega.shape) if omega.ndim else complex(out[0])
 
-    def _fourier(self, omega: np.ndarray) -> np.ndarray:
+    def _transform(self, s: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def first_moment(self) -> float:
@@ -158,13 +158,10 @@ class SumOfExponentialsKernel(Kernel):
     def l1_norm(self) -> float:
         return self._l1
 
-    def _laplace(self, omega):
-        return float(np.sum(self.alphas / (self.betas + omega)))
-
-    def _fourier(self, omega):
-        # term by term: one summation order at every frequency, and no terms x freqs array
-        return sum((a / (b - 1j * omega) for a, b in zip(self.alphas, self.betas)),
-                   np.zeros(omega.shape, dtype=complex))
+    def _transform(self, s):
+        # term by term: one summation order at every s, and no terms x s array
+        return sum((a / (b + s) for a, b in zip(self.alphas, self.betas)),
+                   np.zeros(s.shape, dtype=s.dtype))
 
     def first_moment(self) -> float:
         return float(np.sum(self.alphas / self.betas**2))
@@ -273,11 +270,8 @@ class PowerLawKernel(Kernel):
         keep = alphas / betas >= _POWER_TAIL * norm
         return SumOfExponentialsKernel(alphas[keep], betas[keep])
 
-    def _laplace(self, omega):
-        return self._sum._laplace(omega)
-
-    def _fourier(self, omegas):
-        return np.where(omegas == 0.0, self.l1_norm(), self._sum._fourier(omegas))
+    def _transform(self, s):
+        return self._sum._transform(s)
 
     def first_moment(self):
         self._require(2.0, "first moment")
@@ -323,8 +317,7 @@ class TabulatedKernel(Kernel):
     """Piecewise-linear kernel from values h(k*dt) on a uniform grid.
 
     Values beyond the cutoff (n-1)*dt are treated as zero.  The L1 norm,
-    tail masses, `laplace` and `fourier` are exact for the interpolant; the
-    moments are trapezoid sums on the same grid, which are not.
+    moments, tail masses and transform are exact for the interpolant.
     """
 
     def __init__(self, dt: float, values):
@@ -349,42 +342,31 @@ class TabulatedKernel(Kernel):
     def l1_norm(self):
         return self._l1
 
-    def _laplace(self, omega):
-        # exact for the interpolant: cell k weighs its values by e^{-omega k dt} dt (left, right)
-        x = omega * self.dt
-        left = (0.5 - x / 6.0 + x * x / 24.0 - x**3 / 120.0 if x < 1e-3
-                else (x + math.expm1(-x)) / (x * x))
-        cells = left * self.values[:-1] + (-math.expm1(-x) / x - left) * self.values[1:]
-        return self.dt * float(np.exp(-omega * self.grid[:-1]) @ cells)
-
-    def _fourier(self, omega):
-        # Exact transform of the piecewise-linear interpolant: hat-function
-        # weights keep this accurate at frequencies far above 1/dt.
-        om = omega[:, None]
-        a = om * self.dt
-        small = np.abs(a) < 1e-3      # series below this to dodge cancellation
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # transform of the boundary half-hat: (1 + i w dt - e^{i w dt}) / (w^2 dt)
-            half = np.where(small,
-                            self.dt * (0.5 + 1j * a / 6.0 - a**2 / 24.0 - 1j * a**3 / 120.0),
-                            (1.0 + 1j * a - np.exp(1j * a)) / np.where(small, 1.0, om**2 * self.dt))
-            sinc2 = np.where(small, self.dt * (1.0 - a**2 / 12.0 + a**4 / 360.0),
-                             (2.0 - 2.0 * np.cos(a)) / np.where(small, 1.0, om**2 * self.dt))
-        out = np.empty(om.shape[0], dtype=complex)
-        step = max(1, _FOURIER_BLOCK // self.values.size)
-        for rows in (slice(lo, lo + step) for lo in range(0, om.shape[0], step)):
-            w = np.repeat(sinc2[rows].astype(complex), self.values.size, axis=1)
-            w[:, 0] = half[rows, 0]
-            w[:, -1] = np.conj(half[rows, 0])
-            phase = np.exp(1j * om[rows] * self.grid[None, :])
-            out[rows] = (w * phase * self.values[None, :]).sum(axis=1)
+    def _transform(self, s):
+        # exact for the interpolant: cell c weighs its left and right values by
+        # e^{-s c dt} dt times (x - 1 + e^-x)/x^2 and (1 - e^-x)/x minus that, x = s dt,
+        # with a series for the first where x - 1 + e^-x cancels
+        x = s * self.dt
+        left = np.divide(x + np.expm1(-x), x * x, where=np.abs(x) >= 1e-3,
+                         out=0.5 - x / 6.0 + x * x / 24.0 - x**3 / 120.0)
+        right = np.divide(-np.expm1(-x), x, where=x != 0.0, out=np.ones_like(x)) - left
+        out = np.empty_like(x)
+        step = max(1, _TRANSFORM_BLOCK // self.values.size)
+        for rows in (slice(lo, lo + step) for lo in range(0, s.size, step)):
+            phase = np.exp(-s[rows, None] * self.grid[:-1])
+            # numpy's pairwise sums: asymptotic_offset divides the error by omega^2
+            out[rows] = self.dt * (left[rows] * (phase * self.values[:-1]).sum(axis=1)
+                                   + right[rows] * (phase * self.values[1:]).sum(axis=1))
         return out
 
     def first_moment(self):
-        return float(np.trapezoid(self.grid * self.values, dx=self.dt))
+        t0, t1, f0, f1 = self.grid[:-1], self.grid[1:], self.values[:-1], self.values[1:]
+        return self.dt / 6.0 * float(np.sum((2.0 * t0 + t1) * f0 + (t0 + 2.0 * t1) * f1))
 
     def second_moment(self):
-        return float(np.trapezoid(self.grid**2 * self.values, dx=self.dt))
+        t0, t1, f0, f1 = self.grid[:-1], self.grid[1:], self.values[:-1], self.values[1:]
+        return self.dt / 12.0 * float(np.sum((3.0 * t0**2 + 2.0 * t0 * t1 + t1**2) * f0
+                                             + (t0**2 + 2.0 * t0 * t1 + 3.0 * t1**2) * f1))
 
     def _tail_masses(self):
         seg = 0.5 * (self.values[1:] + self.values[:-1]) * self.dt
@@ -572,7 +554,8 @@ def kernel_from_dict(data: dict):
     kind = data["type"]
     try:
         if kind == "sum_exp":
-            terms = data.get("terms", [])
+            terms = [config_value("terms", t, dict)
+                     for t in config_value("terms", data.get("terms", []), list)]
             return SumOfExponentialsKernel([config_value("alpha", t["alpha"]) for t in terms],
                                            [config_value("beta", t["beta"]) for t in terms])
         if kind == "power_law":
@@ -583,12 +566,9 @@ def kernel_from_dict(data: dict):
             return TabulatedKernel(config_value("dt", data["dt"]),
                                    config_list("values", data["values"]))
         if kind == "matrix":
-            entries = [[kernel_from_dict(cell) for cell in row] for row in data["entries"]]
+            entries = [[kernel_from_dict(cell) for cell in config_value("entries", row, list)]
+                       for row in config_value("entries", data["entries"], list)]
             return KernelMatrix(entries, config_list("p", data["p"]))
     except KeyError as exc:
         raise ConfigurationError(f"kernel spec missing field {exc}") from exc
     raise ConfigurationError(f"unknown kernel type {kind!r}")
-
-
-def kernel_from_json(text: str):
-    return kernel_from_dict(json.loads(text))

@@ -478,12 +478,18 @@ def test_non_finite_window_exits_2(tmp_path, capsys, command, window, message):
     ("validate-queue", {"service": {"type": "exponential", "rate": "x"}}, "rate"),
     ("simulate", {"engine": ["x"]}, "engine"),
     ("analyze", {"probe_times": [1.0, math.nan]}, "times"),
+    ("analyze", {"kernel": {"type": "sum_exp", "terms": 5}}, "terms"),
+    ("analyze", {"kernel": {"type": "sum_exp", "terms": [5]}}, "terms"),
+    ("analyze", {"kernel": {"type": "sum_exp", "terms": {"alpha": 0.5}}}, "terms"),
+    ("analyze", {"kernel": {"type": "matrix", "p": [1.0], "entries": 5}}, "entries"),
 ], ids=["simulate-reps-str", "simulate-seed-1.5", "simulate-seed-negative",
         "simulate-burn-in-str", "simulate-horizon-bool", "simulate-probe-str", "analyze-dt-str",
         "analyze-t-max-nan", "analyze-grid-list", "analyze-probe-scalar", "fclt-reps-nan",
         "fclt-mu-str", "fclt-dt-inf", "queue-n-nan", "queue-n-200.5", "queue-seed-bool",
         "queue-burn-in-str", "queue-spacing-list", "queue-tv-nan", "queue-var-rel-str",
-        "kernel-alpha-str", "service-rate-str", "engine-list", "analyze-probe-nan"])
+        "kernel-alpha-str", "service-rate-str", "engine-list", "analyze-probe-nan",
+        "kernel-terms-int", "kernel-terms-of-int", "kernel-terms-object",
+        "matrix-entries-int"])
 def test_wrong_kind_config_exits_2(tmp_path, capsys, command, fields, key):
     # refused as a configuration error with the field's name, before any file is written
     cfg = _write(tmp_path, "k.json", dict({"name": "k", "kernel": H1, "mu": 10.0, "seed": 3,

@@ -3,7 +3,7 @@ the argument rules of the base classes and the identities between members."""
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hawkesq as hq
 
@@ -39,7 +39,7 @@ def tables(draw):
 def _check_family(kern, x):
     assert kern(-x) == 0.0 and type(kern(x)) is float
     assert kern(_GRID).shape == _GRID.shape and kern(-_GRID - x).max() == 0.0
-    assert kern.fourier(0.0) == pytest.approx(kern.l1_norm(), rel=1e-12, abs=1e-12)
+    assert kern.fourier(0.0) == kern.l1_norm()            # bitwise
     assert type(kern.fourier(x)) is complex
     assert kern.tail_mass(0.0) == pytest.approx(kern.l1_norm(), rel=1e-12, abs=1e-12)
 
@@ -63,6 +63,8 @@ def test_power_law_contract(kern, x, omega):
 
 @_SETTINGS
 @given(tables(), st.floats(1e-9, 20.0))
+# h1 on 8,001 nodes: the transform's sum over its cells at omega = 0 is off ||h|| in the last bit
+@example(hq.TabulatedKernel(0.005, 0.5 * np.exp(-(np.arange(8001) * 0.005))), 0.7)
 def test_table_contract(kern, x):
     _check_family(kern, x)
 

@@ -224,7 +224,11 @@ def test_asymptotic_offset_tabulated(h1):
     assert offset == pytest.approx(-12.0, abs=5e-2)
     # 4001 frequencies x 8001 values: one dense complex work table would take 512 MB
     assert peak < 100e6
-    assert offset == pytest.approx(-11.999777100856212, rel=1e-12)   # value of the dense table
+    # the same 4001-node integral in long double, over 50-digit cell weights of the
+    # interpolant's transform and its exact rational moments; the float64 integrand
+    # lands 1.0e-12 relative from it, 4e-12 of that from rounding the transform and the
+    # rest from (1 - ||h||)^2 - |1 - h^|^2, which cancels to 1e-8 at omega = 1e-4
+    assert offset == pytest.approx(-11.999777104092509, rel=1e-12)
 
 
 def test_asymptotic_offset_power_law():

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -155,7 +156,7 @@ def test_mean_rate_vector(quarter_matrix):
 def test_kernel_json_round_trip(h2, quarter_matrix):
     for spec in (h2, hq.PowerLawKernel(1.0, 3.0, 0.4),
                  hq.TabulatedKernel(0.5, [1.0, 0.5, 0.0]), quarter_matrix):
-        rebuilt = hq.kernel_from_json(json.dumps(spec.to_dict()))
+        rebuilt = hq.kernel_from_dict(json.loads(json.dumps(spec.to_dict())))
         assert rebuilt.to_dict() == spec.to_dict()
     with pytest.raises(ConfigurationError):
         hq.kernel_from_dict({"type": "nope"})
@@ -185,6 +186,61 @@ def test_tabulated_laplace_quadrature_is_quadrature():
         for omega in (1e-5, 1e-3, 0.099, 0.5, 1.0, 3.0, 150.0, 1e4):
             exact = quad_laplace(kern, omega, kern.grid)
             assert abs(kern.laplace(omega) - exact) <= 1e-12 * exact, (kern, omega)
+
+
+def _interpolant_transform(kern, s):
+    # 50 digits: the sum over cells of int_0^dt e^{-s (c dt + u)} (f_c + (f_{c+1} - f_c) u/dt) du
+    with mpmath.workdps(50):
+        dt = mpmath.mpf(kern.dt)
+        q = mpmath.exp(-s * dt)
+        flat = -mpmath.expm1(-s * dt) / s                  # int_0^dt e^{-s u} du
+        ramp = (1 - q * (1 + s * dt)) / (s * s * dt)       # int_0^dt e^{-s u} u/dt du
+        total, phase = mpmath.mpf(0), mpmath.mpf(1)
+        for f0, f1 in zip(kern.values[:-1], kern.values[1:]):
+            total += phase * (f0 * flat + (f1 - f0) * ramp)
+            phase *= q
+        return total
+
+
+@pytest.mark.parametrize("kern", [hq.TabulatedKernel(0.5, [1.0, 0.5, 0.25, 0.0]),
+                                  hq.TabulatedKernel(0.5, [0.0, 0.4, 0.3, 0.1, 0.0]),
+                                  hq.TabulatedKernel(0.01, hq.rep_stream(4, 0).random(300))],
+                         ids=["dt0.5-falling", "dt0.5-hump", "dt0.01-rough"])
+def test_tabulated_transforms_match_mpmath(kern):
+    # one transform of the interpolant serves laplace and fourier; omega dt = 1e-3 is
+    # where the cell weights switch to their series, so both sides of it are probed
+    omegas = np.concatenate([np.logspace(-4, 4, 33), np.array([0.999e-3, 1.001e-3]) / kern.dt])
+    bound = 1e-13 * kern.l1_norm()
+    for w in omegas:
+        exact = complex(_interpolant_transform(kern, mpmath.mpc(0.0, -w)))
+        assert abs(kern.fourier(w) - exact) <= bound, w
+        assert abs(kern.laplace(w) - float(_interpolant_transform(kern, mpmath.mpf(w)))) \
+            <= bound, w
+
+
+def _interpolant_moment(dt, values, k):
+    # int t^k h over the interpolant, cell by cell in exact rationals
+    dt, values, total = Fraction(dt), [Fraction(v) for v in values], Fraction(0)
+    for c, (f0, f1) in enumerate(zip(values[:-1], values[1:])):
+        t0, t1 = c * dt, (c + 1) * dt
+        slope = (f1 - f0) / dt                     # h = f0 + slope (t - t0) on the cell
+        lead = f0 - slope * t0
+        total += lead * (t1**(k + 1) - t0**(k + 1)) / (k + 1) \
+            + slope * (t1**(k + 2) - t0**(k + 2)) / (k + 2)
+    return total
+
+
+def test_tabulated_moments_exact_for_interpolant():
+    # the table of the CI runtime job: in decimal its moments are 13/40 and 79/240,
+    # where the trapezoid sums on its grid read 0.3125 for the second
+    decimal = ["0", "0.4", "0.3", "0.1", "0"]
+    assert [_interpolant_moment("0.5", decimal, k) for k in (1, 2)] == \
+        [Fraction(13, 40), Fraction(79, 240)]
+    for kern in (hq.TabulatedKernel(0.5, [float(v) for v in decimal]),
+                 hq.TabulatedKernel(0.01, hq.rep_stream(4, 0).random(300))):
+        for k, moment in [(1, kern.first_moment), (2, kern.second_moment)]:
+            exact = _interpolant_moment(kern.dt, kern.values, k)
+            assert moment() == pytest.approx(float(exact), rel=1e-14), (kern, k)
 
 
 @pytest.mark.parametrize("kern", _FAMILIES[1:], ids=["power_law", "tabulated"])
