@@ -134,7 +134,7 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
     paths = simulate_paths(sim)
     moments = empirical_moments(paths, probe)
     write_paths_csv(paths, out / "paths.csv")
-    moments.write_json(out / "moments.json")
+    write_json(out / "moments.json", moments.to_dict())
     return 0
 
 
@@ -159,7 +159,7 @@ def cmd_analyze(cfg: dict, out: Path) -> int:
         asym["offset_error"] = str(exc)
     write_json(out / "asymptotics.json", asym)
     if isinstance(kernel, SumOfExponentialsKernel):
-        laplace_pipeline(kernel).write_json(out / "laplace.json")
+        write_json(out / "laplace.json", laplace_pipeline(kernel).to_dict())
     return 0
 
 

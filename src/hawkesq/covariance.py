@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import write_csv, write_json
+from ._io import write_csv
 from .errors import ConfigurationError, NumericalError
 from .kernels import Kernel, KernelMatrix, SumOfExponentialsKernel, _as_matrix
 
@@ -142,10 +142,6 @@ class _KClassGrid:
     def _public(self, arr):
         return arr if self.is_matrix else arr[..., 0, 0]
 
-    def _univariate(self, what: str):
-        if self.k > 1:
-            raise ConfigurationError(f"{what} needs a univariate (k = 1) density")
-
     def write_csv(self, path):
         names = [f"{self._label}_{i+1}{j+1}" for i in range(self.k) for j in range(self.k)]
         cols = ["t"] + (names if self.is_matrix else [self._label])
@@ -159,13 +155,15 @@ class CovarianceDensity(_KClassGrid):
     t: np.ndarray
     grid: np.ndarray                 # (n, k, k)
     dt: float
-    kernel: object = None            # Kernel or KernelMatrix
-    a: np.ndarray | None = None      # branching vector; [1/(1-||h||)] for k = 1
+    kernel: object                   # Kernel or KernelMatrix
     residual: float = 0.0
-    _psi: np.ndarray = field(default=None, repr=False)
-    _psi2: np.ndarray = field(default=None, repr=False)
 
     _label = "phi"
+
+    @functools.cached_property
+    def a(self) -> np.ndarray:
+        """The branching vector (I - ||H||)^{-1} p; [1/(1-||h||)] for k = 1."""
+        return _as_matrix(self.kernel).branching_vector()
 
     @property
     def t_max(self) -> float:
@@ -183,19 +181,18 @@ class CovarianceDensity(_KClassGrid):
         out = _interp(self.t, self.grid, np.abs(x), right=0.0)
         return self._public(np.where((x < 0)[..., None, None], np.swapaxes(out, -1, -2), out))
 
+    @functools.cached_property
     def _cumulative(self):
-        if self._psi is None:
-            self._psi = _cumtrapz(self.grid, self.dt)
-            self._psi2 = _cumtrapz(self._psi, self.dt)
-        return self._psi, self._psi2
+        psi = _cumtrapz(self.grid, self.dt)
+        return psi, _cumtrapz(psi, self.dt)
 
     def cumulative(self):
         """(Psi, Psi2): first and second running integrals of the grid values."""
-        return tuple(self._public(p) for p in self._cumulative())
+        return tuple(self._public(p) for p in self._cumulative)
 
     def l1(self):
         """Trapezoid integral over [0, t_max] (entrywise for matrices)."""
-        return self._public(self._cumulative()[0][-1])
+        return self._public(self._cumulative[0][-1])
 
 
 def _default_t_max(kernel) -> float:
@@ -304,10 +301,9 @@ def solve_phi_grid(kernel: Kernel | KernelMatrix, dt: float | None = None,
     """
     multi = _as_matrix(kernel)
     dt = float((0.01 if multi.k == 1 else 0.02) if dt is None else dt)
-    a = multi.branching_vector()
     t = _resolve_grid(multi, dt, t_max, k=multi.k)
-    values, residual = _solve_density(multi.entries, a, t, dt)
-    return CovarianceDensity(t, values, dt, kernel=kernel, a=a, residual=residual)
+    values, residual = _solve_density(multi.entries, multi.branching_vector(), t, dt)
+    return CovarianceDensity(t, values, dt, kernel, residual)
 
 
 solve_multivariate_phi = solve_phi_grid
@@ -319,7 +315,7 @@ def phi_exponential_closed_form(alpha: float, beta: float, dt: float = 0.01,
 
         phi(t) = alpha*beta*(2 beta - alpha) / (2 (beta-alpha)^2) * exp(-(beta-alpha) t)
     """
-    if alpha < 0 or beta <= 0:
+    if not (alpha >= 0 and beta > 0):      # NaN fails this test too
         raise ConfigurationError("need alpha >= 0 and beta > 0")
     if alpha >= beta:
         raise ConfigurationError(f"alpha = {alpha:g} >= beta = {beta:g}: ||h|| >= 1")
@@ -329,8 +325,7 @@ def phi_exponential_closed_form(alpha: float, beta: float, dt: float = 0.01,
     if t_max is None:
         t_max = max(_default_t_max(kernel), 20.0 / rate)
     t = _resolve_grid(kernel, dt, t_max, tail_tol=np.inf)
-    return CovarianceDensity(t, (pref * np.exp(-rate * t))[:, None, None], dt, kernel=kernel,
-                             a=np.array([1.0 / (1.0 - alpha / beta)]))
+    return CovarianceDensity(t, (pref * np.exp(-rate * t))[:, None, None], dt, kernel)
 
 
 @dataclass
@@ -340,13 +335,13 @@ class VarianceFunction(_KClassGrid):
     t: np.ndarray
     grid: np.ndarray                 # (n, k, k)
     dt: float
-    kernel: object = None
+    kernel: object
 
     _label = "K"
 
     def at(self, x):
         """K at scalar or array x in [0, t_max], by linear interpolation."""
-        if np.any(np.asarray(x) < 0) or np.any(np.asarray(x) > self.t[-1] + 1e-12):
+        if not np.all((np.asarray(x) >= 0) & (np.asarray(x) <= self.t[-1] + 1e-12)):
             raise ConfigurationError(f"time {x} outside the solved grid [0, {self.t[-1]:g}]")
         return self._public(_interp(self.t, self.grid, x))
 
@@ -354,9 +349,9 @@ class VarianceFunction(_KClassGrid):
 def variance_function(phi: CovarianceDensity) -> VarianceFunction:
     """K(t) = diag(a) t + Psi2(t) + Psi2(t)^T, Psi2 the iterated integral of
     Phi; for k = 1 this is t/(1-||h||) + 2 Psi2(t)."""
-    _, psi2 = phi._cumulative()
+    _, psi2 = phi._cumulative
     values = phi.t[:, None, None] * np.diag(phi.a) + psi2 + np.swapaxes(psi2, 1, 2)
-    return VarianceFunction(phi.t, values, phi.dt, kernel=phi.kernel)
+    return VarianceFunction(phi.t, values, phi.dt, phi.kernel)
 
 
 def _stable_norm(kernel: Kernel, what: str) -> float:
@@ -437,9 +432,6 @@ class LaplacePipeline:
                 "Xtilde": self.Xtilde.tolist(), "residual": self.residual,
                 "condition": self.condition,
                 "phi_tilde_at": {"1.0": self.phi_tilde(1.0)} if not self.kernel.is_zero else {}}
-
-    def write_json(self, path):
-        write_json(path, self.to_dict())
 
 
 def laplace_pipeline(kernel: SumOfExponentialsKernel) -> LaplacePipeline:

@@ -133,7 +133,7 @@ class SumOfExponentialsKernel(Kernel):
             raise ConfigurationError("alphas and betas must be 1-d and of equal length")
         if not np.all(np.isfinite(self.alphas)):
             raise ConfigurationError("non-finite amplitude")
-        if np.any(self.betas <= 0):
+        if not np.all(self.betas > 0):         # NaN fails this test too
             raise ConfigurationError("decay rates must be positive")
         if np.any(self.alphas < 0):
             probe = np.linspace(0.0, 20.0 / self.betas.min(), _PROBE_POINTS)
@@ -509,23 +509,16 @@ class HawkesConfig:
     def dimension(self) -> int:
         return self._matrix.k
 
-    @property
-    def is_multivariate(self) -> bool:
-        return self._matrix.k > 1
-
     def kernel_matrix(self) -> KernelMatrix:
         """View the model as k >= 1 dimensional."""
         return self._matrix
 
-    def branching_vector(self) -> np.ndarray:
-        return self._matrix.branching_vector()
-
     def mean_rate_vector(self) -> np.ndarray:
-        return self.baseline * self.branching_vector()
+        return self.baseline * self._matrix.branching_vector()
 
     def mean_rate(self) -> float:
         """Scalar mean rate; only defined for k = 1."""
-        if self.is_multivariate:
+        if self.dimension > 1:
             raise ConfigurationError("mean_rate() needs k = 1; use mean_rate_vector()")
         return float(self.mean_rate_vector()[0])
 

@@ -125,7 +125,8 @@ def _steady(kernel, services, phi: CovarianceDensity | None = None):
     2 max|Phi| max_i E[S_i] max_i int_{cutoff_i}^inf S_i, checked against 1e-6
     before the sum; the result is checked to be PSD.
     """
-    multi = _check_classes(kernel, services)
+    multi = _as_matrix(kernel)
+    services = _normalize_services(services, multi.k)
     if not all(math.isfinite(F.mean()) for F in services):
         raise ConfigurationError("service mean must be finite")
     F, entry = services[0], multi.entries[0][0]
@@ -144,15 +145,6 @@ def _steady(kernel, services, phi: CovarianceDensity | None = None):
     if eigmin < -1e-8 * max(1.0, float(np.abs(np.diag(out)).max())):
         raise NumericalError(f"steady-state covariance not PSD (min eig {eigmin:.2e})")
     return out
-
-
-def _check_classes(kernel, services) -> KernelMatrix:
-    """The model of `kernels._as_matrix`, once there is one service law per class."""
-    multi = _as_matrix(kernel)
-    if len(services) != multi.k:
-        raise ConfigurationError(f"need one service law per class: {len(services)} "
-                                 f"for k = {multi.k}")
-    return multi
 
 
 def _steady_cov(phi: CovarianceDensity, services) -> np.ndarray:
@@ -174,7 +166,6 @@ def var_X_infty(F: ServiceModel, phi: CovarianceDensity) -> float:
     double integral of the covariance density (infinite-horizon version of
     the queue-limit variance), by the rule of `_steady`.
     """
-    phi._univariate("var_X_infty")
     return float(_steady(phi.kernel, [F], phi)[0, 0])
 
 
@@ -202,7 +193,7 @@ def var_xe_infty(kernel: Kernel | KernelMatrix, phi: CovarianceDensity | None = 
         return float(_steady(kernel, [F], phi)[0, 0])
     if method != "grid":
         raise ConfigurationError(f"unknown method {method!r}")
-    _check_classes(kernel, [F])
+    _normalize_services([F], _as_matrix(kernel).k)
     return float(_steady_cov(solve_phi_grid(kernel) if phi is None else phi, [F])[0, 0])
 
 
@@ -223,23 +214,19 @@ class GaussianQueueApprox:
         out = np.where(lo > 0, _ndtr(-lo) - _ndtr(-hi), _ndtr(hi) - _ndtr(lo))
         return out if i.ndim else float(out)
 
-    def to_dict(self):
-        return {"mean": self.mean, "sigma": self.sigma}
-
 
 def gaussian_queue_approx(mu: float, kernel: Kernel | KernelMatrix,
-                          phi: CovarianceDensity | None = None,
                           service: ServiceModel = ExponentialService(1.0)) -> GaussianQueueApprox:
     """Gaussian steady state of the Hawkes/G/infinity queue of a k = 1 model
     with service F: mean lambda_bar E[S] = mu p E[S]/(1-||h||), variance mu
     times the `_steady` variance of (kernel, F), exact for exponential
     service on an exponential mixture; other pairs solve phi on the default
-    grid unless it is given.
+    grid.
     """
-    if mu <= 0:
+    if not mu > 0:                          # NaN fails this test too
         raise ConfigurationError("mu must be positive")
     multi = _as_matrix(kernel)
-    var = float(_steady(multi, [service], phi)[0, 0])
+    var = float(_steady(multi, [service])[0, 0])
     lam = float(mu * multi.p[0] / (1.0 - multi.l1_matrix()[0, 0]))
     return GaussianQueueApprox(lam * service.mean(), math.sqrt(mu * var))
 
@@ -297,16 +284,12 @@ class LimitModel:
                            for G, H, q, a in zip(self.F0, self.F, self.q0, phi.a)], axis=-1)
         return closed[..., None] * np.eye(d) + lag
 
-    def _cov(self, s: float, t: float) -> np.ndarray:
-        """The k x k matrix of Cov(X_i(t), X_j(s)), s and t in either order."""
+    def cov(self, s: float, t: float):
+        """Cov(Z(t), Z(s)), s and t in either order: a scalar for a univariate
+        object, else the dim x dim matrix with entry (i, j) = Cov(Z_i(t), Z_j(s))."""
         later = t >= s
         block = self._blocks(np.array([t, s], dtype=float), np.array([[0, 1] if later else [1, 0]]))
-        return block[0] if later else block[0].T
-
-    def cov(self, s: float, t: float):
-        """Cov(Z(t), Z(s)): a scalar for a univariate object, else the
-        dim x dim matrix with entry (i, j) = Cov(Z_i(t), Z_j(s))."""
-        return self.phi._public(self._cov(s, t))
+        return self.phi._public(block[0] if later else block[0].T)
 
     def gram(self, t_grid) -> np.ndarray:
         """Covariance of the stacked (Z(t_1), ..., Z(t_m)): block (a, b) is
@@ -368,7 +351,6 @@ def multi_ou_limit_model(phi: CovarianceDensity, r, x0=0.0) -> LimitModel:
 
 def exp_queue_limit_model(phi: CovarianceDensity, x0: float = 0.0) -> LimitModel:
     """The unit-rate OU-type limit X_e, `multi_ou_limit_model` at r = 1."""
-    phi._univariate("exp_queue_limit_model")
     return multi_ou_limit_model(phi, [1.0], x0)
 
 

@@ -276,11 +276,9 @@ def queue_verdict(sample: SteadyStateSample, report: ComparisonReport, approx, *
             "tv_jackknife": tv, "pass": bool(ok)}
 
 
-def summary_json(sample: SteadyStateSample, report: ComparisonReport | None, path):
+def summary_json(sample: SteadyStateSample, report: ComparisonReport, path):
     payload = {"mean": sample.mean().tolist(), "var": sample.var().tolist(),
                "se_mean": sample.se_mean().tolist(), "se_var": sample.se_var().tolist(),
                "n_samples": sample.n_samples, "seed": sample.seed,
-               "burn_in": sample.burn_in, "spacing": sample.spacing}
-    if report is not None:
-        payload.update(report.to_dict())
+               "burn_in": sample.burn_in, "spacing": sample.spacing, **report.to_dict()}
     write_json(path, payload)

@@ -263,7 +263,7 @@ def _normalize_services(service, k) -> list[ServiceModel]:
         return [service] * k
     service = list(service)
     if len(service) != k:
-        raise ConfigurationError(f"need one service model per class (k = {k})")
+        raise ConfigurationError(f"need one service law per class (k = {k})")
     return service
 
 

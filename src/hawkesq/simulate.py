@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import write_csv, write_json
+from ._io import write_csv
 from .errors import ConfigurationError, NumericalError, StabilityError
 from .kernels import HawkesConfig, SumOfExponentialsKernel
 
@@ -107,9 +107,10 @@ class PointPath:
 
     def __post_init__(self):
         for seq in self.times:
-            if seq.size and (seq[0] <= 0 or seq[-1] > self.horizon + 1e-12):
+            # a NaN at either end fails the first test, one inside the second
+            if seq.size and not (seq[0] > 0 and seq[-1] <= self.horizon + 1e-12):
                 raise ConfigurationError("event times must lie in (0, horizon]")
-            if np.any(seq[1:] < seq[:-1]):
+            if not np.all(seq[1:] >= seq[:-1]):
                 raise ConfigurationError("event times must be sorted")
 
     @property
@@ -449,9 +450,6 @@ class MomentSummary:
                 "mean": self.mean.tolist(), "se_mean": self.se_mean.tolist(),
                 "var": self.var.tolist(), "se_var": self.se_var.tolist(),
                 "cov": self.cov.tolist()}
-
-    def write_json(self, path):
-        write_json(path, self.to_dict())
 
 
 def empirical_moments(paths, t_grid) -> MomentSummary:

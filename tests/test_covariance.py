@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.fft import next_fast_len
 
 import hawkesq as hq
@@ -35,6 +35,31 @@ def test_phi_closed_form_constructor(phi_h1_exact):
         hq.phi_exponential_closed_form(1.0, 0.5)
     limit = hq.phi_exponential_closed_form(0.0, 1.0)
     assert np.all(limit.values == 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-6, 1e6), st.floats(0.0, 1.0, exclude_max=True))
+def test_closed_form_branching_vector(beta, share):
+    # the density derives a from its kernel, 1/(1 - alpha/beta) bitwise at k = 1
+    alpha = share * beta
+    assume(alpha < beta)
+    phi = hq.phi_exponential_closed_form(alpha, beta, dt=1.0, t_max=1.0)
+    assert phi.a.shape == (1,) and phi.a[0] == 1.0 / (1.0 - alpha / beta)
+
+
+def test_exponential_parameters_refuse_nan():
+    for alpha, beta in [(np.nan, 1.0), (0.5, np.nan)]:
+        with pytest.raises(ConfigurationError, match="beta > 0"):
+            hq.phi_exponential_closed_form(alpha, beta)
+    with pytest.raises(ConfigurationError, match="decay rates must be positive"):
+        hq.SumOfExponentialsKernel([0.5], [np.nan])
+
+
+def test_solved_branching_vector(h1, phi_asymmetric):
+    one = hq.KernelMatrix([[h1]], [2.0])
+    assert np.array_equal(hq.solve_phi_grid(one, dt=0.05).a, one.branching_vector())
+    assert one.branching_vector().tolist() == [4.0]
+    assert np.array_equal(phi_asymmetric.a, phi_asymmetric.kernel.branching_vector())
 
 
 def _trapezoid_laplace(phi, omega):
@@ -139,6 +164,12 @@ def test_variance_function_h1(phi_h1, K_h1):
     for t in (0.5, 1.0, 2.0, 5.0):
         assert K_h1.at(t) == pytest.approx(oracles.K1(t), abs=1e-3)
     assert np.all(np.diff(K_h1.values) >= 0.0)
+
+
+def test_variance_function_refuses_nan(K_h1):
+    for x in (np.nan, [1.0, np.nan]):
+        with pytest.raises(ConfigurationError, match="outside the solved grid"):
+            K_h1.at(x)
 
 
 def test_variance_convex_and_lipschitz(phi_h1, K_h1):

@@ -318,6 +318,12 @@ def test_gaussian_queue_pair_h1(h1):
     assert approx.pmf(200) == pytest.approx(math.erf(0.5 / math.sqrt(600.0)), rel=1e-14)
 
 
+def test_gaussian_queue_approx_refuses_nan_mu(h1):
+    for mu in (np.nan, 0.0, -1.0):
+        with pytest.raises(ConfigurationError, match="mu must be positive"):
+            hq.gaussian_queue_approx(mu, h1)
+
+
 def test_gaussian_queue_pair_h2(h2):
     approx = hq.gaussian_queue_approx(100.0, h2)
     assert approx.sigma**2 == pytest.approx(100.0 * oracles.H2_VAR_XE, abs=1e-9)
@@ -379,6 +385,14 @@ def test_cov_multi_ou_rejects_bad_rates_and_classes(phi_h1, phi_asymmetric):
                            (F, F, 1.0, [0.0])]:
         with pytest.raises(ConfigurationError):
             hq.queue_limit_model(phi_asymmetric, F0, Fs, q0, x0)
+
+
+def test_one_class_calls_refuse_a_k2_density(phi_quarter):
+    # the per-class rules of the steady state and of the OU model refuse k = 2
+    with pytest.raises(ConfigurationError, match="one service law per class"):
+        hq.var_X_infty(hq.ExponentialService(1.0), phi_quarter)
+    with pytest.raises(ConfigurationError, match="one positive service rate per class"):
+        hq.exp_queue_limit_model(phi_quarter)
 
 
 def test_steady_state_cov_multi_exchangeable(phi_quarter):
@@ -461,7 +475,7 @@ def test_one_model_one_answer(kernel):
     assert hq.exp_queue_limit_model(pk).steady_state_variance == \
         view(hq.exp_queue_limit_model(pm).steady_state_variance)
     config = hq.HawkesConfig(10.0, matrix)
-    assert not config.is_multivariate
+    assert config.dimension == 1
     assert config.mean_rate() == hq.HawkesConfig(10.0, kernel).mean_rate()
 
 

@@ -290,6 +290,21 @@ def test_point_path_validation():
     assert p.counts_at([0.3, 1.0]).tolist() == [[1], [2]]
 
 
+@pytest.mark.parametrize("times", [[0.5, np.nan, 1.0], [np.nan, 0.5], [0.5, np.nan]])
+def test_point_path_refuses_nan(times):
+    # every comparison with NaN is false, so each check must pass only what it orders
+    with pytest.raises(ConfigurationError):
+        hq.PointPath((np.array(times),), 2.0)
+
+
+def test_read_paths_csv_refuses_nan(tmp_path):
+    # np.sort puts the NaN last, where only the horizon check sees it
+    csv = tmp_path / "paths.csv"
+    csv.write_text("replication,dimension,event_time\n0,0,0.5\n0,0,nan\n0,0,1.5\n")
+    with pytest.raises(ConfigurationError, match="horizon"):
+        hq.read_paths_csv(csv, 2.0, replications=[0], dimension=1)
+
+
 def test_paths_round_trip(tmp_path, h1):
     sim = hq.SimConfig(_config(h1, 8.0), horizon=3.0, seed=5, replications=3)
     paths = hq.simulate_paths(sim)
