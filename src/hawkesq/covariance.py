@@ -447,7 +447,7 @@ def laplace_pipeline(kernel: SumOfExponentialsKernel) -> LaplacePipeline:
     if d == 0:
         return LaplacePipeline(np.empty(0), np.empty((0, 0)), np.empty(0),
                                kernel, norm, 0.0, 1.0)
-    ht = np.array([kernel.laplace(b) for b in kernel.betas])
+    ht = kernel._transform(kernel.betas)
     R = ht / ((1.0 - ht) * (1.0 - norm))
     M = (kernel.alphas[None, :] / (kernel.betas[None, :] + kernel.betas[:, None])) \
         / (1.0 - ht)[:, None]

@@ -19,8 +19,6 @@ from .errors import (ConfigurationError, IntegrabilityError, NumericalError, con
 
 # Pointwise-nonnegativity probe for mixed-sign exponential mixtures.
 _PROBE_POINTS = 10_000
-# Relative floor below which the kernel is treated as fully decayed.
-_DECAY_FLOOR = 1e-12
 _POWER_TAIL = 1e-16    # share of ||h|| that a power law's exponential sum may drop
 # Entries per (arguments x values) work array of TabulatedKernel._transform (4 MB).
 _TRANSFORM_BLOCK = 1 << 18
@@ -33,7 +31,11 @@ class Kernel:
     arrays, `_sample_offsets`, and `_transform`: the exact Laplace transform
     L(s) = int e^{-s t} h(t) dt on a 1-d array of s, real or complex, with
     Re s >= 0.  `laplace` is L at real omega > 0 and `fourier` is L(-i omega).
+    `_sum` is h as an exact `SumOfExponentialsKernel`, or None for a family
+    without one; the exact steady state and thinning read it.
     """
+
+    _sum = None
 
     def __call__(self, t):
         """h at scalar or array t: 0 for t < 0, a float for a scalar."""
@@ -102,14 +104,6 @@ class Kernel:
     def _sample_offsets(self, rng: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError
 
-    def majorant(self, t):
-        """Non-increasing pointwise upper bound used by dominated thinning."""
-        raise NotImplementedError
-
-    def majorant_cutoff(self) -> float:
-        """Lag beyond which the majorant is negligible: the thinning prune horizon."""
-        raise NotImplementedError
-
     def to_dict(self) -> dict:
         raise NotImplementedError
 
@@ -157,6 +151,10 @@ class SumOfExponentialsKernel(Kernel):
 
     def l1_norm(self) -> float:
         return self._l1
+
+    @property
+    def _sum(self):
+        return self
 
     def _transform(self, s):
         # term by term: one summation order at every s, and no terms x s array
@@ -208,9 +206,6 @@ class SumOfExponentialsKernel(Kernel):
             if filled == n:
                 return out
         raise NumericalError("offset rejection sampler failed to converge")
-
-    def majorant_cutoff(self) -> float:
-        return -math.log(_DECAY_FLOOR) / float(np.min(self.betas, initial=np.inf))
 
     def to_dict(self):
         return {"type": "sum_exp",
@@ -301,12 +296,6 @@ class PowerLawKernel(Kernel):
         # Exact inverse CDF: F(t) = 1 - (1 + scale*t)^(1-exponent).
         u = rng.random(n)
         return ((1.0 - u) ** (-1.0 / (self.exponent - 1.0)) - 1.0) / self.scale
-
-    def majorant(self, t):
-        return self(np.maximum(t, 0.0))  # already non-increasing
-
-    def majorant_cutoff(self):
-        return (_DECAY_FLOOR ** (-1.0 / self.exponent) - 1.0) / self.scale   # h = 1e-12 h(0)
 
     def to_dict(self):
         return {"type": "power_law", "scale": self.scale,
@@ -403,14 +392,12 @@ class TabulatedKernel(Kernel):
         return self.grid[i] + np.clip(x, 0.0, self.dt)
 
     def majorant(self, t):
+        """Non-increasing pointwise upper bound, the thinning window's dominating h."""
         run = np.maximum.accumulate(self.values[::-1])[::-1]
         t = np.asarray(t, dtype=float)
         idx = np.clip(np.floor(t / self.dt).astype(int), 0, self.values.size - 1)
         out = np.where((t < 0) | (t >= self.cutoff), 0.0, run[idx])
         return out if t.ndim else float(out)
-
-    def majorant_cutoff(self):
-        return self.cutoff
 
     def to_dict(self):
         return {"type": "tabulated", "dt": self.dt, "values": self.values.tolist()}

@@ -18,7 +18,7 @@ import numpy as np
 from .covariance import (_MAX_UNKNOWNS, CovarianceDensity, _lattice_weights, _next_fast_len,
                          laplace_pipeline, solve_phi_grid)
 from .errors import ConfigurationError, NumericalError, TruncationError
-from .kernels import Kernel, KernelMatrix, SumOfExponentialsKernel, _as_matrix
+from .kernels import Kernel, KernelMatrix, _as_matrix
 from .service import (DeterministicService, ExponentialService, ServiceModel, _ndtr,
                       _normalize_services)
 from .simulate import rep_stream
@@ -118,8 +118,9 @@ def _steady(kernel, services, phi: CovarianceDensity | None = None):
         1_{i=j} a_i E[S_i] + int_0^inf int_0^inf S_i(u) S_j(v) Phi_ij(v-u) du dv,
 
     always the k x k matrix, for the model of `kernels._as_matrix`.  Exp(r)
-    service at k = 1 on an exponential-mixture entry is exact:
-    (a + p phi~(r)) / r, phi~ the Laplace pipeline's transform at p = 1.
+    service at k = 1 on an entry with an exponential sum (a mixture, or a
+    power law through its `_sum`) is exact: (a + p phi~(r)) / r, phi~ the
+    Laplace pipeline's transform of that sum at p = 1.
     Any other case is the lattice lag sum `_steady_cov` on phi, solved on the
     default grid when not given.  Its truncation drops at most
     2 max|Phi| max_i E[S_i] max_i int_{cutoff_i}^inf S_i, checked against 1e-6
@@ -130,9 +131,8 @@ def _steady(kernel, services, phi: CovarianceDensity | None = None):
     if not all(math.isfinite(F.mean()) for F in services):
         raise ConfigurationError("service mean must be finite")
     F, entry = services[0], multi.entries[0][0]
-    if (multi.k == 1 and isinstance(F, ExponentialService)
-            and isinstance(entry, SumOfExponentialsKernel)):
-        phi_tilde = multi.p * laplace_pipeline(entry).phi_tilde(F.rate)
+    if multi.k == 1 and isinstance(F, ExponentialService) and entry._sum is not None:
+        phi_tilde = multi.p * laplace_pipeline(entry._sum).phi_tilde(F.rate)
         return (multi.branching_vector() + phi_tilde)[:, None] / F.rate
     if phi is None:
         phi = solve_phi_grid(kernel)
@@ -185,7 +185,7 @@ def var_xe_infty_exponential(alpha: float, beta: float) -> float:
 def var_xe_infty(kernel: Kernel | KernelMatrix, phi: CovarianceDensity | None = None,
                  method: str = "auto") -> float:
     """Var(X_e(inf)) = a + p phi~(1) of a k = 1 model, the Exp(1) case of `_steady`
-    ("auto": exact for exponential mixtures) or, with "grid", its lag sum on
+    ("auto": exact for mixtures and power laws) or, with "grid", its lag sum on
     phi (solved on the default grid when not given).
     """
     F = ExponentialService(1.0)
@@ -220,11 +220,11 @@ def gaussian_queue_approx(mu: float, kernel: Kernel | KernelMatrix,
     """Gaussian steady state of the Hawkes/G/infinity queue of a k = 1 model
     with service F: mean lambda_bar E[S] = mu p E[S]/(1-||h||), variance mu
     times the `_steady` variance of (kernel, F), exact for exponential
-    service on an exponential mixture; other pairs solve phi on the default
-    grid.
+    service on an exponential mixture or a power law; other pairs solve phi
+    on the default grid.
     """
-    if not mu > 0:                          # NaN fails this test too
-        raise ConfigurationError("mu must be positive")
+    if not 0 < mu < math.inf:               # NaN fails this test too
+        raise ConfigurationError("mu must be positive and finite")
     multi = _as_matrix(kernel)
     var = float(_steady(multi, [service])[0, 0])
     lam = float(mu * multi.p[0] / (1.0 - multi.l1_matrix()[0, 0]))
@@ -335,6 +335,8 @@ def queue_limit_model(phi: CovarianceDensity, F0, F, q0, x0=0.0) -> LimitModel:
     q0, x0 = (np.full(k, v, float) if np.ndim(v) == 0 else np.asarray(v, float) for v in (q0, x0))
     if q0.shape != (k,) or x0.shape != (k,):
         raise ConfigurationError(f"need one q0 and one x0 per class (k = {k})")
+    if not (np.all(q0 >= 0) and np.all(np.isfinite(q0)) and np.all(np.isfinite(x0))):
+        raise ConfigurationError("q0 must be finite and nonnegative, x0 finite")
     return LimitModel(phi, F0, F, q0, x0)
 
 

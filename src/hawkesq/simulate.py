@@ -18,7 +18,7 @@ import numpy as np
 
 from ._io import write_csv
 from .errors import ConfigurationError, NumericalError, StabilityError
-from .kernels import HawkesConfig, SumOfExponentialsKernel
+from .kernels import HawkesConfig
 
 _GENERATION_CAP = 100_000
 _LEAK_TOL = 1e-3
@@ -106,6 +106,8 @@ class PointPath:
     replication: int = 0
 
     def __post_init__(self):
+        if not 0 < self.horizon < math.inf:
+            raise ConfigurationError("horizon must be positive and finite")
         for seq in self.times:
             # a NaN at either end fails the first test, one inside the second
             if seq.size and not (seq[0] > 0 and seq[-1] <= self.horizon + 1e-12):
@@ -272,32 +274,34 @@ def _joined(arrays: list) -> np.ndarray:
 class _ThinningState:
     """Conditional-intensity bookkeeping for dominated (Ogata) thinning.
 
-    Exponential-mixture entries keep per-term decayed sums (O(1) updates);
-    other entries keep a pruned window of recent source events and use a
-    non-increasing majorant for the dominating bound.  A source's window is
-    the live slice [start, stop) of a float array that pruning shortens from
-    the front; kernels are evaluated on that slice.
+    An entry with an exponential sum `_sum` (a mixture, or a power law)
+    keeps one decayed sum per term (O(1) updates); a table keeps a window of
+    recent source events, pruned at its cutoff, and bounds with its
+    non-increasing majorant.  A source's window is the live slice
+    [start, stop) of a float array that pruning shortens from the front;
+    tables are evaluated on that slice.
     """
 
     def __init__(self, multi, mu):
         self.k = multi.k
         self.mu = mu
         self.exp_terms = []     # (i, j, alphas, betas, state vector)
-        self.generic = []       # (i, j, kernel, cutoff)
+        self.tables = []        # (i, j, table)
         for i in range(multi.k):
             for j in range(multi.k):
                 kern = multi.entries[i][j]
                 if kern.is_zero:
                     continue
-                if isinstance(kern, SumOfExponentialsKernel):
-                    self.exp_terms.append((i, j, kern.alphas.copy(), kern.betas.copy(),
-                                           np.zeros(kern.alphas.size)))
+                terms = kern._sum
+                if terms is not None:
+                    self.exp_terms.append((i, j, terms.alphas.copy(), terms.betas.copy(),
+                                           np.zeros(terms.alphas.size)))
                 else:
-                    self.generic.append((i, j, kern, kern.majorant_cutoff()))
-        # sources of generic entries keep events, pruned by the longest cutoff
+                    self.tables.append((i, j, kern))
+        # sources of tables keep events, pruned by the longest cutoff
         self.prune_horizon = np.zeros(multi.k)
-        for _, j, _, cutoff in self.generic:
-            self.prune_horizon[j] = max(self.prune_horizon[j], cutoff)
+        for _, j, table in self.tables:
+            self.prune_horizon[j] = max(self.prune_horizon[j], table.cutoff)
         self.events = [np.empty(256) for _ in range(multi.k)]
         self.start = [0] * multi.k
         self.stop = [0] * multi.k
@@ -332,15 +336,15 @@ class _ThinningState:
 
     def intensities(self, t, bound=False):
         """The intensities at t or, with bound, an upper bound valid on
-        [t, next event) from positive terms and non-increasing majorants."""
+        [t, next event) from positive terms and the tables' majorants."""
         lam = self.mu.copy()
         for i, _, alphas, _, state in self.exp_terms:
             pos = alphas > 0 if bound else slice(None)
             lam[i] += float(alphas[pos] @ state[pos])
-        for i, j, kern, _ in self.generic:
+        for i, j, table in self.tables:
             ev = self.window(j)
             if ev.size:
-                lam[i] += float(np.sum((kern.majorant if bound else kern)(t - ev)))
+                lam[i] += float(np.sum((table.majorant if bound else table)(t - ev)))
         return lam
 
 

@@ -27,8 +27,7 @@ def test_empty_mixture_values_and_types():
         for value in (z(t), z.tail_mass(t), z.tail_integral(t)):
             assert type(value) is float and value == 0.0
         assert type(z.fourier(t)) is complex and z.fourier(t) == 0j
-    for value in (z.l1_norm(), z.laplace(2.0), z.first_moment(), z.second_moment(),
-                  z.majorant_cutoff()):
+    for value in (z.l1_norm(), z.laplace(2.0), z.first_moment(), z.second_moment()):
         assert type(value) is float and value == 0.0
     grid = np.linspace(-1.0, 3.0, 12).reshape(3, 4)
     for out, dtype in [(z(grid), float), (z.fourier(grid), complex)]:

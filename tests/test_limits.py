@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -286,6 +287,46 @@ def test_var_xe_infty_h2(h2, phi_h2):
         pytest.approx(oracles.H2_VAR_XE, abs=1e-3)
 
 
+def _power_law_steady_oracle(kern, r):
+    """Var X(inf) of Exp(r) service on a power law by its spectral form,
+    a/(2r) + (a/pi) int_0^inf dw / ((r^2 + w^2) |1 - h^(w)|^2) with
+    h^(w) = (A/c) e^z E_g(z), z = -i w/c: mpmath quadrature at 20 digits."""
+    A, c, g = kern.amplitude, kern.scale, kern.exponent
+    with mpmath.workdps(20):
+        a = 1 / (1 - mpmath.mpf(kern.l1_norm()))
+
+        def density(w):
+            z = -1j * w / c
+            return 1 / ((r * r + w * w) * abs(1 - A / c * mpmath.exp(z) * mpmath.expint(g, z)) ** 2)
+
+        return float(a / (2 * r) + a / mpmath.pi * mpmath.quad(density, [0, 1, mpmath.inf]))
+
+
+@pytest.mark.parametrize("scale, exponent, amplitude, r",
+                         [(1.0, 2.5, 0.75, 1.0), (1.0, 1.5, 0.25, 1.0), (0.5, 2.5, 0.3, 2.0)])
+def test_power_law_exponential_steady_state_matches_spectral_oracle(scale, exponent,
+                                                                    amplitude, r):
+    # the exact route reads the power law's exponential sum; the lattice finds no
+    # horizon for g <= 2.5, so these had no value before
+    kern = hq.PowerLawKernel(scale, exponent, amplitude)
+    exact = _power_law_steady_oracle(kern, r)
+    approx = hq.gaussian_queue_approx(1.0, kern, hq.ExponentialService(r))
+    assert approx.sigma ** 2 == pytest.approx(exact, rel=1e-11)
+    if r == 1.0:
+        assert hq.var_xe_infty(kern) == pytest.approx(exact, rel=1e-11)
+
+
+def test_power_law_lattice_steady_state_converges_to_the_exact_value():
+    # the lattice lag sum on the solved phi is second order onto the exact value
+    kern = hq.PowerLawKernel(1.0, 5.0, 2.0)
+    exact = hq.var_xe_infty(kern)
+    errors = [hq.var_xe_infty(kern, hq.solve_phi_grid(kern, dt=dt, t_max=100.0),
+                              method="grid") - exact for dt in (0.04, 0.02, 0.01)]
+    assert 0.0 < errors[2] < 6e-4
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.9 < coarse / fine < 4.1
+
+
 @pytest.mark.parametrize("alpha,beta", [(0.1, 0.6), (0.3, 1.0), (0.5, 1.0),
                                         (0.9, 1.3), (1.5, 2.0), (2.0, 9.0)])
 def test_var1_lattice_identity(alpha, beta):
@@ -322,6 +363,12 @@ def test_gaussian_queue_approx_refuses_nan_mu(h1):
     for mu in (np.nan, 0.0, -1.0):
         with pytest.raises(ConfigurationError, match="mu must be positive"):
             hq.gaussian_queue_approx(mu, h1)
+
+
+def test_gaussian_queue_approx_refuses_infinite_mu(h1):
+    # HawkesConfig refuses this baseline too; the approximation had mean = sigma = inf
+    with pytest.raises(ConfigurationError, match="mu must be positive and finite"):
+        hq.gaussian_queue_approx(math.inf, h1)
 
 
 def test_gaussian_queue_pair_h2(h2):
@@ -385,6 +432,26 @@ def test_cov_multi_ou_rejects_bad_rates_and_classes(phi_h1, phi_asymmetric):
                            (F, F, 1.0, [0.0])]:
         with pytest.raises(ConfigurationError):
             hq.queue_limit_model(phi_asymmetric, F0, Fs, q0, x0)
+
+
+@pytest.mark.parametrize("start", [{"q0": math.nan}, {"q0": -1.0}, {"q0": math.inf},
+                                   {"q0": [1.0, math.nan]}, {"q0": 0.0, "x0": math.nan},
+                                   {"q0": 0.0, "x0": [0.0, -math.inf]}],
+                         ids=["q0-nan", "q0-negative", "q0-inf", "q0-one-nan", "x0-nan",
+                              "x0-one-inf"])
+def test_queue_limit_model_refuses_bad_starts(phi_quarter, start):
+    F = hq.ExponentialService(1.0)
+    with pytest.raises(ConfigurationError, match="q0 must be finite and nonnegative"):
+        hq.queue_limit_model(phi_quarter, F, F, **start)
+
+
+def test_queue_limit_model_takes_a_negative_mean(phi_h1):
+    # x0 is the start's mean offset and may be negative; the OU model checks it too
+    model = hq.queue_limit_model(phi_h1, hq.ExponentialService(1.0),
+                                 hq.ExponentialService(1.0), 0.0, -2.0)
+    assert model.mean_vector([0.0]).tolist() == [-2.0]
+    with pytest.raises(ConfigurationError, match="x0 finite"):
+        hq.multi_ou_limit_model(phi_h1, [1.0], x0=math.nan)
 
 
 def test_one_class_calls_refuse_a_k2_density(phi_quarter):

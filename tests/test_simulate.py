@@ -170,6 +170,34 @@ def test_thinning_handles_general_kernels():
         assert abs(m.mean[0, 0] - 4.0 * rate) < 4.0 * m.se_mean[0, 0]
 
 
+def test_thinning_state_of_a_power_law_entry():
+    # a power law is held by its exponential sum: no event window, and an intensity
+    # within 1e-12 of mu + sum_e h(t - t_e) over a few hundred events
+    pl = hq.PowerLawKernel(1.0, 3.5, 1.0)
+    state = simulate._ThinningState(hq.KernelMatrix([[pl]], [1.0]), np.array([5.0]))
+    times = np.cumsum(np.random.default_rng(5).exponential(0.1, 300))
+    t = 0.0
+    for n, event in enumerate(times):
+        state.decay(event - t)
+        t = event
+        exact = 5.0 + math.fsum(pl(t - times[:n]))
+        assert state.intensities(t)[0] == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert state.intensities(t, bound=True)[0] == state.intensities(t)[0]
+        state.register(0, t)
+    assert state.window(0).size == 0 and not state.tables
+
+
+def test_thinning_refuses_a_power_law_without_an_exponential_sum():
+    # near g = 1.05 the sum's slowest rate underflows: laplace and fourier refuse
+    # this kernel already, and so does thinning; the cluster engine samples it exactly
+    cfg = _config(hq.PowerLawKernel(1.0, 1.04, 0.02), 5.0)
+    sim = hq.SimConfig(cfg, 4.0, seed=1, burn_in=20.0, engine="thinning")
+    with pytest.raises(hq.NumericalError, match="too close to 1"):
+        hq.simulate_paths(sim)
+    cluster = hq.SimConfig(cfg, 4.0, seed=1, burn_in=20.0, replications=2)
+    assert len(hq.simulate_paths(cluster)) == 2
+
+
 def test_multivariate_thinning_matches_cluster(quarter_matrix):
     cfg = hq.HawkesConfig(3.0, quarter_matrix)
     reps = 800
@@ -288,6 +316,13 @@ def test_point_path_validation():
         hq.PointPath((np.array([0.5, 2.0]),), 1.0)
     p = hq.PointPath((np.array([0.25, 0.5]),), 1.0)
     assert p.counts_at([0.3, 1.0]).tolist() == [[1], [2]]
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -1.0])
+def test_point_path_refuses_bad_horizon(horizon):
+    # a path without events has no time to check the horizon against
+    with pytest.raises(ConfigurationError, match="horizon must be positive and finite"):
+        hq.PointPath((np.empty(0),), horizon)
 
 
 @pytest.mark.parametrize("times", [[0.5, np.nan, 1.0], [np.nan, 0.5], [0.5, np.nan]])
