@@ -452,7 +452,7 @@ def laplace_pipeline(kernel: SumOfExponentialsKernel) -> LaplacePipeline:
     M = (kernel.alphas[None, :] / (kernel.betas[None, :] + kernel.betas[:, None])) \
         / (1.0 - ht)[:, None]
     system = np.eye(d) - M
-    condition = float(np.linalg.cond(system))
+    condition = float(np.linalg.cond(system, 1))
     if not np.isfinite(condition) or condition > 1e12:
         raise NumericalError(f"I - M ill-conditioned (cond = {condition:.3e})")
     x = np.linalg.solve(system, R)

@@ -16,8 +16,8 @@ from ._io import write_csv, write_json
 from .errors import ConfigurationError
 from .kernels import HawkesConfig
 from .service import _normalize_services
-from .simulate import (_ENGINES, INITIAL_STREAM, SERVICE_STREAM, PointPath, SimConfig,
-                       _map_replications, _z, rep_stream)
+from .simulate import (_ENGINES, ARRIVAL_STREAM, INITIAL_STREAM, SERVICE_STREAM, PointPath,
+                       SimConfig, _cluster_cascade, _map_replications, _z, rep_stream)
 
 
 @dataclass
@@ -51,28 +51,43 @@ def simulate_queue(arrivals: PointPath, service, q_init, t_grid,
         raise ConfigurationError("q_init must be one nonnegative count per class")
     t_grid = arrivals._probe_times(t_grid)
     order = np.argsort(t_grid, axis=None, kind="stable")
-    probes = t_grid.ravel()[order]
+    counts = np.zeros((t_grid.size, k), dtype=int)
+    _add_customers(counts, t_grid.ravel()[order], arrivals.times, services, rng,
+                   init_services, q_init)
+    q = np.empty_like(counts)
+    q[order] = counts
+    return QueueTrajectory(t_grid, q)
 
-    q = np.empty((t_grid.size, k), dtype=int)
-    for d in range(k):
-        remaining = init_services[d].sample(rng, int(q_init[d]))
-        taus = arrivals.times[d]
+
+def _add_customers(q, probes, times, services, rng, init_services=None, q_init=None):
+    """Add to q, shape (len(probes), k) at the sorted probe times, each class's
+    customers arriving at its sorted `times`, their service drawn from rng;
+    with q_init, class d's initial customers first, served by init_services[d]."""
+    for d, taus in enumerate(times):
+        if q_init is not None:
+            remaining = init_services[d].sample(rng, int(q_init[d]))
+            q[:, d] += _in_service(probes, np.zeros(remaining.size), remaining)
         departures = services[d].sample(rng, taus.size)
         departures += taus
-        q[order, d] = (_in_service(probes, np.zeros(remaining.size), remaining)
-                       + _in_service(probes, taus, departures))
-    return QueueTrajectory(t_grid, q)
+        q[:, d] += _in_service(probes, taus, departures)
 
 
 def _in_service(probes, starts, ends) -> np.ndarray:
     """#{i : starts_i <= t < ends_i} at each of the sorted probe times t.
 
-    starts must be sorted and ends >= starts.  One search of the probes in
-    starts splits the customers by their first probe at or after their
+    starts must be sorted and ends >= starts.  Only the probes in
+    [starts_0, max ends) can count a customer, so only they are visited: a
+    block of arrivals costs the probes it spans.  One search of the probes
+    in starts splits the customers by their first probe at or after their
     start.  A customer that has left by that probe is never counted, so only
     the customers still present there have their end located among the
     probes.  No temporary is as long as the customer arrays.
     """
+    counts = np.zeros(probes.size, dtype=np.int64)
+    if starts.size == 0:
+        return counts
+    first, stop = np.searchsorted(probes, [starts[0], ends.max()], side="left").tolist()
+    probes = probes[first:stop]
     probes_list = probes.tolist()
     bounds = np.searchsorted(starts, probes, side="right").tolist()
     entered = np.zeros(len(probes_list) + 1, dtype=np.int64)
@@ -86,7 +101,8 @@ def _in_service(probes, starts, ends) -> np.ndarray:
         present.append(stay)
     left = np.bincount(np.searchsorted(probes, np.concatenate(present), side="left"),
                        minlength=entered.size)
-    return np.cumsum(entered - left)[:-1]
+    counts[first:stop] = np.cumsum(entered - left)[:-1]
+    return counts
 
 
 @dataclass
@@ -139,12 +155,43 @@ class SteadyStateSample:
         return np.diag(self.se_cov())
 
 
+# Immigrants per block of a cluster replication.  Clusters are independent,
+# so a replication is generated and counted one block of root times at a time,
+# and a worker holds one block's events and departures instead of the whole
+# replication's.  Each block repeats the short late generations of its
+# cascade, so smaller blocks cost time: on the `queue` benchmark (h2, mu = 100)
+# blocks of 2^15 immigrants took 4-6% longer per replication than one block,
+# while 3 * 2^14 and 2^16 were within noise.  Of those two, 3 * 2^14 keeps the
+# worker's peak at 37 MB, the floor that smaller blocks also reach (2^16: 40.5
+# MB; one block: 49-53 MB).
+_BLOCK_IMMIGRANTS = 3 << 14
+
+
 def _queue_replication(sim: SimConfig, services, offered, t_grid, r: int) -> np.ndarray:
-    """Queue counts (per_rep, k) of replication r, started from Poisson(offered)."""
-    arrivals = _ENGINES[sim.engine](sim, r)
+    """Queue counts (per_rep, k) of replication r at the sorted times t_grid,
+    started from Poisson(offered).
+
+    The cluster engine walks (-B, T] in n = ceil(expected immigrants /
+    _BLOCK_IMMIGRANTS) equal blocks of root times, all drawn from the one
+    arrival stream, and counts each block's customers before the next block
+    is drawn, their departures drawn in block order from the one service
+    stream.  With n = 1 that is `simulate_queue(simulate_cluster(sim, r), ...)`
+    draw for draw.  Thinning reads its whole history, so its path is one part.
+    """
     q0 = rep_stream(sim.seed, r, INITIAL_STREAM).poisson(offered)
     svc_rng = rep_stream(sim.seed, r, SERVICE_STREAM)
-    return simulate_queue(arrivals, services, q0, t_grid, svc_rng).q
+    if sim.engine != "cluster":
+        return simulate_queue(_ENGINES[sim.engine](sim, r), services, q0, t_grid, svc_rng).q
+    rng = rep_stream(sim.seed, r, ARRIVAL_STREAM)
+    T, B = sim.horizon, sim.burn_in
+    immigrants = sim.config.baseline * sim.config.kernel_matrix().p.sum() * (T + B)
+    blocks = max(1, math.ceil(immigrants / _BLOCK_IMMIGRANTS))
+    edges = np.linspace(-B, T, blocks + 1).tolist()
+    q = np.zeros((t_grid.size, len(services)), dtype=int)
+    for b in range(blocks):
+        times = _cluster_cascade(sim, rng, edges[b], edges[b + 1])
+        _add_customers(q, t_grid, times, services, svc_rng, services, q0 if b == 0 else None)
+    return q
 
 
 def steady_state_sample(config: HawkesConfig, service, n_samples: int, seed: int,

@@ -76,13 +76,15 @@ def _map_replications(fn, reps: int) -> list:
     start a pool).  An exception in a worker reaches the caller with its own
     type.
 
-    Each replication allocates and frees a working set of several-MB arrays.
-    Under glibc's defaults each of them is a fresh mmap, or heap that is
-    trimmed back to the OS on free, so every replication faults its pages in
-    again (about a sixth of the CPU time of a 100-replication queue run).
-    The workers therefore start with `_keep_freed_heap` and reuse their
-    freed heap from one replication to the next, holding at most 64 MiB of
-    it free.  The workers exit with the pool, so the memory goes back then.
+    Each replication allocates and frees a working set of arrays (about a
+    MB each for one block of a queue replication).  Under glibc's defaults
+    the larger ones are fresh mmaps, or heap that is trimmed back to the OS
+    on free, so their pages are faulted in again: on the `queue` benchmark
+    the workers took about 84,000 minor faults instead of 17,000, and the
+    pass about 5% more CPU time.  The workers therefore start with
+    `_keep_freed_heap` and reuse their freed heap from one replication to
+    the next, holding at most 64 MiB of it free.  The workers exit with the
+    pool, so the memory goes back then.
     The inline path leaves the allocator alone: the process is the caller's,
     and a library does not retune its allocator.  Only the allocator
     changes, so results are bitwise the same.
@@ -214,16 +216,25 @@ def simulate_cluster(sim: SimConfig, replication: int = 0) -> PointPath:
     each class is sorted once and returned from its first positive time on.
     """
     rng = rep_stream(sim.seed, replication, ARRIVAL_STREAM)
+    times = _cluster_cascade(sim, rng, -sim.burn_in, sim.horizon)
+    return PointPath(tuple(times), sim.horizon, replication)
+
+
+def _cluster_cascade(sim: SimConfig, rng, lo: float, hi: float) -> list:
+    """Each class's sorted times in (0, T] of the clusters whose immigrants
+    arrive in (lo, hi], drawn from rng as `simulate_cluster` describes.
+    Clusters are independent, so the cascades of disjoint root intervals,
+    drawn one after another, superpose to the process on their union.
+    """
     multi = sim.config.kernel_matrix()
     k = multi.k
     mu = sim.config.baseline * multi.p
-    T, B = sim.horizon, sim.burn_in
-
+    T = sim.horizon
     collected = [[] for _ in range(k)]
     gen = []
     for i in range(k):
-        n_imm = rng.poisson(mu[i] * (T + B))
-        imm = rng.uniform(-B, T, size=n_imm)
+        n_imm = rng.poisson(mu[i] * (hi - lo))
+        imm = rng.uniform(lo, hi, size=n_imm)
         gen.append(imm)
         collected[i].append(imm)
 
@@ -261,7 +272,7 @@ def simulate_cluster(sim: SimConfig, replication: int = 0) -> PointPath:
         # a slice keeps the burn-in points alive with it: copy the window out
         # when they are the larger part (short windows)
         times.append(seq[start:].copy() if 2 * start > seq.size else seq[start:])
-    return PointPath(tuple(times), T, replication)
+    return times
 
 
 def _joined(arrays: list) -> np.ndarray:

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -82,6 +83,19 @@ def test_laplace_pipeline_example_constants(h2):
     assert pipe.Xtilde == pytest.approx(oracles.H2_XTILDE, abs=1e-12)
     assert pipe.residual < 1e-10
     assert pipe.phi_tilde(1.0) == pytest.approx(oracles.H2_PHI_TILDE_1, abs=1e-12)
+
+
+def test_laplace_pipeline_condition_is_the_one_norm_number(h2):
+    # ||S||_1 ||S^-1||_1 for S = I - M, M as above, in exact rationals
+    s = [[1 - Fraction(17, 60), -Fraction(2, 15)], [-Fraction(8, 315), 1 - Fraction(17, 315)]]
+    det = s[0][0] * s[1][1] - s[0][1] * s[1][0]
+    inverse = [[s[1][1] / det, -s[0][1] / det], [-s[1][0] / det, s[0][0] / det]]
+
+    def norm1(a):
+        return max(abs(a[0][j]) + abs(a[1][j]) for j in range(2))
+
+    exact = float(norm1(s) * norm1(inverse))
+    assert hq.laplace_pipeline(h2).condition == pytest.approx(exact, rel=1e-12)
 
 
 def test_laplace_pipeline_single_term(h1):

@@ -294,7 +294,7 @@ def test_power_law_exponential_sum_limits():
                           (3.0, 2.0, 0.1), (0.5, 1.0, 10.0), (2.0, 0.3, 0.01)])
 def test_power_law_laplace_matches_exponent_two_closed_form(scale, amplitude, omega):
     # int_0^inf e^{-omega t} A (1 + c t)^{-2} dt = A/c (1 - z e^z E1(z)), z = omega/c;
-    # a heavy tail puts the majorant cutoff far beyond 1/omega
+    # read through the exponential sum, for z from 0.005 (the slow tail dominates) to 40
     z = omega / scale
     exact = amplitude / scale * (1.0 - z * math.exp(z) * exp1(z))
     got = hq.PowerLawKernel(scale, 2.0, amplitude).laplace(omega)

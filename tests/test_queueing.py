@@ -1,6 +1,7 @@
 import itertools
 import math
 import pickle
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -9,10 +10,11 @@ from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
 import hawkesq as hq
+from hawkesq import queueing
 from hawkesq.errors import ConfigurationError
 from hawkesq.queueing import queue_verdict, tv_jackknife
 from hawkesq.service import _normalize_services
-from hawkesq.simulate import SERVICE_STREAM, sample_cov
+from hawkesq.simulate import INITIAL_STREAM, SERVICE_STREAM, sample_cov
 
 from dense_reference import event_driven_queue
 
@@ -324,6 +326,66 @@ def test_steady_state_same_for_any_worker_count(h1, quarter_matrix, cpus, model)
                                               seed=23).samples)
     assert samples[0].shape == (25, 16, cfg.dimension)
     assert np.array_equal(samples[0], samples[1])
+
+
+def _window(sample: hq.SteadyStateSample, config):
+    """The probe times and the SimConfig of the replications of `sample`, and
+    the number of blocks of root times each replication is counted in."""
+    per_rep = sample.samples.shape[1]
+    t_grid = sample.burn_in + sample.spacing * np.arange(per_rep)
+    sim = hq.SimConfig(config, sample.burn_in + sample.spacing * (per_rep - 1) + 1e-9,
+                       sample.seed)
+    immigrants = config.baseline * config.kernel_matrix().p.sum() * (sim.horizon + sim.burn_in)
+    return t_grid, sim, math.ceil(immigrants / queueing._BLOCK_IMMIGRANTS)
+
+
+@pytest.mark.parametrize("model", ["h1", "asymmetric"])
+def test_steady_state_one_block_is_the_path_composition(h1, phi_asymmetric, model):
+    # a window of one block draws what the whole path draws, in the same order
+    if model == "h1":
+        config, services = hq.HawkesConfig(10.0, h1), [hq.ExponentialService(1.0)]
+    else:
+        config = hq.HawkesConfig(5.0, phi_asymmetric.kernel)
+        services = [hq.ExponentialService(1.0), hq.LogNormalService(0.0, 0.5)]
+    sample = hq.steady_state_sample(config, services, 600, seed=17)
+    t_grid, sim, blocks = _window(sample, config)
+    assert blocks == 1
+    offered = config.mean_rate_vector() * np.array([F.mean() for F in services])
+    for r, got in enumerate(sample.samples):
+        q0 = hq.rep_stream(sample.seed, r, INITIAL_STREAM).poisson(offered)
+        svc_rng = hq.rep_stream(sample.seed, r, SERVICE_STREAM)
+        want = hq.simulate_queue(hq.simulate_cluster(sim, r), services, q0, t_grid, svc_rng)
+        assert np.array_equal(got, want.q)
+
+
+def test_queue_replication_holds_one_block(h1):
+    # h1 at mu = 200 over 400 probes: about 815k events in the replication, whose
+    # whole path and departures peak at 16 MB of tracemalloc
+    config, services = hq.HawkesConfig(200.0, h1), [hq.ExponentialService(1.0)]
+    t_grid = 30.0 + 5.0 * np.arange(400)
+    sim = hq.SimConfig(config, t_grid[-1] + 1e-9, seed=3)
+    tracemalloc.start()
+    try:
+        q = queueing._queue_replication(sim, services, config.mean_rate_vector(), t_grid, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q.shape == (400, 1) and 300.0 < q.mean() < 500.0       # mean 400
+    assert peak < 5e6
+
+
+def test_steady_state_in_blocks_keeps_the_law(h1):
+    # h1 at mu = 200, each replication counted in four blocks: the mean
+    # mu lambda_bar E[S] = 400 and the variance mu Var X_e(inf) = 600, each within
+    # 4 replication SEs
+    mu = 200.0
+    config = hq.HawkesConfig(mu, h1)
+    sample = hq.steady_state_sample(config, hq.ExponentialService(1.0), 4000, seed=3)
+    assert _window(sample, config)[2] >= 3
+    mean_z = (sample.mean()[0] - mu * config.kernel_matrix().branching_vector()[0]) \
+        / sample.se_mean()[0]
+    var_z = (sample.var()[0] - mu * hq.var_xe_infty(h1)) / sample.se_var()[0]
+    assert abs(mean_z) < 4.0 and abs(var_z) < 4.0
 
 
 def test_steady_state_floor_validation(h1):
