@@ -419,9 +419,9 @@ class LaplacePipeline:
     condition: float
 
     def phi_tilde(self, omega: float) -> float:
-        """Laplace transform of the covariance density at omega > 0."""
-        if omega <= 0:
-            raise ConfigurationError("phi_tilde requires omega > 0")
+        """Laplace transform of the covariance density at finite omega > 0."""
+        if not 0 < omega < math.inf:            # NaN fails this test too
+            raise ConfigurationError("phi_tilde requires finite omega > 0")
         ht = self.kernel.laplace(omega)
         extra = float(np.sum(self.kernel.alphas * self.Xtilde
                              / (self.kernel.betas + omega)))

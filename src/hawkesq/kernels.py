@@ -55,9 +55,9 @@ class Kernel:
         return self.l1_norm() == 0.0
 
     def laplace(self, omega: float) -> float:
-        """One-sided Laplace transform at omega > 0, by the family's exact rule."""
-        if omega <= 0:
-            raise ConfigurationError("laplace transform requires omega > 0")
+        """One-sided Laplace transform at finite omega > 0, by the family's exact rule."""
+        if not 0 < omega < math.inf:            # NaN fails this test too
+            raise ConfigurationError("laplace transform requires finite omega > 0")
         return float(self._transform(np.array([omega], dtype=float))[0])
 
     def fourier(self, omega):
@@ -221,10 +221,10 @@ class PowerLawKernel(Kernel):
     """
 
     def __init__(self, scale: float, exponent: float, amplitude: float = 1.0):
-        if scale <= 0 or exponent <= 0:
-            raise ConfigurationError("scale and exponent must be positive")
-        if amplitude < 0:
-            raise ConfigurationError("amplitude must be nonnegative")
+        if not (0 < scale < math.inf and 0 < exponent < math.inf):
+            raise ConfigurationError("scale and exponent must be positive and finite")
+        if not 0 <= amplitude < math.inf:
+            raise ConfigurationError("amplitude must be nonnegative and finite")
         self.scale, self.exponent, self.amplitude = float(scale), float(exponent), float(amplitude)
 
     def __repr__(self):
@@ -310,8 +310,8 @@ class TabulatedKernel(Kernel):
     """
 
     def __init__(self, dt: float, values):
-        if dt <= 0:
-            raise ConfigurationError("grid step must be positive")
+        if not 0 < dt < math.inf:
+            raise ConfigurationError("grid step must be positive and finite")
         self.dt = float(dt)
         self.values = np.asarray(values, dtype=float)
         if self.values.ndim != 1 or self.values.size < 2:
@@ -423,8 +423,8 @@ class KernelMatrix:
                 if not isinstance(kern, Kernel):
                     raise ConfigurationError("matrix entries must be Kernel instances")
         self.p = np.asarray(p, dtype=float)
-        if self.p.shape != (self.k,) or np.any(self.p < 0):
-            raise ConfigurationError("p must be a nonnegative vector of length k")
+        if self.p.shape != (self.k,) or not np.all((self.p >= 0) & (self.p < np.inf)):
+            raise ConfigurationError("p must be a finite nonnegative vector of length k")
         rho = self.spectral_radius()
         if not rho < 1.0:
             raise ConfigurationError(f"spectral radius {rho:.6g} >= 1: no stationary version")
@@ -458,8 +458,8 @@ def spectral_radius(matrix) -> float:
     H = np.asarray(matrix, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ConfigurationError("spectral radius needs a square matrix")
-    if np.any(H < 0):
-        raise ConfigurationError("matrix of L1 norms must be nonnegative")
+    if not np.all((H >= 0) & (H < np.inf)):
+        raise ConfigurationError("matrix of L1 norms must be finite and nonnegative")
     return float(np.abs(np.linalg.eigvals(H)).max())
 
 

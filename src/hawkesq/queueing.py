@@ -2,7 +2,7 @@
 
 The queue length is an exact indicator sum: initial customers still in
 service plus arrivals whose departure lies beyond the probe time.  Steady
-state is sampled by spaced reads within long replications after a burn-in.
+state is sampled by spaced reads within long replications started empty.
 """
 from __future__ import annotations
 
@@ -16,8 +16,8 @@ from ._io import write_csv, write_json
 from .errors import ConfigurationError
 from .kernels import HawkesConfig
 from .service import _normalize_services
-from .simulate import (_ENGINES, ARRIVAL_STREAM, INITIAL_STREAM, SERVICE_STREAM, PointPath,
-                       SimConfig, _cluster_cascade, _map_replications, _z, rep_stream)
+from .simulate import (_ENGINES, ARRIVAL_STREAM, SERVICE_STREAM, PointPath, SimConfig,
+                       _cluster_cascade, _map_replications, _z, default_burn_in, rep_stream)
 
 
 @dataclass
@@ -167,30 +167,31 @@ class SteadyStateSample:
 _BLOCK_IMMIGRANTS = 3 << 14
 
 
-def _queue_replication(sim: SimConfig, services, offered, t_grid, r: int) -> np.ndarray:
+def _queue_replication(sim: SimConfig, services, t_grid, r: int) -> np.ndarray:
     """Queue counts (per_rep, k) of replication r at the sorted times t_grid,
-    started from Poisson(offered).
+    from an empty queue at 0.
 
-    The cluster engine walks (-B, T] in n = ceil(expected immigrants /
-    _BLOCK_IMMIGRANTS) equal blocks of root times, all drawn from the one
-    arrival stream, and counts each block's customers before the next block
-    is drawn, their departures drawn in block order from the one service
-    stream.  With n = 1 that is `simulate_queue(simulate_cluster(sim, r), ...)`
-    draw for draw.  Thinning reads its whole history, so its path is one part.
+    The path comes in parts, and each part's customers are counted before the
+    next part is drawn, their departures drawn in part order from the one
+    service stream.  The cluster engine's parts are n = ceil(expected
+    immigrants / _BLOCK_IMMIGRANTS) equal blocks of root times over (-B, T],
+    all drawn from the one arrival stream; with n = 1 the count is
+    `simulate_queue(simulate_cluster(sim, r), ...)` from an empty queue, draw
+    for draw.  Thinning reads its whole history, so its path is one part.
     """
-    q0 = rep_stream(sim.seed, r, INITIAL_STREAM).poisson(offered)
     svc_rng = rep_stream(sim.seed, r, SERVICE_STREAM)
-    if sim.engine != "cluster":
-        return simulate_queue(_ENGINES[sim.engine](sim, r), services, q0, t_grid, svc_rng).q
-    rng = rep_stream(sim.seed, r, ARRIVAL_STREAM)
-    T, B = sim.horizon, sim.burn_in
-    immigrants = sim.config.baseline * sim.config.kernel_matrix().p.sum() * (T + B)
-    blocks = max(1, math.ceil(immigrants / _BLOCK_IMMIGRANTS))
-    edges = np.linspace(-B, T, blocks + 1).tolist()
+    if sim.engine == "cluster":
+        rng = rep_stream(sim.seed, r, ARRIVAL_STREAM)
+        T, B = sim.horizon, sim.burn_in
+        immigrants = sim.config.baseline * sim.config.kernel_matrix().p.sum() * (T + B)
+        blocks = max(1, math.ceil(immigrants / _BLOCK_IMMIGRANTS))
+        edges = np.linspace(-B, T, blocks + 1).tolist()
+        parts = (_cluster_cascade(sim, rng, lo, hi) for lo, hi in zip(edges, edges[1:]))
+    else:
+        parts = [_ENGINES[sim.engine](sim, r).times]
     q = np.zeros((t_grid.size, len(services)), dtype=int)
-    for b in range(blocks):
-        times = _cluster_cascade(sim, rng, edges[b], edges[b + 1])
-        _add_customers(q, t_grid, times, services, svc_rng, services, q0 if b == 0 else None)
+    for times in parts:
+        _add_customers(q, t_grid, times, services, svc_rng)
     return q
 
 
@@ -199,12 +200,12 @@ def steady_state_sample(config: HawkesConfig, service, n_samples: int, seed: int
                         spacing: float | None = None) -> SteadyStateSample:
     """Draw pooled steady-state queue lengths at well-separated times.
 
-    Sampling starts after a burn-in of ten service means plus ten cluster
-    decorrelation scales and proceeds with spacing of five service means
-    (both overridable, with a floor enforced).  The draws are split over
-    min(400, max(25, ceil(n_samples / 200))) replications.  Initial counts
-    are Poisson at the offered load so the transient starts near the fluid
-    state.
+    Each replication starts its arrivals and an empty queue together at 0.
+    The first probe, the burn-in, is the larger of the arrival engine's
+    `default_burn_in` and ten service means plus ten cluster decorrelation
+    scales; the probes are then spaced by five service means.  Both are
+    overridable, with these floors enforced.  The draws are split over
+    min(400, max(25, ceil(n_samples / 200))) replications.
 
     Replications run across the usable CPUs, one replication's working set
     per worker; each draws from its own keyed streams, so the samples are
@@ -220,14 +221,13 @@ def steady_state_sample(config: HawkesConfig, service, n_samples: int, seed: int
         raise ConfigurationError("steady-state sampling needs finite positive service means")
     multi = config.kernel_matrix()
     corr_scale = multi.decay_scale() / (1.0 - multi.spectral_radius())
-    min_burn = 10.0 * means.max() + 10.0 * corr_scale
+    min_burn = max(default_burn_in(config), 10.0 * means.max() + 10.0 * corr_scale)
     if burn_in is None:
         burn_in = min_burn
     elif not math.isfinite(burn_in):
         raise ConfigurationError("burn-in must be finite")
     elif burn_in < min_burn:
-        raise ConfigurationError(
-            f"burn-in {burn_in:g} below the decorrelation floor {min_burn:g}")
+        raise ConfigurationError(f"burn-in {burn_in:g} below the floor {min_burn:g}")
     min_spacing = 5.0 * means.max()
     if spacing is None:
         spacing = min_spacing
@@ -241,10 +241,8 @@ def steady_state_sample(config: HawkesConfig, service, n_samples: int, seed: int
 
     horizon = burn_in + spacing * (samples_per_rep - 1) + 1e-9
     t_grid = burn_in + spacing * np.arange(samples_per_rep)
-    rates = config.mean_rate_vector()
-    offered = rates * means
-    sim = SimConfig(config, horizon, seed, engine=engine)
-    run = functools.partial(_queue_replication, sim, services, offered, t_grid)
+    sim = SimConfig(config, horizon, seed, burn_in=0.0, engine=engine)
+    run = functools.partial(_queue_replication, sim, services, t_grid)
     return SteadyStateSample(np.stack(_map_replications(run, reps)), seed, burn_in, spacing)
 
 

@@ -26,7 +26,6 @@ _LEAK_TOL = 1e-3
 # Stream roles within one replication.
 ARRIVAL_STREAM = 0
 SERVICE_STREAM = 1
-INITIAL_STREAM = 2
 
 
 def rep_stream(seed: int, replication: int, role: int = ARRIVAL_STREAM) -> np.random.Generator:
@@ -285,30 +284,38 @@ def _joined(arrays: list) -> np.ndarray:
 class _ThinningState:
     """Conditional-intensity bookkeeping for dominated (Ogata) thinning.
 
-    An entry with an exponential sum `_sum` (a mixture, or a power law)
-    keeps one decayed sum per term (O(1) updates); a table keeps a window of
-    recent source events, pruned at its cutoff, and bounds with its
-    non-increasing majorant.  A source's window is the live slice
-    [start, stop) of a float array that pruning shortens from the front;
-    tables are evaluated on that slice.
+    Every term of every entry with an exponential sum `_sum` (a mixture, or a
+    power law) is one slot of flat vectors: its amplitude, rate, decayed sum,
+    target class and source class.  Decay is one multiply, an event one
+    masked add, and the intensities one bincount over the target classes.
+    A table keeps a window of recent source events, pruned at its cutoff,
+    and bounds with its non-increasing majorant.  A source's window is the
+    live slice [start, stop) of a float array that pruning shortens from the
+    front; tables are evaluated on that slice.
     """
 
     def __init__(self, multi, mu):
         self.k = multi.k
         self.mu = mu
-        self.exp_terms = []     # (i, j, alphas, betas, state vector)
-        self.tables = []        # (i, j, table)
+        terms, self.tables = [], []     # (i, j, exponential sum) and (i, j, table)
         for i in range(multi.k):
             for j in range(multi.k):
                 kern = multi.entries[i][j]
                 if kern.is_zero:
                     continue
-                terms = kern._sum
-                if terms is not None:
-                    self.exp_terms.append((i, j, terms.alphas.copy(), terms.betas.copy(),
-                                           np.zeros(terms.alphas.size)))
+                if kern._sum is not None:
+                    terms.append((i, j, kern._sum))
                 else:
                     self.tables.append((i, j, kern))
+        sizes = [s.alphas.size for _, _, s in terms]
+        self.alphas = np.concatenate([s.alphas for _, _, s in terms] + [np.empty(0)])
+        self.betas = np.concatenate([s.betas for _, _, s in terms] + [np.empty(0)])
+        self.pos_alphas = np.maximum(self.alphas, 0.0)
+        self.state = np.zeros(self.alphas.size)
+        self.target = np.repeat([i for i, _, _ in terms], sizes).astype(int)
+        source = np.repeat([j for _, j, _ in terms], sizes)
+        # one 0/1 vector per source class: an event of class m adds from_source[m]
+        self.from_source = [(source == m).astype(float) for m in range(multi.k)]
         # sources of tables keep events, pruned by the longest cutoff
         self.prune_horizon = np.zeros(multi.k)
         for _, j, table in self.tables:
@@ -318,13 +325,10 @@ class _ThinningState:
         self.stop = [0] * multi.k
 
     def decay(self, dt):
-        for _, _, _, betas, state in self.exp_terms:
-            state *= np.exp(-betas * dt)
+        self.state *= np.exp(self.betas * -dt)
 
     def register(self, m, t):
-        for i, j, _, _, state in self.exp_terms:
-            if j == m:
-                state += 1.0
+        self.state += self.from_source[m]
         if not self.prune_horizon[m]:
             return
         buf, stop = self.events[m], self.stop[m]
@@ -348,10 +352,8 @@ class _ThinningState:
     def intensities(self, t, bound=False):
         """The intensities at t or, with bound, an upper bound valid on
         [t, next event) from positive terms and the tables' majorants."""
-        lam = self.mu.copy()
-        for i, _, alphas, _, state in self.exp_terms:
-            pos = alphas > 0 if bound else slice(None)
-            lam[i] += float(alphas[pos] @ state[pos])
+        weights = (self.pos_alphas if bound else self.alphas) * self.state
+        lam = self.mu + np.bincount(self.target, weights, minlength=self.k)
         for i, j, table in self.tables:
             ev = self.window(j)
             if ev.size:

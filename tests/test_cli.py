@@ -435,6 +435,25 @@ def test_non_finite_service_parameter_exits_2(tmp_path, capsys):
     assert not list(out.rglob("*.json"))
 
 
+@pytest.mark.parametrize("command, kernel, message", [
+    ("analyze", {"type": "power_law", "scale": math.nan, "exponent": 3.0},
+     "scale and exponent must be positive and finite"),
+    ("simulate", {"type": "tabulated", "dt": math.inf, "values": [0.4, 0.0]},
+     "grid step must be positive and finite"),
+    ("analyze", {"type": "matrix", "p": [math.nan], "entries": [[H1]]},
+     "p must be a finite nonnegative vector"),
+], ids=["power-law-scale-nan", "tabulated-dt-inf", "matrix-p-nan"])
+def test_non_finite_kernel_parameter_exits_2(tmp_path, capsys, command, kernel, message):
+    # Python's json reads NaN and Infinity; the kernel refuses them when it is built,
+    # where numpy raised from a later solve before
+    cfg = _write(tmp_path, "k.json", {"name": "k", "kernel": kernel, "mu": 5.0,
+                                      "horizon": 5.0, "reps": 4, "seed": 3})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not [p for p in out.rglob("*") if p.is_file()]
+
+
 @pytest.mark.parametrize("command, window, message", [
     ("simulate", {"horizon": math.nan}, "horizon must be positive and finite"),
     ("simulate", {"horizon": 5.0, "burn_in": math.inf}, "burn-in must be nonnegative and finite"),

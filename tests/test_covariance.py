@@ -85,6 +85,13 @@ def test_laplace_pipeline_example_constants(h2):
     assert pipe.phi_tilde(1.0) == pytest.approx(oracles.H2_PHI_TILDE_1, abs=1e-12)
 
 
+def test_phi_tilde_refuses_non_finite_omega(h2):
+    pipe = hq.laplace_pipeline(h2)
+    for omega in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="phi_tilde requires finite omega > 0"):
+            pipe.phi_tilde(omega)
+
+
 def test_laplace_pipeline_condition_is_the_one_norm_number(h2):
     # ||S||_1 ||S^-1||_1 for S = I - M, M as above, in exact rationals
     s = [[1 - Fraction(17, 60), -Fraction(2, 15)], [-Fraction(8, 315), 1 - Fraction(17, 315)]]

@@ -174,6 +174,35 @@ def test_laplace_rejects_unknown_method(kern):
         kern.laplace(0.0)
 
 
+@pytest.mark.parametrize("kern", _FAMILIES, ids=["sum_exp", "power_law", "tabulated"])
+def test_laplace_refuses_non_finite_omega(kern):
+    # NaN passes the test omega <= 0, and the table's transform at inf is NaN
+    for omega in (math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="finite omega > 0"):
+            kern.laplace(omega)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: hq.PowerLawKernel(math.nan, 3.0, 1.0),
+    lambda: hq.PowerLawKernel(1.0, math.nan, 1.0),
+    lambda: hq.PowerLawKernel(1.0, 3.0, math.nan),
+    lambda: hq.PowerLawKernel(1.0, 3.0, math.inf),
+    lambda: hq.PowerLawKernel(math.inf, 3.0, 1.0),
+    lambda: hq.TabulatedKernel(math.nan, [1.0, 0.0]),
+    lambda: hq.TabulatedKernel(math.inf, [1.0, 0.0]),
+    lambda: hq.KernelMatrix([[hq.SumOfExponentialsKernel([0.5], [1.0])]], [math.nan]),
+    lambda: hq.KernelMatrix([[hq.SumOfExponentialsKernel([0.5], [1.0])]], [math.inf]),
+    lambda: hq.spectral_radius([[math.nan]]),
+    lambda: hq.spectral_radius([[math.inf]]),
+], ids=["pl-scale-nan", "pl-exponent-nan", "pl-amplitude-nan", "pl-amplitude-inf",
+        "pl-scale-inf", "tab-dt-nan", "tab-dt-inf", "p-nan", "p-inf", "radius-nan",
+        "radius-inf"])
+def test_kernel_parameters_refuse_non_finite_values(build):
+    # each range check in the positive form, which NaN fails
+    with pytest.raises(ConfigurationError, match="finite"):
+        build()
+
+
 def test_tabulated_laplace_quadrature_is_quadrature():
     # laplace is the exact transform of the interpolant, so adaptive quadrature of
     # the interpolant, cell by cell, agrees at any omega dt (the series branch below

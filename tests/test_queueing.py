@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import pickle
@@ -14,7 +15,7 @@ from hawkesq import queueing
 from hawkesq.errors import ConfigurationError
 from hawkesq.queueing import queue_verdict, tv_jackknife
 from hawkesq.service import _normalize_services
-from hawkesq.simulate import INITIAL_STREAM, SERVICE_STREAM, sample_cov
+from hawkesq.simulate import SERVICE_STREAM, sample_cov
 
 from dense_reference import event_driven_queue
 
@@ -329,12 +330,13 @@ def test_steady_state_same_for_any_worker_count(h1, quarter_matrix, cpus, model)
 
 
 def _window(sample: hq.SteadyStateSample, config):
-    """The probe times and the SimConfig of the replications of `sample`, and
-    the number of blocks of root times each replication is counted in."""
+    """The probe times and the SimConfig of the replications of `sample`, whose
+    arrivals start empty at 0, and the number of blocks of root times each
+    replication is counted in."""
     per_rep = sample.samples.shape[1]
     t_grid = sample.burn_in + sample.spacing * np.arange(per_rep)
     sim = hq.SimConfig(config, sample.burn_in + sample.spacing * (per_rep - 1) + 1e-9,
-                       sample.seed)
+                       sample.seed, burn_in=0.0)
     immigrants = config.baseline * config.kernel_matrix().p.sum() * (sim.horizon + sim.burn_in)
     return t_grid, sim, math.ceil(immigrants / queueing._BLOCK_IMMIGRANTS)
 
@@ -350,11 +352,29 @@ def test_steady_state_one_block_is_the_path_composition(h1, phi_asymmetric, mode
     sample = hq.steady_state_sample(config, services, 600, seed=17)
     t_grid, sim, blocks = _window(sample, config)
     assert blocks == 1
-    offered = config.mean_rate_vector() * np.array([F.mean() for F in services])
+    empty = np.zeros(config.dimension, dtype=int)
     for r, got in enumerate(sample.samples):
-        q0 = hq.rep_stream(sample.seed, r, INITIAL_STREAM).poisson(offered)
         svc_rng = hq.rep_stream(sample.seed, r, SERVICE_STREAM)
-        want = hq.simulate_queue(hq.simulate_cluster(sim, r), services, q0, t_grid, svc_rng)
+        want = hq.simulate_queue(hq.simulate_cluster(sim, r), services, empty, t_grid, svc_rng)
+        assert np.array_equal(got, want.q)
+
+
+@pytest.mark.parametrize("model", ["h1", "asymmetric"])
+def test_steady_state_thinning_is_the_path_composition(h1, phi_asymmetric, model):
+    # thinning reads its whole history, so its replication is one part: the
+    # queue of the whole thinning path, from empty arrivals and an empty queue at 0
+    if model == "h1":
+        config, services = hq.HawkesConfig(5.0, h1), [hq.ExponentialService(1.0)]
+    else:
+        config = hq.HawkesConfig(2.0, phi_asymmetric.kernel)
+        services = [hq.ExponentialService(1.0), hq.LogNormalService(0.0, 0.5)]
+    sample = hq.steady_state_sample(config, services, 75, seed=19, engine="thinning")
+    t_grid, sim, _ = _window(sample, config)
+    sim = dataclasses.replace(sim, engine="thinning")
+    empty = np.zeros(config.dimension, dtype=int)
+    for r, got in enumerate(sample.samples):
+        svc_rng = hq.rep_stream(sample.seed, r, SERVICE_STREAM)
+        want = hq.simulate_queue(hq.simulate_thinning(sim, r), services, empty, t_grid, svc_rng)
         assert np.array_equal(got, want.q)
 
 
@@ -366,7 +386,7 @@ def test_queue_replication_holds_one_block(h1):
     sim = hq.SimConfig(config, t_grid[-1] + 1e-9, seed=3)
     tracemalloc.start()
     try:
-        q = queueing._queue_replication(sim, services, config.mean_rate_vector(), t_grid, 0)
+        q = queueing._queue_replication(sim, services, t_grid, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -386,6 +406,34 @@ def test_steady_state_in_blocks_keeps_the_law(h1):
         / sample.se_mean()[0]
     var_z = (sample.var()[0] - mu * hq.var_xe_infty(h1)) / sample.se_var()[0]
     assert abs(mean_z) < 4.0 and abs(var_z) < 4.0
+
+
+def test_steady_state_burn_in_is_at_least_the_engine_burn_in():
+    # the arrivals start empty at 0 with the queue, so the first probe waits for
+    # the engine's leak bound where it is the longer warm-up: here about 353
+    # against 10 E[S] + 10 corr_scale = 30
+    config = hq.HawkesConfig(5.0, hq.PowerLawKernel(1.0, 3.5, 1.25))
+    want = hq.default_burn_in(config)
+    assert want > 300.0
+    sample = hq.steady_state_sample(config, hq.ExponentialService(1.0), 75, seed=2)
+    assert sample.burn_in == want
+    with pytest.raises(ConfigurationError, match="below the floor"):
+        hq.steady_state_sample(config, hq.ExponentialService(1.0), 75, seed=2,
+                               burn_in=0.5 * want)
+
+
+@pytest.mark.parametrize("kernel, message", [
+    (hq.PowerLawKernel(1.0, 2.0, 0.5), "burn-in tail bound diverges"),
+    (hq.PowerLawKernel(1.0, 2.1, 0.5), "burn-in bias bound unattainable"),
+], ids=["g2", "g2.1"])
+def test_steady_state_refuses_a_tail_without_a_burn_in(kernel, message):
+    # refused with the error of default_burn_in, with or without an explicit burn-in
+    config = hq.HawkesConfig(5.0, kernel)
+    with pytest.raises(ConfigurationError, match=message):
+        hq.default_burn_in(config)
+    for window in ({}, {"burn_in": 1e6}):
+        with pytest.raises(ConfigurationError, match=message):
+            hq.steady_state_sample(config, hq.ExponentialService(1.0), 75, seed=2, **window)
 
 
 def test_steady_state_floor_validation(h1):

@@ -187,6 +187,34 @@ def test_thinning_state_of_a_power_law_entry():
     assert state.window(0).size == 0 and not state.tables
 
 
+def test_thinning_state_sums_every_entry_of_a_matrix():
+    # the flat term vectors against mu_i + sum_j sum_e h_ij(t - t_e), entry by entry:
+    # a two-term mixture, a mixed-sign mixture, a zero entry and a table, whose window
+    # and majorant the bound reads
+    E = hq.SumOfExponentialsKernel
+    tab = hq.TabulatedKernel(0.5, [0.0, 0.4, 0.3, 0.1, 0.0])
+    km = hq.KernelMatrix([[E([0.1, 0.2], [0.5, 3.0]), tab],
+                          [E([1.0, -0.9], [1.0, 2.0]), hq.ZERO_KERNEL]], [1.0, 0.5])
+    mu = np.array([2.0, 1.0])
+    state = simulate._ThinningState(km, mu)
+    rng = np.random.default_rng(9)
+    times = np.cumsum(rng.exponential(0.2, 200))
+    marks = rng.integers(0, 2, times.size)
+    t = 0.0
+    for n, (event, m) in enumerate(zip(times, marks)):
+        state.decay(event - t)
+        state.prune(event)
+        t = event
+        lam, bound = state.intensities(t), state.intensities(t, bound=True)
+        for i in range(2):
+            exact = mu[i] + math.fsum(math.fsum(km.entries[i][j](t - times[:n][marks[:n] == j]))
+                                      for j in range(2))
+            assert lam[i] == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert np.all(bound >= lam)
+        state.register(int(m), t)
+    assert state.window(1).size and not state.window(0).size
+
+
 def test_thinning_refuses_a_power_law_without_an_exponential_sum():
     # near g = 1.05 the sum's slowest rate underflows: laplace and fourier refuse
     # this kernel already, and so does thinning; the cluster engine samples it exactly
