@@ -1,7 +1,7 @@
 """Stationary self-exciting traffic models, their Gaussian limits, and
 infinite-server queues driven by them."""
 
-__version__ = "0.24.0"
+__version__ = "0.25.0"
 
 from .covariance import (CovarianceDensity, LaplacePipeline, VarianceFunction,
                          asymptotic_offset, asymptotic_slope, laplace_pipeline,

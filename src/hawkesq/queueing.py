@@ -2,7 +2,9 @@
 
 The queue length is an exact indicator sum: initial customers still in
 service plus arrivals whose departure lies beyond the probe time.  Steady
-state is sampled by spaced reads within long replications started empty.
+state is drawn exactly on the cluster engine, from the clusters with a
+customer present at 0, and read at spaced probes of long replications
+started empty on the thinning engine.
 """
 from __future__ import annotations
 
@@ -13,11 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import write_csv, write_json
-from .errors import ConfigurationError
+from .errors import ConfigurationError, StabilityError
 from .kernels import HawkesConfig
 from .service import _normalize_services
-from .simulate import (_ENGINES, ARRIVAL_STREAM, SERVICE_STREAM, PointPath, SimConfig,
-                       _cluster_cascade, _map_replications, _z, default_burn_in, rep_stream)
+from .simulate import (_ENGINES, _GENERATION_CAP, ARRIVAL_STREAM, SERVICE_STREAM, PointPath,
+                       SimConfig, _cascade, _joined, _map_replications, _z, default_burn_in,
+                       rep_stream, simulate_thinning)
 
 
 @dataclass
@@ -107,12 +110,13 @@ def _in_service(probes, starts, ends) -> np.ndarray:
 
 @dataclass
 class SteadyStateSample:
-    """Pooled steady-state queue-length draws with replication structure."""
+    """Pooled steady-state queue-length draws with block or replication
+    structure; burn_in and spacing are None for exact draws."""
 
     samples: np.ndarray        # (reps, per_rep, k)
     seed: int
-    burn_in: float
-    spacing: float
+    burn_in: float | None
+    spacing: float | None
 
     @property
     def k(self) -> int:
@@ -136,7 +140,8 @@ class SteadyStateSample:
         return np.diag(self.cov())
 
     def se_mean(self) -> np.ndarray:
-        # Replications are independent; spaced samples within one are not.
+        # Blocks and replications are independent; spaced probes within one
+        # replication are not.
         rep_means = self.samples.mean(axis=1)
         return rep_means.std(axis=0, ddof=1) / math.sqrt(self.samples.shape[0])
 
@@ -155,60 +160,149 @@ class SteadyStateSample:
         return np.diag(self.se_cov())
 
 
-# Immigrants per block of a cluster replication.  Clusters are independent,
-# so a replication is generated and counted one block of root times at a time,
-# and a worker holds one block's events and departures instead of the whole
-# replication's.  Each block repeats the short late generations of its
-# cascade, so smaller blocks cost time: on the `queue` benchmark (h2, mu = 100)
-# blocks of 2^15 immigrants took 4-6% longer per replication than one block,
-# while 3 * 2^14 and 2^16 were within noise.  Of those two, 3 * 2^14 keeps the
-# worker's peak at 37 MB, the floor that smaller blocks also reach (2^16: 40.5
-# MB; one block: 49-53 MB).
-_BLOCK_IMMIGRANTS = 3 << 14
-
-
 def _queue_replication(sim: SimConfig, services, t_grid, r: int) -> np.ndarray:
-    """Queue counts (per_rep, k) of replication r at the sorted times t_grid,
-    from an empty queue at 0.
-
-    The path comes in parts, and each part's customers are counted before the
-    next part is drawn, their departures drawn in part order from the one
-    service stream.  The cluster engine's parts are n = ceil(expected
-    immigrants / _BLOCK_IMMIGRANTS) equal blocks of root times over (-B, T],
-    all drawn from the one arrival stream; with n = 1 the count is
-    `simulate_queue(simulate_cluster(sim, r), ...)` from an empty queue, draw
-    for draw.  Thinning reads its whole history, so its path is one part.
-    """
-    svc_rng = rep_stream(sim.seed, r, SERVICE_STREAM)
-    if sim.engine == "cluster":
-        rng = rep_stream(sim.seed, r, ARRIVAL_STREAM)
-        T, B = sim.horizon, sim.burn_in
-        immigrants = sim.config.baseline * sim.config.kernel_matrix().p.sum() * (T + B)
-        blocks = max(1, math.ceil(immigrants / _BLOCK_IMMIGRANTS))
-        edges = np.linspace(-B, T, blocks + 1).tolist()
-        parts = (_cluster_cascade(sim, rng, lo, hi) for lo, hi in zip(edges, edges[1:]))
-    else:
-        parts = [_ENGINES[sim.engine](sim, r).times]
+    """Queue counts (per_rep, k) of thinning replication r at the sorted times
+    t_grid, from empty arrivals and an empty queue at 0: the queue of
+    `simulate_thinning(sim, r)`, served from replication r's service stream."""
     q = np.zeros((t_grid.size, len(services)), dtype=int)
-    for times in parts:
-        _add_customers(q, t_grid, times, services, svc_rng)
+    _add_customers(q, t_grid, simulate_thinning(sim, r).times, services,
+                   rep_stream(sim.seed, r, SERVICE_STREAM))
     return q
+
+
+# Proposals per chunk of a block of exact draws.  A chunk holds about 2.75
+# arrivals per proposal on h2 (spine nodes and the customers of their
+# cascades before 0), and every chunk repeats the short late steps of its
+# spine walk and cascade.  On the `queue` benchmark (blocks of 200 draws, about
+# 40,000 proposals), six alternating `perfbench/worker.py queue 5` passes with
+# chunks of at most 15,000, 20,000 and 30,000 peaked at 36.9-37.0, 37.7-37.9
+# and 37.4-38.1 MB (0.24.0: 38.1-39.7 MB), with median `wall_s` 0.75, 0.70 and
+# 0.62 s (0.24.0: 1.24 s); one chunk per block (45,000) peaked at 40.3-40.6 MB.
+_CHUNK_PROPOSALS = 30_000
+
+
+def _stationary_block(config: HawkesConfig, services, per_rep: int, seed: int,
+                      block: int) -> np.ndarray:
+    """per_rep independent exact draws (per_rep, k) of the stationary queue at
+    0, all from block's keyed stream.
+
+    The class-i customers present at 0, each with its cluster, are Poisson
+    with mean mu a_i E[S_i]; a draw proposes that many of each class, builds
+    each proposal's cluster around its customer (`_kept_clusters`) and
+    keeps a cluster of N present customers with probability 1/N.  The kept
+    clusters are the clusters with a customer present at 0, each once, so
+    their per-class counts add up to the queue.  The block's proposals,
+    class by class and draw by draw within a class, are handled in
+    near-equal chunks of at most _CHUNK_PROPOSALS, whatever per_rep and mu are.
+    """
+    rng = rep_stream(seed, block, ARRIVAL_STREAM)
+    multi = config.kernel_matrix()
+    offered = config.baseline * multi.branching_vector() * [F.mean() for F in services]
+    # segment s of the proposals: class s // per_rep, draw s % per_rep
+    ends = np.cumsum(rng.poisson(np.repeat(offered, per_rep)))
+    chunks = max(1, -(-int(ends[-1]) // _CHUNK_PROPOSALS))
+    edges = [int(ends[-1]) * c // chunks for c in range(chunks + 1)]
+    q = np.zeros((per_rep, multi.k), dtype=np.int64)
+    for lo, hi in zip(edges, edges[1:]):
+        # each class's proposals in [lo, hi)
+        cuts = np.clip(ends[per_rep - 1::per_rep], lo, hi)
+        kept, present = _kept_clusters(multi, services, rng, np.diff(cuts, prepend=lo))
+        np.add.at(q, np.searchsorted(ends, lo + kept, side="right") % per_rep, present)
+    return q
+
+
+def _kept_clusters(multi, services, rng, sizes) -> tuple:
+    """Of n = sum(sizes) proposed clusters, the indices of the kept ones and
+    their present customers per class (kept, k); proposals
+    [sum(sizes[:i]), sum(sizes[:i+1])) are of class i.
+
+    Each node of a proposal's spine (`_spines`) is the root of an ordinary
+    cascade, pruned at 0, whose customers are present when their service
+    outlasts 0; the proposed customer is present by construction.  A
+    proposal with N present customers is kept with probability 1/N.
+    """
+    k, n = multi.k, int(np.sum(sizes))
+    times, tags = _cascade(multi, rng, 0.0, *_spines(multi, services, rng, sizes))
+    keys = []
+    for i in range(k):
+        # the first roots of class i are its proposed customers, present at 0
+        arrivals, owners = _joined(times.pop(0)), _joined(tags.pop(0), int)
+        departures = services[i].sample(rng, arrivals.size - sizes[i])
+        departures += arrivals[sizes[i]:]
+        keys.append(owners[:sizes[i]] * k + i)
+        keys.append(owners[sizes[i]:][departures > 0.0] * k + i)
+    present = np.bincount(np.concatenate(keys), minlength=n * k).reshape(n, k)
+    kept = np.flatnonzero(rng.random(n) * present.sum(axis=1) < 1.0)
+    return kept, present[kept]
+
+
+def _spines(multi, services, rng, sizes) -> tuple:
+    """Per class, the times of the spine nodes of the proposals and their
+    proposal ids, the proposed customers first.
+
+    A proposal is one class-i customer present at 0, of age U V with V from
+    `sample_size_biased`.  Its ancestry is walked back to the immigrant: at
+    class i the walk stops with probability p_i / a_i, and otherwise steps
+    to a class-j parent with probability ||h_ij|| a_j / a_i, one h_ij offset
+    earlier.
+    """
+    k = multi.k
+    a = multi.branching_vector()
+    # row i: the walk at class i stops below entry 0 and steps to parent class j
+    # from entry j on (cumulative probabilities, the last, 1, left out)
+    steps = np.cumsum(np.column_stack([multi.p / a, multi.l1_matrix() * a / a[:, None]]), axis=1)
+    steps = steps[:, :k] / steps[:, k:]
+    starts = np.cumsum(sizes) - sizes
+    gen, ids = [], []
+    for i in range(k):
+        age = rng.random(sizes[i])
+        age *= services[i].sample_size_biased(rng, sizes[i])
+        gen.append(-age)
+        ids.append(np.arange(starts[i], starts[i] + sizes[i]))
+    nodes, node_ids = [[g] for g in gen], [[x] for x in ids]
+    depth = 0
+    while any(g.size for g in gen):
+        depth += 1
+        if depth > _GENERATION_CAP:
+            raise StabilityError(f"spine walk exceeded {_GENERATION_CAP} generations")
+        nxt, nxt_ids = [[] for _ in range(k)], [[] for _ in range(k)]
+        for i in range(k):                      # class of the walkers
+            parent = np.searchsorted(steps[i], rng.random(gen[i].size), side="right") - 1
+            for j in range(k):                  # class of their parents
+                up = np.flatnonzero(parent == j)
+                if up.size == 0:
+                    continue
+                # offsets come one block per mixture component: pair them at random
+                offsets = multi.entries[i][j].sample_offsets(rng, up.size)
+                rng.shuffle(offsets)
+                nxt[j].append(gen[i][up] - offsets)
+                nxt_ids[j].append(ids[i][up])
+        gen = [_joined(buf) for buf in nxt]
+        ids = [_joined(buf, int) for buf in nxt_ids]
+        for j in range(k):
+            nodes[j].append(gen[j])
+            node_ids[j].append(ids[j])
+    return [_joined(buf) for buf in nodes], [_joined(buf, int) for buf in node_ids]
 
 
 def steady_state_sample(config: HawkesConfig, service, n_samples: int, seed: int,
                         *, engine: str = "cluster", burn_in: float | None = None,
                         spacing: float | None = None) -> SteadyStateSample:
-    """Draw pooled steady-state queue lengths at well-separated times.
+    """Draw pooled steady-state queue lengths.
 
-    Each replication starts its arrivals and an empty queue together at 0.
-    The first probe, the burn-in, is the larger of the arrival engine's
-    `default_burn_in` and ten service means plus ten cluster decorrelation
-    scales; the probes are then spaced by five service means.  Both are
-    overridable, with these floors enforced.  The draws are split over
-    min(400, max(25, ceil(n_samples / 200))) replications.
+    The cluster engine draws the stationary queue at 0 exactly, with no
+    warm-up, in independent blocks (`_stationary_block`); the sample has no
+    burn_in or spacing (both None).  The thinning engine reads spaced probes
+    of long replications whose arrivals and empty queue start together at 0:
+    the first probe, the burn-in, is the larger of `default_burn_in` and ten
+    service means plus ten cluster decorrelation scales, and the probes are
+    then spaced by five service means.  Both are overridable, with these
+    floors enforced; the cluster engine only checks that they are finite
+    and not negative.  The draws are split over
+    min(400, max(25, ceil(n_samples / 200))) blocks or replications.
 
-    Replications run across the usable CPUs, one replication's working set
-    per worker; each draws from its own keyed streams, so the samples are
+    Blocks and replications run across the usable CPUs, one working set per
+    worker; each draws from its own keyed streams, so the samples are
     bitwise the same for any worker count (see `simulate._map_replications`).
     """
     if n_samples < 3:
@@ -219,26 +313,34 @@ def steady_state_sample(config: HawkesConfig, service, n_samples: int, seed: int
     means = np.array([s.mean() for s in services])
     if np.any(~np.isfinite(means)) or np.any(means <= 0):
         raise ConfigurationError("steady-state sampling needs finite positive service means")
+    if engine not in _ENGINES:
+        raise ConfigurationError(f"unknown engine {engine!r}")
+    for name, value in (("burn-in", burn_in), ("spacing", spacing)):
+        if value is None:
+            continue
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite")
+        if value < 0:
+            raise ConfigurationError(f"{name} must not be negative")
+    reps = int(min(400, max(25, math.ceil(n_samples / 200))))
+    samples_per_rep = math.ceil(n_samples / reps)
+    reps = math.ceil(n_samples / samples_per_rep)
+    if engine == "cluster":
+        run = functools.partial(_stationary_block, config, services, samples_per_rep, seed)
+        return SteadyStateSample(np.stack(_map_replications(run, reps)), seed, None, None)
+
     multi = config.kernel_matrix()
     corr_scale = multi.decay_scale() / (1.0 - multi.spectral_radius())
     min_burn = max(default_burn_in(config), 10.0 * means.max() + 10.0 * corr_scale)
     if burn_in is None:
         burn_in = min_burn
-    elif not math.isfinite(burn_in):
-        raise ConfigurationError("burn-in must be finite")
     elif burn_in < min_burn:
         raise ConfigurationError(f"burn-in {burn_in:g} below the floor {min_burn:g}")
     min_spacing = 5.0 * means.max()
     if spacing is None:
         spacing = min_spacing
-    elif not math.isfinite(spacing):
-        raise ConfigurationError("spacing must be finite")
     elif spacing < min_spacing:
         raise ConfigurationError(f"spacing {spacing:g} below the floor {min_spacing:g}")
-    reps = int(min(400, max(25, math.ceil(n_samples / 200))))
-    samples_per_rep = math.ceil(n_samples / reps)
-    reps = math.ceil(n_samples / samples_per_rep)
-
     horizon = burn_in + spacing * (samples_per_rep - 1) + 1e-9
     t_grid = burn_in + spacing * np.arange(samples_per_rep)
     sim = SimConfig(config, horizon, seed, burn_in=0.0, engine=engine)

@@ -81,6 +81,11 @@ class ServiceModel:
         """n draws; by default one uniform per customer through the inverse CDF."""
         return self.inverse_cdf(rng.random(n))
 
+    def sample_size_biased(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n draws of the size-biased law x dF(x) / E[S]; U V, U uniform, is
+        then a stationary customer's age (the equilibrium law S(x) / E[S])."""
+        raise NotImplementedError
+
     def to_dict(self) -> dict:
         raise NotImplementedError
 
@@ -118,6 +123,12 @@ class ExponentialService(ServiceModel):
         """inverse_cdf of n uniforms, computed in the uniforms' own array."""
         return self._quantile_in_place(rng.random(n))
 
+    def sample_size_biased(self, rng, n):
+        """Gamma(2, 1 / rate), the sum of two service times."""
+        x = rng.standard_gamma(2.0, n)
+        x /= self.rate
+        return x
+
     def mean(self):
         return 1.0 / self.rate
 
@@ -148,6 +159,9 @@ class DeterministicService(ServiceModel):
         u = np.asarray(u, dtype=float)
         out = np.full(u.shape, self.value)
         return out if u.ndim else self.value
+
+    def sample_size_biased(self, rng, n):
+        return np.full(n, self.value)
 
     def mean(self):
         return self.value
@@ -199,6 +213,10 @@ class LogNormalService(ServiceModel):
         x += self.m
         return np.exp(x, out=x)
 
+    def sample_size_biased(self, rng, n):
+        """exp(m + s^2 + s Z): size-biasing shifts the log's mean by s^2."""
+        return LogNormalService(self.m + self.s**2, self.s).sample(rng, n)
+
     def mean(self):
         return math.exp(self.m + 0.5 * self.s**2)
 
@@ -246,6 +264,16 @@ class TabulatedInverseCDFService(ServiceModel):
 
     def inverse_cdf(self, u):
         return np.interp(np.asarray(u, dtype=float), self.u_grid, self.quantiles)
+
+    def sample_size_biased(self, rng, n):
+        """x dF(x) is Q(u) du: a cell [q_c, q_c+1] has weight q_c + q_c+1, and
+        within it Q is linear in the uniform u, so x has density proportional
+        to x there and x^2 is uniform on [q_c^2, q_c+1^2]."""
+        q = self.quantiles
+        cdf = np.cumsum(q[1:] + q[:-1])
+        c = np.searchsorted(cdf, rng.random(n) * cdf[-1], side="right")
+        lo, hi = q[c] ** 2, q[c + 1] ** 2
+        return np.sqrt(lo + rng.random(n) * (hi - lo))
 
     def mean(self):
         return float(np.trapezoid(self.quantiles, self.u_grid))

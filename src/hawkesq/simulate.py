@@ -75,12 +75,12 @@ def _map_replications(fn, reps: int) -> list:
     start a pool).  An exception in a worker reaches the caller with its own
     type.
 
-    Each replication allocates and frees a working set of arrays (about a
-    MB each for one block of a queue replication).  Under glibc's defaults
-    the larger ones are fresh mmaps, or heap that is trimmed back to the OS
-    on free, so their pages are faulted in again: on the `queue` benchmark
-    the workers took about 84,000 minor faults instead of 17,000, and the
-    pass about 5% more CPU time.  The workers therefore start with
+    Each replication allocates and frees a working set of arrays (a few
+    hundred kB each for one chunk of exact queue draws).  Under glibc's
+    defaults the larger ones are fresh mmaps, or heap that is trimmed back
+    to the OS on free, so their pages are faulted in again: on the `queue`
+    benchmark the pass took about 68,000 minor faults instead of 17,000,
+    and about 9% more CPU time.  The workers therefore start with
     `_keep_freed_heap` and reuse their freed heap from one replication to
     the next, holding at most 64 MiB of it free.  The workers exit with the
     pool, so the memory goes back then.
@@ -204,46 +204,52 @@ def default_burn_in(config: HawkesConfig) -> float:
 def simulate_cluster(sim: SimConfig, replication: int = 0) -> PointPath:
     """Immigration-birth construction, vectorized one generation at a time.
 
-    Immigrants arrive Poisson on (-B, T]; a parent of type j spawns type-i
-    children as an inhomogeneous Poisson cascade with intensity h_ij, i.e.
-    Poisson(||h_ij||) children placed with density h_ij/||h_ij||.  One
-    generation of n type-j parents draws its type-i children as a single
-    Poisson(n ||h_ij||) total, each child given a uniformly chosen parent;
-    this multinomial split has the law of n independent litters.  Uniform
-    parent indices also pair offsets with parents at random, as
-    Kernel.sample_offsets requires.  Every point at or before T is kept, and
-    each class is sorted once and returned from its first positive time on.
+    Immigrants arrive Poisson on (-B, T]; their clusters come from
+    `_cascade`.  Every point at or before T is kept, and each class is sorted
+    once and returned from its first positive time on.
     """
     rng = rep_stream(sim.seed, replication, ARRIVAL_STREAM)
-    times = _cluster_cascade(sim, rng, -sim.burn_in, sim.horizon)
-    return PointPath(tuple(times), sim.horizon, replication)
-
-
-def _cluster_cascade(sim: SimConfig, rng, lo: float, hi: float) -> list:
-    """Each class's sorted times in (0, T] of the clusters whose immigrants
-    arrive in (lo, hi], drawn from rng as `simulate_cluster` describes.
-    Clusters are independent, so the cascades of disjoint root intervals,
-    drawn one after another, superpose to the process on their union.
-    """
     multi = sim.config.kernel_matrix()
-    k = multi.k
     mu = sim.config.baseline * multi.p
-    T = sim.horizon
-    collected = [[] for _ in range(k)]
-    gen = []
-    for i in range(k):
-        n_imm = rng.poisson(mu[i] * (hi - lo))
-        imm = rng.uniform(lo, hi, size=n_imm)
-        gen.append(imm)
-        collected[i].append(imm)
+    T, B = sim.horizon, sim.burn_in
+    roots = [rng.uniform(-B, T, size=rng.poisson(rate * (T + B))) for rate in mu]
+    times = []
+    for buf in _cascade(multi, rng, T, roots)[0]:
+        seq = _joined(buf)
+        seq.sort()
+        start = int(np.searchsorted(seq, 0.0, side="right"))
+        # a slice keeps the burn-in points alive with it: copy the window out
+        # when they are the larger part (short windows)
+        times.append(seq[start:].copy() if 2 * start > seq.size else seq[start:])
+    return PointPath(tuple(times), T, replication)
 
+
+def _cascade(multi, rng, hi: float, roots: list, ids: list | None = None) -> tuple:
+    """The roots of each class and all their descendants at or before hi:
+    per class, a list of arrays, the roots first; with ids (one integer array
+    per class beside the roots), each descendant carries its root's id in a
+    second list of the same layout (None without ids).
+
+    A parent of type j spawns type-i children as an inhomogeneous Poisson
+    cascade with intensity h_ij, i.e. Poisson(||h_ij||) children placed with
+    density h_ij/||h_ij||.  One generation of n type-j parents draws its
+    type-i children as a single Poisson(n ||h_ij||) total, each child given a
+    uniformly chosen parent; this multinomial split has the law of n
+    independent litters.  Uniform parent indices also pair offsets with
+    parents at random, as Kernel.sample_offsets requires.  Births after hi are
+    dropped, and so are their descendants, which would come later still.
+    """
+    k = multi.k
     branching = multi.l1_matrix()
+    collected = [[r] for r in roots]
+    tags = None if ids is None else [[x] for x in ids]
+    gen, gen_ids = roots, ids
     depth = 0
     while any(g.size for g in gen):
         depth += 1
         if depth > _GENERATION_CAP:
             raise StabilityError(f"cluster cascade exceeded {_GENERATION_CAP} generations")
-        nxt = [[] for _ in range(k)]
+        nxt, nxt_ids = [[] for _ in range(k)], [[] for _ in range(k)]
         for j in range(k):                      # parent type
             parents = gen[j]
             if parents.size == 0:
@@ -256,29 +262,26 @@ def _cluster_cascade(sim: SimConfig, rng, lo: float, hi: float) -> list:
                 total = int(rng.poisson(br * parents.size))
                 if total == 0:
                     continue
-                births = parents[rng.integers(0, parents.size, size=total)]
+                pick = rng.integers(0, parents.size, size=total)
+                births = parents[pick]
                 births += multi.entries[i][j].sample_offsets(rng, total)
-                births = births[births <= T]    # later births cannot have offspring in (0, T]
-                nxt[i].append(births)
-                collected[i].append(births)
+                early = births <= hi
+                nxt[i].append(births[early])
+                collected[i].append(nxt[i][-1])
+                if ids is not None:
+                    nxt_ids[i].append(gen_ids[j][pick[early]])
+                    tags[i].append(nxt_ids[i][-1])
         gen = [_joined(buf) for buf in nxt]
-
-    times = []
-    for buf in collected:
-        seq = _joined(buf)
-        seq.sort()
-        start = int(np.searchsorted(seq, 0.0, side="right"))
-        # a slice keeps the burn-in points alive with it: copy the window out
-        # when they are the larger part (short windows)
-        times.append(seq[start:].copy() if 2 * start > seq.size else seq[start:])
-    return times
+        if ids is not None:
+            gen_ids = [_joined(buf, int) for buf in nxt_ids]
+    return collected, tags
 
 
-def _joined(arrays: list) -> np.ndarray:
+def _joined(arrays: list, dtype=float) -> np.ndarray:
     """The arrays end to end; a single array itself, not a copy."""
     if len(arrays) == 1:
         return arrays[0]
-    return np.concatenate(arrays) if arrays else np.empty(0)
+    return np.concatenate(arrays) if arrays else np.empty(0, dtype)
 
 
 class _ThinningState:
@@ -291,7 +294,8 @@ class _ThinningState:
     A table keeps a window of recent source events, pruned at its cutoff,
     and bounds with its non-increasing majorant.  A source's window is the
     live slice [start, stop) of a float array that pruning shortens from the
-    front; tables are evaluated on that slice.
+    front; tables are evaluated on that slice.  Without terms (the zero
+    kernel, or tables only) the term vectors are empty and are not touched.
     """
 
     def __init__(self, multi, mu):
@@ -325,10 +329,12 @@ class _ThinningState:
         self.stop = [0] * multi.k
 
     def decay(self, dt):
-        self.state *= np.exp(self.betas * -dt)
+        if self.state.size:
+            self.state *= np.exp(self.betas * -dt)
 
     def register(self, m, t):
-        self.state += self.from_source[m]
+        if self.state.size:
+            self.state += self.from_source[m]
         if not self.prune_horizon[m]:
             return
         buf, stop = self.events[m], self.stop[m]
@@ -352,8 +358,10 @@ class _ThinningState:
     def intensities(self, t, bound=False):
         """The intensities at t or, with bound, an upper bound valid on
         [t, next event) from positive terms and the tables' majorants."""
-        weights = (self.pos_alphas if bound else self.alphas) * self.state
-        lam = self.mu + np.bincount(self.target, weights, minlength=self.k)
+        lam = self.mu.copy()
+        if self.state.size:
+            weights = (self.pos_alphas if bound else self.alphas) * self.state
+            lam += np.bincount(self.target, weights, minlength=self.k)
         for i, j, table in self.tables:
             ev = self.window(j)
             if ev.size:

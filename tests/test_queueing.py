@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import pickle
@@ -155,6 +154,33 @@ def test_lognormal_sample_is_the_lognormal_law():
     exact = stats.lognorm(0.5, scale=math.exp(0.2)).cdf
     assert draws.shape == (200_000,) and np.all(draws > 0)
     assert stats.kstest(draws, exact).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("F, second_moment", [
+    (hq.ExponentialService(0.7), 2.0 / 0.7**2),
+    (hq.LogNormalService(0.2, 0.5), math.exp(2 * 0.2 + 2 * 0.5**2)),
+    (hq.DeterministicService(1.3), 1.3**2),
+    # the quantile is linear on each of the four cells of width 1/4
+    (hq.TabulatedInverseCDFService(_TABLE),
+     sum(0.25 * (a * a + a * b + b * b) / 3.0 for a, b in zip(_TABLE, _TABLE[1:]))),
+], ids=["exponential", "lognormal", "deterministic", "tabulated"])
+def test_size_biased_draws(F, second_moment):
+    # the law x dF(x) / E[S]: mean E[S^2] / E[S] within 4 SEs, and a KS test
+    # against its CDF (E[S; S <= x]) / E[S] = (I(x) - x S(x)) / E[S], I the
+    # survival integral, at an alarm level of 1e-3 (the seed is fixed)
+    from scipy import stats
+    draws = F.sample_size_biased(hq.rep_stream(29, 0), 100_000)
+    assert draws.shape == (100_000,) and np.all(draws > 0)
+    if isinstance(F, hq.DeterministicService):
+        assert np.all(draws == F.value)
+        return
+    mean = second_moment / F.mean()
+    assert abs(draws.mean() - mean) < 4.0 * draws.std(ddof=1) / math.sqrt(draws.size)
+
+    def cdf(x):
+        return (F.survival_integral(x) - x * F.survival(x)) / F.mean()
+
+    assert stats.kstest(draws, cdf).pvalue > 1e-3
 
 
 _NAN, _INF = float("nan"), float("inf")
@@ -330,33 +356,13 @@ def test_steady_state_same_for_any_worker_count(h1, quarter_matrix, cpus, model)
 
 
 def _window(sample: hq.SteadyStateSample, config):
-    """The probe times and the SimConfig of the replications of `sample`, whose
-    arrivals start empty at 0, and the number of blocks of root times each
-    replication is counted in."""
+    """The probe times and the SimConfig of the thinning replications of
+    `sample`, whose arrivals start empty at 0."""
     per_rep = sample.samples.shape[1]
     t_grid = sample.burn_in + sample.spacing * np.arange(per_rep)
     sim = hq.SimConfig(config, sample.burn_in + sample.spacing * (per_rep - 1) + 1e-9,
-                       sample.seed, burn_in=0.0)
-    immigrants = config.baseline * config.kernel_matrix().p.sum() * (sim.horizon + sim.burn_in)
-    return t_grid, sim, math.ceil(immigrants / queueing._BLOCK_IMMIGRANTS)
-
-
-@pytest.mark.parametrize("model", ["h1", "asymmetric"])
-def test_steady_state_one_block_is_the_path_composition(h1, phi_asymmetric, model):
-    # a window of one block draws what the whole path draws, in the same order
-    if model == "h1":
-        config, services = hq.HawkesConfig(10.0, h1), [hq.ExponentialService(1.0)]
-    else:
-        config = hq.HawkesConfig(5.0, phi_asymmetric.kernel)
-        services = [hq.ExponentialService(1.0), hq.LogNormalService(0.0, 0.5)]
-    sample = hq.steady_state_sample(config, services, 600, seed=17)
-    t_grid, sim, blocks = _window(sample, config)
-    assert blocks == 1
-    empty = np.zeros(config.dimension, dtype=int)
-    for r, got in enumerate(sample.samples):
-        svc_rng = hq.rep_stream(sample.seed, r, SERVICE_STREAM)
-        want = hq.simulate_queue(hq.simulate_cluster(sim, r), services, empty, t_grid, svc_rng)
-        assert np.array_equal(got, want.q)
+                       sample.seed, burn_in=0.0, engine="thinning")
+    return t_grid, sim
 
 
 @pytest.mark.parametrize("model", ["h1", "asymmetric"])
@@ -369,8 +375,7 @@ def test_steady_state_thinning_is_the_path_composition(h1, phi_asymmetric, model
         config = hq.HawkesConfig(2.0, phi_asymmetric.kernel)
         services = [hq.ExponentialService(1.0), hq.LogNormalService(0.0, 0.5)]
     sample = hq.steady_state_sample(config, services, 75, seed=19, engine="thinning")
-    t_grid, sim, _ = _window(sample, config)
-    sim = dataclasses.replace(sim, engine="thinning")
+    t_grid, sim = _window(sample, config)
     empty = np.zeros(config.dimension, dtype=int)
     for r, got in enumerate(sample.samples):
         svc_rng = hq.rep_stream(sample.seed, r, SERVICE_STREAM)
@@ -378,30 +383,33 @@ def test_steady_state_thinning_is_the_path_composition(h1, phi_asymmetric, model
         assert np.array_equal(got, want.q)
 
 
-def test_queue_replication_holds_one_block(h1):
-    # h1 at mu = 200 over 400 probes: about 815k events in the replication, whose
-    # whole path and departures peak at 16 MB of tracemalloc
-    config, services = hq.HawkesConfig(200.0, h1), [hq.ExponentialService(1.0)]
-    t_grid = 30.0 + 5.0 * np.arange(400)
-    sim = hq.SimConfig(config, t_grid[-1] + 1e-9, seed=3)
-    tracemalloc.start()
-    try:
-        q = queueing._queue_replication(sim, services, t_grid, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert q.shape == (400, 1) and 300.0 < q.mean() < 500.0       # mean 400
-    assert peak < 5e6
+def test_stationary_block_memory_is_bounded(h1):
+    # h1 at mu = 200 offers 400 proposals per draw.  Blocks of 1.8 and of 18
+    # chunks' worth of proposals, held in 2 and in 18 or 19 chunks, peak alike,
+    # below 5e6 bytes of tracemalloc, and so does one draw of 1.8 chunks' worth
+    services, chunk = [hq.ExponentialService(1.0)], queueing._CHUNK_PROPOSALS
+    per_rep = int(1.8 * chunk / 400.0)
+    queueing._stationary_block(hq.HawkesConfig(200.0, h1), services, 1, 3, 0)  # warm-up
+    peaks = []
+    for mu, n in ((200.0, per_rep), (200.0, 10 * per_rep), (0.9 * chunk, 1)):
+        tracemalloc.start()
+        try:
+            q = queueing._stationary_block(hq.HawkesConfig(mu, h1), services, n, 3, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert q.shape == (n, 1) and 0.8 < q.mean() / (2.0 * mu) < 1.2, (mu, n)
+    assert max(peaks) < 5e6 and max(peaks) < 1.25 * min(peaks), peaks
 
 
 def test_steady_state_in_blocks_keeps_the_law(h1):
-    # h1 at mu = 200, each replication counted in four blocks: the mean
-    # mu lambda_bar E[S] = 400 and the variance mu Var X_e(inf) = 600, each within
-    # 4 replication SEs
+    # h1 at mu = 200, each block of 160 draws handled in three chunks of
+    # proposals: the mean mu lambda_bar E[S] = 400 and the variance
+    # mu Var X_e(inf) = 600, each within 4 block SEs
     mu = 200.0
     config = hq.HawkesConfig(mu, h1)
     sample = hq.steady_state_sample(config, hq.ExponentialService(1.0), 4000, seed=3)
-    assert _window(sample, config)[2] >= 3
+    assert sample.samples.shape[1] * 2.0 * mu > 2 * queueing._CHUNK_PROPOSALS
     mean_z = (sample.mean()[0] - mu * config.kernel_matrix().branching_vector()[0]) \
         / sample.se_mean()[0]
     var_z = (sample.var()[0] - mu * hq.var_xe_infty(h1)) / sample.se_var()[0]
@@ -409,17 +417,18 @@ def test_steady_state_in_blocks_keeps_the_law(h1):
 
 
 def test_steady_state_burn_in_is_at_least_the_engine_burn_in():
-    # the arrivals start empty at 0 with the queue, so the first probe waits for
-    # the engine's leak bound where it is the longer warm-up: here about 353
-    # against 10 E[S] + 10 corr_scale = 30
+    # thinning starts its arrivals empty at 0 with the queue, so the first probe
+    # waits for the engine's leak bound where it is the longer warm-up: here
+    # about 353 against 10 E[S] + 10 corr_scale = 30
     config = hq.HawkesConfig(5.0, hq.PowerLawKernel(1.0, 3.5, 1.25))
     want = hq.default_burn_in(config)
     assert want > 300.0
-    sample = hq.steady_state_sample(config, hq.ExponentialService(1.0), 75, seed=2)
+    sample = hq.steady_state_sample(config, hq.ExponentialService(1.0), 3, seed=2,
+                                    engine="thinning")
     assert sample.burn_in == want
     with pytest.raises(ConfigurationError, match="below the floor"):
         hq.steady_state_sample(config, hq.ExponentialService(1.0), 75, seed=2,
-                               burn_in=0.5 * want)
+                               engine="thinning", burn_in=0.5 * want)
 
 
 @pytest.mark.parametrize("kernel, message", [
@@ -427,31 +436,57 @@ def test_steady_state_burn_in_is_at_least_the_engine_burn_in():
     (hq.PowerLawKernel(1.0, 2.1, 0.5), "burn-in bias bound unattainable"),
 ], ids=["g2", "g2.1"])
 def test_steady_state_refuses_a_tail_without_a_burn_in(kernel, message):
-    # refused with the error of default_burn_in, with or without an explicit burn-in
+    # thinning is refused with the error of default_burn_in, with or without an
+    # explicit burn-in; the exact draws of the cluster engine need no burn-in
     config = hq.HawkesConfig(5.0, kernel)
     with pytest.raises(ConfigurationError, match=message):
         hq.default_burn_in(config)
     for window in ({}, {"burn_in": 1e6}):
         with pytest.raises(ConfigurationError, match=message):
-            hq.steady_state_sample(config, hq.ExponentialService(1.0), 75, seed=2, **window)
+            hq.steady_state_sample(config, hq.ExponentialService(1.0), 75, seed=2,
+                                   engine="thinning", **window)
+    sample = hq.steady_state_sample(config, hq.ExponentialService(1.0), 75, seed=2,
+                                    burn_in=1e6)
+    assert sample.samples.shape == (25, 3, 1) and sample.burn_in is None
+
+
+def test_steady_state_heavy_tail_matches_the_exact_moments():
+    # g = 2: offsets without a mean, refused by thinning's burn-in above.  The
+    # exact draws match the mean 10 and variance 13.41 of gaussian_queue_approx
+    # (Exp(1) service, from the power law's exponential sum), each within 4 SEs
+    kernel, mu, service = hq.PowerLawKernel(1.0, 2.0, 0.5), 5.0, hq.ExponentialService(1.0)
+    sample = hq.steady_state_sample(hq.HawkesConfig(mu, kernel), service, 20_000, seed=5)
+    target = hq.gaussian_queue_approx(mu, kernel, service=service)
+    assert abs(sample.mean()[0] - target.mean) < 4.0 * sample.se_mean()[0]
+    assert abs(sample.var()[0] - target.sigma**2) < 4.0 * sample.se_var()[0]
 
 
 def test_steady_state_floor_validation(h1):
     cfg = hq.HawkesConfig(5.0, h1)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="below the floor"):
         hq.steady_state_sample(cfg, hq.ExponentialService(1.0), 100, seed=1,
-                               burn_in=1.0)
-    with pytest.raises(ConfigurationError):
+                               engine="thinning", burn_in=1.0)
+    with pytest.raises(ConfigurationError, match="below the floor"):
         hq.steady_state_sample(cfg, hq.ExponentialService(1.0), 100, seed=1,
-                               spacing=0.5)
+                               engine="thinning", spacing=0.5)
     with pytest.raises(ConfigurationError):
         hq.steady_state_sample(cfg, hq.ExponentialService(1.0), 100, seed=1,
                                engine="bogus")
+    # the cluster engine has no floors, and reports no window
+    sample = hq.steady_state_sample(cfg, hq.ExponentialService(1.0), 100, seed=1,
+                                    burn_in=1.0, spacing=0.5)
+    assert sample.burn_in is None and sample.spacing is None
     # NaN passes every floor comparison, and an infinite window has no last probe
-    for window in ({"burn_in": math.nan}, {"burn_in": math.inf},
-                   {"spacing": math.nan}, {"spacing": math.inf}):
-        with pytest.raises(ConfigurationError, match="must be finite"):
-            hq.steady_state_sample(cfg, hq.ExponentialService(1.0), 100, seed=1, **window)
+    for engine in ("cluster", "thinning"):
+        for window in ({"burn_in": math.nan}, {"burn_in": math.inf},
+                       {"spacing": math.nan}, {"spacing": math.inf}):
+            with pytest.raises(ConfigurationError, match="must be finite"):
+                hq.steady_state_sample(cfg, hq.ExponentialService(1.0), 100, seed=1,
+                                       engine=engine, **window)
+        for window in ({"burn_in": -1.0}, {"spacing": -1.0}):
+            with pytest.raises(ConfigurationError, match="must not be negative"):
+                hq.steady_state_sample(cfg, hq.ExponentialService(1.0), 100, seed=1,
+                                       engine=engine, **window)
 
 
 def test_se_cov_is_the_replication_jackknife():
@@ -476,8 +511,66 @@ def test_steady_state_hawkes_mean(h1):
     assert abs(sample.mean()[0] - 40.0) < 3.0 * sample.se_mean()[0]
 
 
-@pytest.mark.parametrize("service", [hq.LogNormalService(0.0, 0.5), hq.DeterministicService(1.0)],
-                         ids=["lognormal", "deterministic"])
+def test_steady_state_mixture_has_the_exact_law(h2):
+    # h2 has two exponential components, whose offsets come one block per
+    # component and are paired with spines at random.  Exp(1) service at
+    # mu = 100: mean 2 mu and variance mu Var X_e(inf) = mu 88/35 exactly, each
+    # within 4 SEs (test_steady_state_in_blocks_keeps_the_law checks h1)
+    mu = 100.0
+    sample = hq.steady_state_sample(hq.HawkesConfig(mu, h2), hq.ExponentialService(1.0),
+                                    10_000, seed=31)
+    assert sample.n_samples == 10_000
+    assert abs(sample.mean()[0] - 2.0 * mu) < 4.0 * sample.se_mean()[0]
+    assert abs(sample.var()[0] - mu * 88.0 / 35.0) < 4.0 * sample.se_var()[0]
+
+
+def test_exact_draws_do_not_depend_on_their_place_in_a_block(h2):
+    # the spine offsets of h2 come one block per component; were they not
+    # paired with the spines at random, the first draws of every block would
+    # take the slow component's offsets and the last the fast one's (variances
+    # 243 and 277 at 80,000 draws).  The variances of the first and of the
+    # last fifth of the blocks' draws agree within 4 SEs (iid draws, so the
+    # SEs of `sample_cov`)
+    sample = hq.steady_state_sample(hq.HawkesConfig(100.0, h2), hq.ExponentialService(1.0),
+                                    40_000, seed=37)
+    fifth = sample.samples.shape[1] // 5
+    (va, sa), (vb, sb) = (sample_cov(part.reshape(-1, 1)) for part in
+                          (sample.samples[:, :fifth], sample.samples[:, -fifth:]))
+    assert abs(va[0, 0] - vb[0, 0]) < 4.0 * math.hypot(sa[0, 0], sb[0, 0])
+
+
+def test_exact_draws_agree_with_thinning(h2):
+    # two independent constructions of the stationary queue of h2 at mu = 2 with
+    # Exp(1) service: exact draws of the cluster engine against spaced probes of
+    # long thinning replications.  Mean and variance, each by the z of their
+    # difference over the root sum of squared SEs; at |z| < 3.5 the two checks
+    # raise a false alarm with probability at most 2 * 4.7e-4 = 0.093%
+    config, service = hq.HawkesConfig(2.0, h2), hq.ExponentialService(1.0)
+    exact = hq.steady_state_sample(config, service, 20_000, seed=41)
+    thinned = hq.steady_state_sample(config, service, 1000, seed=41, engine="thinning")
+    for stat, se in (("mean", "se_mean"), ("var", "se_var")):
+        gap = getattr(exact, stat)()[0] - getattr(thinned, stat)()[0]
+        z = gap / math.hypot(getattr(exact, se)()[0], getattr(thinned, se)()[0])
+        assert abs(z) < 3.5, (stat, z)
+
+
+def test_steady_state_asymmetric_classes(phi_asymmetric):
+    # k = 2 with four distinct entries and an Exp(1) and a LogNormal(0, 0.5)
+    # class: mean lambda_i E[S_i] and covariance mu * steady_state_variance of
+    # the queue limit, each within 4 block SEs
+    mu, services = 50.0, [hq.ExponentialService(1.0), hq.LogNormalService(0.0, 0.5)]
+    config = hq.HawkesConfig(mu, phi_asymmetric.kernel)
+    sample = hq.steady_state_sample(config, services, 10_000, seed=709)
+    target = mu * hq.queue_limit_model(phi_asymmetric, services, services,
+                                       q0=0.0).steady_state_variance
+    mean = config.mean_rate_vector() * [F.mean() for F in services]
+    assert np.all(np.abs(sample.mean() - mean) < 4.0 * sample.se_mean())
+    assert np.all(np.abs(sample.cov() - target) < 4.0 * sample.se_cov())
+
+
+@pytest.mark.parametrize("service", [hq.LogNormalService(0.0, 0.5), hq.DeterministicService(1.0),
+                                     hq.TabulatedInverseCDFService(_TABLE)],
+                         ids=["lognormal", "deterministic", "tabulated"])
 def test_steady_state_non_exponential_service(h1, phi_h1, service):
     # mean lambda_bar E[S] (lambda_bar = 2 mu for h1) and variance mu var_X_infty(F, phi),
     # each within 4 jackknife SEs
